@@ -11,6 +11,7 @@ from opetopes.oalg import (
     PastingCell,
     SortedFamily,
 )
+from opetopes.theory import FinDirectCat
 
 __all__ = [
     "PolyFun",
@@ -28,5 +29,6 @@ __all__ = [
     "PastingCell",
     "OAlgebra",
     "FiniteCategory",
+    "FinDirectCat",
     "LambdaMorphism",
 ]

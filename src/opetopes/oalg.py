@@ -5,13 +5,15 @@ pasting cells over such a family, the unit and multiplication of the free
 pasting monad, algebra structures given by finite composition tables, the
 ordinal realization for (k, n) = (1, 1) together with diagrammatic
 presentations of monotone maps, and nerves of finite categories all live
-here.
+here.  The finite-category type, its axiom checks and the propagation
+step that fills pastings come from `theory`.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .opetope import (
     Addr,
@@ -52,7 +54,13 @@ from .opset import (
     maps,
     orthogonal_witness,
     spine,
-    stored_gens,
+)
+from .theory import (
+    FinDirectCat,  # noqa: F401  (the same class as FiniteCategory, re-exported)
+    FiniteCategory,
+    NotACategory,
+    ensure_category,
+    propagate,
 )
 
 
@@ -61,10 +69,6 @@ class ShapeMismatch(ValueError):
 
 
 class NotComposable(ValueError):
-    pass
-
-
-class NotACategory(ValueError):
     pass
 
 
@@ -145,32 +149,24 @@ def _spine_of(nu: Opetope, window: Window) -> FinOpSet:
 
 
 def _natural_fill(
-    S: FinOpSet, X: FinOpSet, seeds: dict[CellId, CellId], what: str
+    S: FinOpSet, X: FinOpSet, seeds: Iterable[tuple[CellId, CellId]], what: str
 ) -> dict[CellId, CellId]:
-    """Extend a partial assignment S -> X along faces.
+    """Extend (cell, value) seeds to a map S -> X along faces.
 
     Every cell of S must end up covered, and no cell may receive two
     different values; either failure means the seeds do not present a
     natural map.
     """
     comp: dict[CellId, CellId] = {}
-    stack = list(seeds.items())
-    while stack:
-        c, v = stack.pop()
+    bad = propagate(seeds, comp, [], S.table, X.table)
+    if bad is not None:
+        c, v = bad
         if S.shape_of(c) != X.shape_of(v):
             raise ShapeMismatch(
                 f"{what}: cell {c} has shape {S.shape_of(c)} "
                 f"but value {v} has shape {X.shape_of(v)}"
             )
-        if c in comp:
-            if comp[c] != v:
-                raise ShapeMismatch(
-                    f"{what}: conflicting values {comp[c]} and {v} at cell {c}"
-                )
-            continue
-        comp[c] = v
-        for g in stored_gens(S, S.shape_of(c)):
-            stack.append((S.face(c, g), X.face(v, g)))
+        raise ShapeMismatch(f"{what}: conflicting values {comp[c]} and {v} at cell {c}")
     if len(comp) != S.size():
         raise ShapeMismatch(
             f"{what}: seeds determine {len(comp)} of {S.size()} cells"
@@ -226,7 +222,7 @@ def monad_unit(X: SortedFamily, x: CellId) -> PastingCell:
     nu = corolla(omega)
     S = _spine_of(nu, X.family.window)
     root = node_addrs(nu)[0]
-    comp = _natural_fill(S, X.family, {_node_cell(root): x}, "unit")
+    comp = _natural_fill(S, X.family, [(_node_cell(root), x)], "unit")
     return PastingCell(nu, OpSetMap(S, X.family, comp))
 
 
@@ -317,7 +313,7 @@ def monad_mult(
             raise ShapeMismatch("a degenerate outer shape needs its colour")
         S = _spine_of(alpha, X.family.window)
         comp = _natural_fill(
-            S, X.family, {_shell_cell(S, alpha.shell): shell}, "multiplication"
+            S, X.family, [(_shell_cell(S, alpha.shell), shell)], "multiplication"
         )
         return PastingCell(alpha, OpSetMap(S, X.family, comp))
 
@@ -336,17 +332,9 @@ def monad_mult(
     result, placed, deg_edge = _paste(alpha, parts)
     S = _spine_of(result, X.family.window)
     lo = X.family.window[0]
-    seeds: dict[CellId, CellId] = {}
-
-    def seed(c: CellId, v: CellId) -> None:
-        if c in seeds and seeds[c] != v:
-            raise ShapeMismatch(
-                f"multiplication: conflicting values {seeds[c]} and {v} at {c}"
-            )
-        seeds[c] = v
-
+    seeds: list[tuple[CellId, CellId]] = []
     for a, (p, l) in placed.items():
-        seed(_node_cell(a), inner[p].filling(_node_cell(l)))
+        seeds.append((_node_cell(a), inner[p].filling(_node_cell(l))))
     for p, e in deg_edge.items():
         cell = inner[p]
         shell_shape = cell.shape.shell  # type: ignore[union-attr]
@@ -354,9 +342,9 @@ def monad_mult(
             continue
         v = cell.filling(_shell_cell(cell.filling.src, shell_shape))
         if isinstance(result, Degenerate):
-            seed(_shell_cell(S, result.shell), v)
+            seeds.append((_shell_cell(S, result.shell), v))
         else:
-            seed(_edge_cell(result, e), v)
+            seeds.append((_edge_cell(result, e), v))
     if isinstance(result, Degenerate) and not seeds:
         raise ShapeMismatch("multiplication: no data determines the result colour")
     comp = _natural_fill(S, X.family, seeds, "multiplication")
@@ -390,7 +378,7 @@ def split_pasting(X: SortedFamily, xi: Opetope, cell: PastingCell) -> dict[Addr,
             for a, (p2, l) in placed.items():
                 if p2 == p:
                     seeds[_node_cell(l)] = cell.filling(_node_cell(a))
-        comp = _natural_fill(S, X.family, seeds, f"slice at {p}")
+        comp = _natural_fill(S, X.family, seeds.items(), f"slice at {p}")
         out[p] = PastingCell(nu, OpSetMap(S, X.family, comp))
     return out
 
@@ -520,7 +508,7 @@ def check_algebra_laws(A: OAlgebra, max_nodes: int) -> AlgebraLawReport:
                     _node_cell(p): A.compose(cell) for p, cell in inner.items()
                 }
                 SA = _spine_of(alpha, X.family.window)
-                comp = _natural_fill(SA, X.family, seeds, "outer pasting")
+                comp = _natural_fill(SA, X.family, seeds.items(), "outer pasting")
             except ShapeMismatch as err:
                 failures.append(f"{label}: {err}")
                 continue
@@ -532,86 +520,6 @@ def check_algebra_laws(A: OAlgebra, max_nodes: int) -> AlgebraLawReport:
 
 # ---------------------------------------------------------------------------
 # Finite categories
-
-
-@dataclass(frozen=True)
-class FiniteCategory:
-    """Objects, morphisms with endpoints, designated identities, and a
-    total composition table (identity composites may be left implicit)."""
-
-    objects: tuple[str, ...]
-    morphisms: dict[str, tuple[str, str]]
-    composition: dict[tuple[str, str], str]
-    identities: dict[str, str]
-
-    def src(self, f: str) -> str:
-        return self.morphisms[f][0]
-
-    def tgt(self, f: str) -> str:
-        return self.morphisms[f][1]
-
-    def compose(self, g: str, f: str) -> str:
-        """g after f."""
-        if (g, f) in self.composition:
-            return self.composition[(g, f)]
-        if f == self.identities.get(self.src(f)):
-            return g
-        if g == self.identities.get(self.tgt(f)):
-            return f
-        raise NotACategory(f"no composite for {g}.{f}")
-
-    def chain_composite(self, start: str, ms: tuple[str, ...]) -> str:
-        if not ms:
-            return self.identities[start]
-        c = ms[0]
-        for e in ms[1:]:
-            c = self.compose(e, c)
-        return c
-
-
-def ensure_category(C: FiniteCategory) -> None:
-    """Raise NotACategory unless the tables satisfy the category axioms."""
-    for f, (a, b) in C.morphisms.items():
-        if a not in C.objects or b not in C.objects:
-            raise NotACategory(f"morphism {f} has unknown endpoints")
-    for a in C.objects:
-        i = C.identities.get(a)
-        if i is None:
-            raise NotACategory(f"object {a} has no identity")
-        if C.morphisms.get(i) != (a, a):
-            raise NotACategory(f"identity {i} of {a} is not an endomorphism of {a}")
-    for (g, f), h in C.composition.items():
-        if C.tgt(f) != C.src(g):
-            raise NotACategory(f"composite {g}.{f} declared but not composable")
-        if C.morphisms.get(h) is None:
-            raise NotACategory(f"composite {g}.{f} = {h} is not a morphism")
-        if (C.src(h), C.tgt(h)) != (C.src(f), C.tgt(g)):
-            raise NotACategory(f"composite {g}.{f} = {h} has wrong endpoints")
-    for f in C.morphisms:
-        for g in C.morphisms:
-            if C.tgt(f) != C.src(g):
-                continue
-            try:
-                C.compose(g, f)
-            except NotACategory as err:
-                raise NotACategory(str(err)) from None
-    for f in C.morphisms:
-        a, b = C.morphisms[f]
-        if C.compose(f, C.identities[a]) != f:
-            raise NotACategory(f"right identity fails at {f}")
-        if C.compose(C.identities[b], f) != f:
-            raise NotACategory(f"left identity fails at {f}")
-    for f in C.morphisms:
-        for g in C.morphisms:
-            if C.tgt(f) != C.src(g):
-                continue
-            for h in C.morphisms:
-                if C.tgt(g) != C.src(h):
-                    continue
-                if C.compose(h, C.compose(g, f)) != C.compose(C.compose(h, g), f):
-                    raise NotACategory(
-                        f"associativity fails at {h}.{g}.{f}"
-                    )
 
 
 def parse_category(text: str) -> FiniteCategory:
@@ -690,10 +598,7 @@ def category_algebra(C: FiniteCategory, max_nodes: int) -> OAlgebra:
 
     def rule(cell: PastingCell) -> CellId:
         start, edges = pasting_chain(cell)
-        names = tuple(e[2:] for e in edges)
-        if not names:
-            return f"a.{C.identities[start[2:]]}"
-        return f"a.{C.chain_composite(C.src(names[0]), names)}"
+        return f"a.{C.chain_composite(start[2:], tuple(e[2:] for e in edges))}"
 
     return build_algebra(X, rule, max_nodes)
 
@@ -963,15 +868,9 @@ def nerve_category(C: FiniteCategory, max_shape_nodes: int | None = None) -> Fin
                 "pass a shape bound"
             )
         return empty_opset((0, 3))
-    cells: dict[Opetope, tuple[CellId, ...]] = {
-        POINT: tuple(f"o.{a}" for a in C.objects)
-    }
-    fac: dict[tuple[CellId, Gen], CellId] = {}
-    if C.morphisms:
-        cells[ARROW] = tuple(f"a.{f}" for f in sorted(C.morphisms))
-        for f, (a, b) in C.morphisms.items():
-            fac[(f"a.{f}", ("s", STAR))] = f"o.{a}"
-            fac[(f"a.{f}", T_GEN)] = f"o.{b}"
+    graph = category_family(C).family
+    cells: dict[Opetope, tuple[CellId, ...]] = dict(graph.cells)
+    fac: dict[tuple[CellId, Gen], CellId] = dict(graph.faces)
     for m in range(max_shape_nodes + 1):
         shape = opetopic_integer(m)
         ids = []

@@ -19,7 +19,7 @@ into the matching node of the smaller target.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 from opetopes.polytree import (
     AddressNotALeaf,

@@ -8,24 +8,30 @@ intervals [lo, hi]; faces that would leave the window are not stored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from opetopes.opetope import (
     Addr,
     Gen,
     Opetope,
     T_GEN,
+    enumerate_opetopes,
+    face,
     faces as face_structure,
     generators,
     lex_key,
     node_addrs,
     parse as parse_opetope,
     parse_addr,
+    relation_squares,
     render,
     render_word,
+    size,
     source,
     target,
 )
+from opetopes.theory import CellTable, natural_maps
 
 Window = tuple[int, int]
 CellId = str
@@ -57,6 +63,12 @@ class FinOpSet:
 
     def shape_of(self, x: CellId) -> Opetope:
         return self._shape_of[x]  # type: ignore[attr-defined]
+
+    @cached_property
+    def table(self) -> CellTable:
+        """The presheaf as the tables of the map search."""
+        gens = {shape: stored_gens(self, shape) for shape in self.cells}
+        return CellTable(self.cells, self._shape_of, gens, self.faces)  # type: ignore[attr-defined]
 
     def of_shape(self, shape: Opetope) -> tuple[CellId, ...]:
         return self.cells.get(shape, ())
@@ -104,21 +116,18 @@ def validate_opset(X: FinOpSet) -> list[str]:
     """Check totality of the action and every two-step relation square."""
     bad: list[str] = []
     lo, _ = X.window
+    shape_of = X._shape_of  # type: ignore[attr-defined]
     for shape in X.shapes():
         gens = stored_gens(X, shape)
+        wants = [face(shape, g) for g in gens]
         for x in X.of_shape(shape):
-            for g in gens:
+            for g, want in zip(gens, wants):
                 key = (x, g)
                 if key not in X.faces:
                     bad.append(f"{x}: no face along {render_gen(g)}")
-                    continue
-                y = X.faces[key]
-                want = target(shape) if g == T_GEN else source(shape, g[1])
-                if y not in X.all_cells() or X.shape_of(y) != want:
+                elif shape_of.get(X.faces[key]) != want:
                     bad.append(f"{x}: face along {render_gen(g)} has the wrong shape")
         if shape.dim - 2 >= lo:
-            from opetopes.opetope import relation_squares
-
             for (a, b), (c, d) in relation_squares(shape):
                 for x in X.of_shape(shape):
                     try:
@@ -277,8 +286,6 @@ def terminal_opset(window: Window, max_nodes: int) -> FinOpSet:
     shapes grow by one node), so shapes are kept only when every face of
     theirs also fits.
     """
-    from opetopes.opetope import enumerate_opetopes, size
-
     lo, hi = window
     cells: dict[Opetope, tuple[CellId, ...]] = {}
     faces: dict[tuple[CellId, Gen], CellId] = {}
@@ -293,7 +300,7 @@ def terminal_opset(window: Window, max_nodes: int) -> FinOpSet:
         if w.dim - 1 < lo:
             continue
         for g in generators(w):
-            f = target(w) if g == T_GEN else source(w, g[1])
+            f = face(w, g)
             if f in name:
                 faces[(x, g)] = name[f]
             else:
@@ -309,40 +316,8 @@ def maps(X: FinOpSet, Y: FinOpSet) -> tuple[OpSetMap, ...]:
     """All natural maps, by backtracking from the top dimension down."""
     if X.window != Y.window:
         raise WindowMismatch("maps need equal windows")
-    order: list[CellId] = []
-    for shape in sorted(X.shapes(), key=lambda w: (-w.dim, render(w))):
-        order.extend(X.of_shape(shape))
-    assignment: dict[CellId, CellId] = {}
-    out: list[dict[CellId, CellId]] = []
-
-    def propagate(x: CellId, y: CellId, trail: list[CellId]) -> bool:
-        if x in assignment:
-            return assignment[x] == y
-        if Y.shape_of(y) != X.shape_of(x):
-            return False
-        assignment[x] = y
-        trail.append(x)
-        for g in stored_gens(X, X.shape_of(x)):
-            if not propagate(X.face(x, g), Y.face(y, g), trail):
-                return False
-        return True
-
-    def go(i: int) -> None:
-        while i < len(order) and order[i] in assignment:
-            i += 1
-        if i == len(order):
-            out.append(dict(assignment))
-            return
-        x = order[i]
-        for y in Y.of_shape(X.shape_of(x)):
-            trail: list[CellId] = []
-            if propagate(x, y, trail):
-                go(i + 1)
-            for z in trail:
-                del assignment[z]
-
-    go(0)
-    return tuple(OpSetMap(X, Y, comp) for comp in out)
+    order = [x for w in sorted(X.cells, key=lambda w: (-w.dim, render(w))) for x in X.cells[w]]
+    return tuple(OpSetMap(X, Y, comp) for comp in natural_maps(order, X.table, Y.table))
 
 
 def orthogonal_witness(incl: Inclusion, X: FinOpSet):
@@ -481,8 +456,6 @@ class HLiftReport:
 def hlift_check(X: FinOpSet, n: int, max_nodes: int = 6) -> HLiftReport:
     """Check both unique-lifting implications around dimension n on X,
     over all shapes of total size at most max_nodes."""
-    from opetopes.opetope import enumerate_opetopes
-
     lo, hi = X.window
     if not (lo <= n and n + 2 <= hi):
         raise WindowMismatch("window must cover [n, n+2]")
@@ -536,33 +509,44 @@ def dump_opset(X: FinOpSet) -> str:
 
 
 def load_opset(text: str) -> FinOpSet:
+    """Read the text form written by dump_opset.  A malformed line raises
+    ValueError naming its number, and so does a set that fails
+    validate_opset, with the first problem."""
     window: Window | None = None
     cells: dict[Opetope, tuple[CellId, ...]] = {}
-    faces: dict[tuple[CellId, Gen], CellId] = {}
-    shape_of: dict[CellId, Opetope] = {}
-    pending: list[tuple[CellId, str, CellId]] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    pending: list[tuple[int, CellId, str, CellId]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
-        if parts[0] == "window":
-            window = (int(parts[1]), int(parts[2]))
-        elif parts[0] == "shape":
-            k = parts.index("cells")
-            shape = parse_opetope(" ".join(parts[1:k]))
-            ids = tuple(parts[k + 1 :])
-            cells[shape] = cells.get(shape, ()) + ids
-            for x in ids:
-                shape_of[x] = shape
-        elif parts[0] == "face":
-            if parts[3] != "->":
-                raise ValueError(f"bad face line: {line!r}")
-            pending.append((parts[1], parts[2], parts[4]))
-        else:
-            raise ValueError(f"bad line: {line!r}")
+        try:
+            if parts[0] == "window" and len(parts) == 3:
+                window = (int(parts[1]), int(parts[2]))
+            elif parts[0] == "shape" and "cells" in parts:
+                k = parts.index("cells")
+                shape = parse_opetope(" ".join(parts[1:k]))
+                cells[shape] = cells.get(shape, ()) + tuple(parts[k + 1 :])
+            elif parts[0] == "face" and len(parts) == 5 and parts[3] == "->":
+                pending.append((lineno, parts[1], parts[2], parts[4]))
+            else:
+                raise ValueError(
+                    "expected 'window LO HI', 'shape SHAPE cells ID...' or 'face ID GEN -> ID'"
+                )
+        except ValueError as err:
+            raise ValueError(f"line {lineno}: {err}: {raw.strip()!r}") from None
     if window is None:
         raise ValueError("missing window line")
-    for x, gtext, y in pending:
-        faces[(x, parse_gen(gtext, shape_of[x]))] = y
-    return FinOpSet(window, cells, faces)
+    shape_of = {x: shape for shape, ids in cells.items() for x in ids}
+    faces: dict[tuple[CellId, Gen], CellId] = {}
+    for lineno, x, gen, y in pending:
+        if x not in shape_of:
+            raise ValueError(f"line {lineno}: face of an undeclared cell {x!r}")
+        try:
+            faces[(x, parse_gen(gen, shape_of[x]))] = y
+        except ValueError as err:
+            raise ValueError(f"line {lineno}: {err}") from None
+    X = FinOpSet(window, cells, faces)
+    problems = validate_opset(X)
+    if problems:
+        raise ValueError(f"not an opetopic set: {problems[0]}")
+    return X

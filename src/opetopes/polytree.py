@@ -12,7 +12,7 @@ the declared input order of the node where two paths diverge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Hashable, Iterator
 
@@ -177,13 +177,6 @@ def subtree_at(t: PTree, addr: TreeAddress) -> PTree:
             raise AddressNotANode(f"address {addr!r} walks through an edge")
         t = t.child(label)
     return t
-
-
-def node_at(t: PTree, addr: TreeAddress) -> Hashable:
-    sub = subtree_at(t, addr)
-    if isinstance(sub, Edge):
-        raise AddressNotANode(f"no node at address {addr!r}")
-    return sub.node
 
 
 def leaf_colour(p: PolyFun, t: PTree, addr: TreeAddress) -> Colour:

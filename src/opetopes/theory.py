@@ -1,5 +1,10 @@
 """Dependently sorted algebraic theories over direct categories.
 
+The kernel shared with `opset` and `oalg` lives here: the finite-category
+table type (FiniteCategory, also named FinDirectCat), its axiom checks,
+and the natural-map search on presheaves given as plain tables.  This
+module imports nothing from the rest of the package.
+
 The semantic side: finite direct categories with computed dimensions,
 finite presheaves, boundaries, and cell contexts built by attaching one
 cell at a time, carrying the strict parent/projection/pullback structure.
@@ -13,6 +18,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterator
 
 
 class EmptyContext(ValueError):
@@ -35,18 +42,23 @@ class IllFormedContext(ValueError):
     pass
 
 
+class NotACategory(ValueError):
+    pass
+
+
 # ---------------------------------------------------------------------------
 # Finite direct categories
 
 
 @dataclass(frozen=True)
-class FinDirectCat:
+class FiniteCategory:
     """A finite category given by tables.
 
-    morphisms maps each non-identity or identity name to (source, target);
-    composition lists g after f for composable non-identity pairs, with
-    identity composites left implicit; identities designates one
-    endomorphism per object.
+    morphisms maps every morphism name, identities included, to its
+    (source, target); identities designates one endomorphism per object;
+    composition lists g after f for composable pairs, and composites with
+    an identity may be left implicit.  A direct category is one whose
+    non-identity morphisms form no cycle; validate_lfd checks that.
     """
 
     objects: tuple[str, ...]
@@ -71,7 +83,17 @@ class FinDirectCat:
             return g
         if g == self.identities.get(self.tgt(f)):
             return f
-        raise KeyError(f"no composite {g}.{f}")
+        raise NotACategory(f"no composite for {g}.{f}")
+
+    def chain_composite(self, start: str, ms: tuple[str, ...]) -> str:
+        """The composite of a chain given in diagram order; the identity
+        of start for the empty chain."""
+        if not ms:
+            return self.identities[start]
+        c = ms[0]
+        for e in ms[1:]:
+            c = self.compose(e, c)
+        return c
 
     def into(self, c: str) -> tuple[str, ...]:
         """Non-identity morphisms with target c, sorted by name."""
@@ -82,6 +104,67 @@ class FinDirectCat:
                 if b == c and not self.is_identity(f)
             )
         )
+
+
+FinDirectCat = FiniteCategory  # the name the direct-category side uses
+
+
+def _table_problems(C: FiniteCategory) -> Iterator[str]:
+    """Defects of the tables themselves: endpoints, identities and
+    composition entries."""
+    for f, (a, b) in C.morphisms.items():
+        if a not in C.objects or b not in C.objects:
+            yield f"morphism {f} has unknown endpoints"
+    for a in C.objects:
+        i = C.identities.get(a)
+        if i is None:
+            yield f"object {a} has no identity"
+        elif C.morphisms.get(i) != (a, a):
+            yield f"identity {i} of {a} is not an endomorphism of {a}"
+    for (g, f), h in C.composition.items():
+        if f not in C.morphisms or g not in C.morphisms:
+            yield f"composite {g}.{f} names an unknown morphism"
+        elif C.tgt(f) != C.src(g):
+            yield f"composite {g}.{f} declared but not composable"
+        elif h not in C.morphisms:
+            yield f"composite {g}.{f} = {h} is not a morphism"
+        elif (C.src(h), C.tgt(h)) != (C.src(f), C.tgt(g)):
+            yield f"composite {g}.{f} = {h} has wrong endpoints"
+
+
+def _law_problems(C: FiniteCategory) -> Iterator[str]:
+    """Failures of totality, the identity laws and associativity, on
+    tables without defects."""
+    out_of: dict[str, list[str]] = {a: [] for a in C.objects}
+    for f, (a, _) in C.morphisms.items():
+        out_of[a].append(f)
+    for f, (_, b) in C.morphisms.items():
+        for g in out_of[b]:
+            try:
+                C.compose(g, f)
+            except NotACategory as err:
+                yield str(err)
+    for f, (a, b) in C.morphisms.items():
+        if C.compose(f, C.identities[a]) != f:
+            yield f"right identity fails at {f}"
+        if C.compose(C.identities[b], f) != f:
+            yield f"left identity fails at {f}"
+    for f, (_, b) in C.morphisms.items():
+        for g in out_of[b]:
+            for h in out_of[C.tgt(g)]:
+                try:
+                    if C.compose(h, C.compose(g, f)) != C.compose(C.compose(h, g), f):
+                        yield f"associativity fails at {h}.{g}.{f}"
+                except NotACategory:
+                    continue  # a missing composite, reported above
+
+
+def ensure_category(C: FiniteCategory) -> None:
+    """Raise NotACategory at the first failure of the category axioms:
+    defects of the tables first, then the laws."""
+    for problems in (_table_problems, _law_problems):
+        for problem in problems(C):
+            raise NotACategory(problem)
 
 
 def _find_cycle(C: FinDirectCat) -> tuple[str, ...] | None:
@@ -124,12 +207,7 @@ def object_dimensions(C: FinDirectCat) -> dict[str, int]:
 
     def dim(c: str) -> int:
         if c not in memo:
-            below = [
-                dim(C.src(f))
-                for f in C.morphisms
-                if C.tgt(f) == c and not C.is_identity(f)
-            ]
-            memo[c] = 1 + max(below) if below else 0
+            memo[c] = 1 + max((dim(C.src(f)) for f in C.into(c)), default=-1)
         return memo[c]
 
     for c in C.objects:
@@ -150,69 +228,87 @@ class LfdReport:
 
 
 def validate_lfd(C: FinDirectCat) -> LfdReport:
-    """Check that C is a well-formed finite direct category: tables
-    consistent, the reachability order acyclic, and for each object the
+    """Check that C is a well-formed finite direct category: the category
+    axioms, the reachability order acyclic, and for each object the
     family of non-identity morphisms into it a saturated cover closed
     under precomposition.  Dimensions are computed along the way."""
-    problems: list[str] = []
-    for f, (a, b) in C.morphisms.items():
-        if a not in C.objects or b not in C.objects:
-            problems.append(f"morphism {f} has unknown endpoints")
-    for c in C.objects:
-        i = C.identities.get(c)
-        if i is None:
-            problems.append(f"object {c} has no identity")
-        elif C.morphisms.get(i) != (c, c):
-            problems.append(f"identity {i} of {c} is not an endomorphism of {c}")
-    for (g, f), h in C.composition.items():
-        if C.tgt(f) != C.src(g):
-            problems.append(f"composite {g}.{f} declared but not composable")
-        elif C.morphisms.get(h) is None or (C.src(h), C.tgt(h)) != (
-            C.src(f),
-            C.tgt(g),
-        ):
-            problems.append(f"composite {g}.{f} = {h} has wrong endpoints")
-    if problems:
-        return LfdReport({}, {}, None, tuple(problems))
-
+    table = tuple(_table_problems(C))
+    if table:
+        return LfdReport({}, {}, None, table)
     cycle = _find_cycle(C)
     if cycle is not None:
-        return LfdReport({}, {}, cycle, tuple(problems))
+        return LfdReport({}, {}, cycle, ())
     dims = object_dimensions(C)
-
-    covers: dict[str, tuple[str, ...]] = {}
-    for c in C.objects:
-        cover = C.into(c)
-        covers[c] = cover
+    problems = list(_law_problems(C))
+    # with sound tables and no cycle, a composite of two non-identity
+    # morphisms into c can only fail to be listed, never leave the cover
+    covers = {c: C.into(c) for c in C.objects}
+    for c, cover in covers.items():
         for j in cover:
             for e in C.into(C.src(j)):
-                try:
-                    m = C.compose(j, e)
-                except KeyError:
+                if (j, e) not in C.composition:
                     problems.append(f"missing composite {j}.{e} under {c}")
-                    continue
-                if m not in cover:
-                    problems.append(f"composite {j}.{e} escapes the cover of {c}")
-    for f in C.morphisms:
-        a, b = C.morphisms[f]
-        try:
-            if C.compose(f, C.identities[a]) != f or C.compose(C.identities[b], f) != f:
-                problems.append(f"identity laws fail at {f}")
-        except KeyError:
-            problems.append(f"identity composites missing at {f}")
-    for f in C.morphisms:
-        for g in C.morphisms:
-            if C.tgt(f) != C.src(g):
-                continue
-            for h in C.morphisms:
-                if C.tgt(g) != C.src(h):
-                    continue
-                try:
-                    if C.compose(h, C.compose(g, f)) != C.compose(C.compose(h, g), f):
-                        problems.append(f"associativity fails at {h}.{g}.{f}")
-                except KeyError as err:
-                    problems.append(str(err))
     return LfdReport(dims, covers, None, tuple(problems))
+
+
+@dataclass(frozen=True)
+class CellTable:
+    """A finite presheaf as the plain tables the map search reads: the
+    cells of each sort (an object or a shape), the sort of each cell, the
+    generators stored per sort, and the face of a cell along a generator."""
+
+    cells: dict
+    sort: dict
+    gens: dict
+    face: dict
+
+
+def propagate(pairs, comp: dict, trail: list, src: CellTable, dst: CellTable):
+    """Extend the partial map comp by the (cell, value) pairs and by every
+    pair their faces force, last in first out, appending each newly
+    assigned cell to trail.  Returns None when all agree, otherwise the
+    first pair whose sorts or earlier value disagree."""
+    stack = list(pairs)
+    while stack:
+        x, y = stack.pop()
+        sort = src.sort[x]
+        if sort != dst.sort[y]:
+            return x, y
+        if x in comp:
+            if comp[x] != y:
+                return x, y
+            continue
+        comp[x] = y
+        trail.append(x)
+        for g in src.gens[sort]:
+            stack.append((src.face[x, g], dst.face[y, g]))
+    return None
+
+
+def natural_maps(order: list, src: CellTable, dst: CellTable, injective: bool = False):
+    """Yield every map from src to dst that commutes with faces.  The
+    cells of order are chosen in turn, each value tried in dst's cell
+    order and followed by propagate; cells already forced are skipped.
+    With injective set, distinct cells get distinct values."""
+    comp: dict = {}
+
+    def extend(i: int):
+        while i < len(order) and order[i] in comp:
+            i += 1
+        if i == len(order):
+            yield dict(comp)
+            return
+        x = order[i]
+        for y in dst.cells.get(src.sort[x], ()):
+            trail: list = []
+            if propagate([(x, y)], comp, trail, src, dst) is None and (
+                not injective or len(set(comp.values())) == len(comp)
+            ):
+                yield from extend(i + 1)
+            for z in trail:
+                del comp[z]
+
+    yield from extend(0)
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +337,12 @@ class FinPresheafC:
                 index[x] = c
         object.__setattr__(self, "_obj", index)
 
-    def obj_of(self, x: str) -> str:
-        return self._obj[x]  # type: ignore[attr-defined]
+    @cached_property
+    def table(self) -> CellTable:
+        """The presheaf as the tables of the map search, one generator per
+        non-identity morphism."""
+        gens = {c: self.cat.into(c) for c in self.cat.objects}
+        return CellTable(self.cells, self._obj, gens, self.restriction)  # type: ignore[attr-defined]
 
     def of_obj(self, c: str) -> tuple[str, ...]:
         return self.cells.get(c, ())
@@ -270,16 +370,14 @@ def validate_presheaf(X: FinPresheafC) -> list[str]:
     for (x, f), y in X.restriction.items():
         if X.cat.morphisms.get(f) is None or x not in X.of_obj(X.cat.tgt(f)):
             problems.append(f"stray restriction entry ({x}, {f})")
-    for f in X.cat.morphisms:
-        for g in X.cat.morphisms:
-            if X.cat.is_identity(f) or X.cat.is_identity(g):
-                continue
-            if X.cat.tgt(f) != X.cat.src(g):
-                continue
-            gf = X.cat.compose(g, f)
-            for x in X.of_obj(X.cat.tgt(g)):
-                if X.restrict(x, gf) != X.restrict(X.restrict(x, g), f):
-                    problems.append(f"functoriality fails at {x} along {g}.{f}")
+    C = X.cat
+    for c in C.objects:
+        for g in C.into(c):
+            for f in C.into(C.src(g)):
+                gf = C.compose(g, f)
+                for x in X.of_obj(c):
+                    if X.restrict(x, gf) != X.restrict(X.restrict(x, g), f):
+                        problems.append(f"functoriality fails at {x} along {g}.{f}")
     return problems
 
 
@@ -312,14 +410,13 @@ def check_psh_map(f: PshMap) -> list[str]:
                 problems.append(f"no image for {x}")
             elif y not in f.dst.of_obj(c):
                 problems.append(f"image of {x} is not a cell at {c}")
-    for m, (a, b) in f.src.cat.morphisms.items():
-        if f.src.cat.is_identity(m):
-            continue
-        for x in f.src.of_obj(b):
-            if x not in f.comp or f.src.restrict(x, m) not in f.comp:
-                continue
-            if f.dst.restrict(f.comp[x], m) != f.comp[f.src.restrict(x, m)]:
-                problems.append(f"naturality fails at {x} along {m}")
+    for b in f.src.cat.objects:
+        for m in f.src.cat.into(b):
+            for x in f.src.of_obj(b):
+                if x not in f.comp or f.src.restrict(x, m) not in f.comp:
+                    continue
+                if f.dst.restrict(f.comp[x], m) != f.comp[f.src.restrict(x, m)]:
+                    problems.append(f"naturality fails at {x} along {m}")
     return problems
 
 
@@ -337,25 +434,8 @@ def psh_maps(X: FinPresheafC, Y: FinPresheafC) -> list[PshMap]:
     """All natural maps X -> Y, by backtracking in dimension order."""
     if X.cat != Y.cat:
         raise NotAMap("presheaves live over different categories")
-    todo = _cells_by_dimension(X)
-    out: list[PshMap] = []
-
-    def place(i: int, comp: dict[str, str]) -> None:
-        if i == len(todo):
-            out.append(PshMap(X, Y, dict(comp)))
-            return
-        c, x = todo[i]
-        for y in Y.of_obj(c):
-            if all(
-                Y.restrict(y, m) == comp[X.restrict(x, m)]
-                for m in X.cat.into(c)
-            ):
-                comp[x] = y
-                place(i + 1, comp)
-                del comp[x]
-
-    place(0, {})
-    return out
+    order = [x for _, x in _cells_by_dimension(X)]
+    return [PshMap(X, Y, comp) for comp in natural_maps(order, X.table, Y.table)]
 
 
 def psh_isomorphism(X: FinPresheafC, Y: FinPresheafC) -> PshMap | None:
@@ -365,30 +445,10 @@ def psh_isomorphism(X: FinPresheafC, Y: FinPresheafC) -> PshMap | None:
         return None
     if any(len(X.of_obj(c)) != len(Y.of_obj(c)) for c in X.cat.objects):
         return None
-    todo = _cells_by_dimension(X)
-
-    def place(i: int, comp: dict[str, str], used: set[str]) -> dict[str, str] | None:
-        if i == len(todo):
-            return dict(comp)
-        c, x = todo[i]
-        for y in Y.of_obj(c):
-            if y in used:
-                continue
-            if all(
-                Y.restrict(y, m) == comp[X.restrict(x, m)]
-                for m in X.cat.into(c)
-            ):
-                comp[x] = y
-                used.add(y)
-                got = place(i + 1, comp, used)
-                if got is not None:
-                    return got
-                used.discard(y)
-                del comp[x]
-        return None
-
-    got = place(0, {}, set())
-    return None if got is None else PshMap(X, Y, got)
+    order = [x for _, x in _cells_by_dimension(X)]
+    for comp in natural_maps(order, X.table, Y.table, injective=True):
+        return PshMap(X, Y, comp)
+    return None
 
 
 def representable_psh(C: FinDirectCat, c: str) -> FinPresheafC:
@@ -630,10 +690,12 @@ class Equation:
 
 
 @dataclass(frozen=True)
-class Signature:
-    declarations: tuple[TypeDecl, ...]
+class _Declarations:
+    """Declarations in order, looked up by name."""
 
-    def decl(self, name: str) -> TypeDecl:
+    declarations: tuple
+
+    def decl(self, name: str):
         for d in self.declarations:
             if d.name == name:
                 return d
@@ -645,18 +707,13 @@ class Signature:
 
 
 @dataclass(frozen=True)
-class TermSignature:
+class Signature(_Declarations):
+    declarations: tuple[TypeDecl, ...]
+
+
+@dataclass(frozen=True)
+class TermSignature(_Declarations):
     declarations: tuple[TermDecl, ...]
-
-    def decl(self, name: str) -> TermDecl:
-        for d in self.declarations:
-            if d.name == name:
-                return d
-        raise KeyError(name)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(d.name for d in self.declarations)
 
 
 @dataclass(frozen=True)
@@ -702,6 +759,18 @@ def _ident(tok: _Tokens) -> str:
     if not _IDENT.match(t):
         raise ParseError(f"line {tok.lineno}: expected a name, found {t!r}")
     return t
+
+
+def _names(tok: _Tokens, close: str) -> list[str]:
+    """Names separated by commas, up to the closing token, which is consumed."""
+    names: list[str] = []
+    if tok.peek() != close:
+        names.append(_ident(tok))
+        while tok.peek() == ",":
+            tok.next()
+            names.append(_ident(tok))
+    tok.expect(close)
+    return names
 
 
 def _parse_term(tok: _Tokens) -> Term:
@@ -849,10 +918,8 @@ def _check_context(
                 f"{where}: context mentions the term symbol {s.head}; "
                 "contexts must be well-formed over the type signature alone"
             )
-        try:
-            decl = sig.decl(s.head)
-        except KeyError:
-            raise IllFormedContext(f"{where}: unknown type {s.head}") from None
+        if s.head not in sig.names:
+            raise IllFormedContext(f"{where}: unknown type {s.head}")
         for a in s.args:
             if a.args is not None:
                 raise IllFormedContext(
@@ -861,19 +928,7 @@ def _check_context(
                 )
             if a.head not in seen:
                 raise IllFormedContext(f"{where}: unbound variable {a.head} in {s}")
-        if len(s.args) != len(decl.arg_order):
-            raise IllFormedContext(
-                f"{where}: {s.head} takes {len(decl.arg_order)} arguments"
-            )
-        theta = dict(zip(decl.arg_order, s.args))
-        opctx = dict(decl.context)
-        for w in decl.arg_order:
-            want = _subst_sort(opctx[w], theta)
-            got = seen[theta[w].head]
-            if got != want:
-                raise IllFormedContext(
-                    f"{where}: {theta[w]} has sort {got}, expected {want}"
-                )
+        _check_sort_instance(s, seen, sig, {}, where, IllFormedContext)
         seen[v] = s
 
 
@@ -975,17 +1030,20 @@ def _check_sort_instance(
     sig: Signature,
     ops: dict[str, TermDecl],
     where: str,
+    error: type[ValueError] = ParseError,
 ) -> None:
+    """Check that the arguments of s have the sorts its declaration asks
+    for, raising error otherwise."""
     decl = sig.decl(s.head)
     if len(s.args) != len(decl.arg_order):
-        raise ParseError(f"{where}: {s.head} takes {len(decl.arg_order)} arguments")
+        raise error(f"{where}: {s.head} takes {len(decl.arg_order)} arguments")
     theta = dict(zip(decl.arg_order, s.args))
     opctx = dict(decl.context)
     for w in decl.arg_order:
         want = _subst_sort(opctx[w], theta)
         got = _sort_of(theta[w], ctx, sig, ops, where)
         if got != want:
-            raise ParseError(f"{where}: {theta[w]} has sort {got}, expected {want}")
+            raise error(f"{where}: {theta[w]} has sort {got}, expected {want}")
 
 
 def parse_signature(text: str) -> Signature:
@@ -1232,21 +1290,10 @@ def parse_model(text: str) -> Model:
             args: list[str] = []
             if tok.peek() == "(":
                 tok.next()
-                if tok.peek() != ")":
-                    args.append(_ident(tok))
-                    while tok.peek() == ",":
-                        tok.next()
-                        args.append(_ident(tok))
-                tok.expect(")")
+                args = _names(tok, ")")
             tok.expect("=")
             tok.expect("{")
-            elems: list[str] = []
-            if tok.peek() != "}":
-                elems.append(_ident(tok))
-                while tok.peek() == ",":
-                    tok.next()
-                    elems.append(_ident(tok))
-            tok.expect("}")
+            elems = _names(tok, "}")
             tok.done()
             key = (name, tuple(args))
             if key in sorts:
@@ -1271,13 +1318,7 @@ def parse_model(text: str) -> Model:
             if current is None or not _IDENT.match(head) or head != current:
                 raise ParseError(f"line {lineno}: expected a sort, op, or table row")
             tok.expect("(")
-            args = []
-            if tok.peek() != ")":
-                args.append(_ident(tok))
-                while tok.peek() == ",":
-                    tok.next()
-                    args.append(_ident(tok))
-            tok.expect(")")
+            args = _names(tok, ")")
             tok.expect("=")
             value = _ident(tok)
             tok.done()

@@ -265,6 +265,27 @@ def test_orthogonal_failure_exits_one(capsys, tmp_path):
     assert "extends 0 times" in out
 
 
+ARROW_SET = "window 0 1\nshape point cells p\nshape arrow cells a\n"
+
+
+def test_short_face_line_exits_two(capsys, tmp_path):
+    bad = tmp_path / "short.opset"
+    bad.write_text(ARROW_SET + "face a s*\nface a t -> p\n")
+    assert main(["opset", "orthogonal", "--expr", "arrow", "--file", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line 4:")
+
+
+def test_arrow_targeting_an_arrow_exits_two(capsys, tmp_path):
+    bad = tmp_path / "arrow-target.opset"
+    bad.write_text(ARROW_SET + "face a s* -> p\nface a t -> a\n")
+    assert main(["opset", "orthogonal", "--expr", "arrow", "--file", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "a: face along t has the wrong shape" in captured.err
+
+
 def test_hlift_terminal_passes(capsys, tmp_path):
     X = terminal_opset((0, 3), 5)
     p = tmp_path / "terminal.opset"

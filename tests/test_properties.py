@@ -1,0 +1,141 @@
+"""Properties over generated finite categories and presheaves.
+
+Categories are random posets of up to four objects, cyclic monoids and
+left-zero monoids.  Checked: the category axioms hold, posets are finite
+direct categories, maps out of a representable into a nerve are its cells
+at that shape (Yoneda), and the isomorphism search agrees with the first
+bijective map of the full map search.
+"""
+
+from __future__ import annotations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from opetopes.oalg import FiniteCategory, ensure_category, nerve_category
+from opetopes.opset import maps, representable
+from opetopes.theory import (
+    SortExpr,
+    Term,
+    boundary_c,
+    parse_signature,
+    psh_isomorphism,
+    psh_maps,
+    realize_bindings,
+    representable_psh,
+    validate_lfd,
+)
+
+SETTINGS = settings(max_examples=25, deadline=None)
+
+
+def poset_category(n: int, less: set[tuple[int, int]]) -> FiniteCategory:
+    """The poset on 0..n-1 generated by the relations i < j in less."""
+    le = {(i, i) for i in range(n)} | less
+    while True:
+        extra = {(i, k) for i, j in le for j2, k in le if j == j2} - le
+        if not extra:
+            break
+        le |= extra
+    name = {(i, j): f"m{i}_{j}" for i, j in le}
+    composition = {
+        (name[j, k], name[i, j]): name[i, k]
+        for i, j in le
+        for j2, k in le
+        if j == j2 and i != j and j != k
+    }
+    return FiniteCategory(
+        tuple(f"p{i}" for i in range(n)),
+        {m: (f"p{i}", f"p{j}") for (i, j), m in name.items()},
+        composition,
+        {f"p{i}": name[i, i] for i in range(n)},
+    )
+
+
+def monoid_category(kind: str, size: int) -> FiniteCategory:
+    """One object; `cyclic` is Z/size, `leftzero` is a unit plus size-1
+    left zeros (g after f is g unless g is the unit)."""
+    elems = [f"e{i}" for i in range(size)]
+
+    def mul(g: int, f: int) -> int:
+        return (g + f) % size if kind == "cyclic" else g
+
+    return FiniteCategory(
+        ("o",),
+        {e: ("o", "o") for e in elems},
+        {(elems[g], elems[f]): elems[mul(g, f)] for g in range(1, size) for f in range(1, size)},
+        {"o": "e0"},
+    )
+
+
+@st.composite
+def posets(draw) -> FiniteCategory:
+    n = draw(st.integers(1, 4))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return poset_category(n, set(draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []))
+
+
+monoids = st.builds(monoid_category, st.sampled_from(["cyclic", "leftzero"]), st.integers(1, 4))
+categories = st.one_of(posets(), monoids)
+
+
+@SETTINGS
+@given(categories)
+def test_generated_categories_satisfy_the_axioms(C):
+    ensure_category(C)
+
+
+@SETTINGS
+@given(posets())
+def test_posets_are_finite_direct_categories(P):
+    report = validate_lfd(P)
+    assert report.ok, report.problems
+    assert set(report.dims) == set(P.objects)
+
+
+@SETTINGS
+@given(categories)
+def test_yoneda_on_nerves(C):
+    N = nerve_category(C, 2)
+    for w in N.shapes():
+        assert len(maps(representable(w, N.window), N)) == len(N.of_shape(w))
+
+
+def first_bijection(X, Y):
+    for f in psh_maps(X, Y):
+        values = set(f.comp.values())
+        if len(values) == len(f.comp) and len(values) == sum(len(ys) for ys in Y.cells.values()):
+            return f
+    return None
+
+
+@SETTINGS
+@given(posets(), st.data())
+def test_isomorphism_search_on_representables_and_boundaries(P, data):
+    def presheaf():
+        c = data.draw(st.sampled_from(P.objects))
+        if data.draw(st.booleans()):
+            return representable_psh(P, c)
+        return boundary_c(P, c).src
+
+    X, Y = presheaf(), presheaf()
+    assert psh_isomorphism(X, Y) == first_bijection(X, Y)
+
+
+GRAPHS = parse_signature("|- V type\nx y : V |- E(x, y) type\n")
+
+
+@st.composite
+def graph_contexts(draw):
+    points = [f"v{i}" for i in range(draw(st.integers(1, 3)))]
+    edges = draw(st.lists(st.tuples(st.sampled_from(points), st.sampled_from(points)), max_size=3))
+    bindings = [(v, SortExpr("V")) for v in points]
+    bindings += [(f"f{i}", SortExpr("E", (Term(a), Term(b)))) for i, (a, b) in enumerate(edges)]
+    return realize_bindings(GRAPHS, tuple(bindings))
+
+
+@SETTINGS
+@given(graph_contexts(), graph_contexts())
+def test_isomorphism_search_on_realized_contexts(X, Y):
+    assert psh_isomorphism(X, Y) == first_bijection(X, Y)
+    assert psh_isomorphism(X, X) == first_bijection(X, X) is not None
