@@ -355,15 +355,21 @@ def split_pasting(X: SortedFamily, xi: Opetope, cell: PastingCell) -> dict[Addr,
     """Invert monad_mult: slice a filling of the flattened tree back into
     one pasting cell per outer node of the uniform-height-2 shape xi."""
     alpha, parts = _height_two_parts(xi)
-    result, placed, deg_edge = _paste(alpha, parts)
+    return _split_pasted(X, parts, _paste(alpha, parts), cell)
+
+
+def _split_pasted(
+    X: SortedFamily, parts: dict[Addr, Opetope], pasted, cell: PastingCell
+) -> dict[Addr, PastingCell]:
+    """split_pasting, given the parts of xi and their paste."""
+    result, placed, deg_edge = pasted
     if cell.shape != result:
         raise ShapeMismatch(
             f"filling has shape {render(cell.shape)}, expected {render(result)}"
         )
     lo = X.family.window[0]
     out: dict[Addr, PastingCell] = {}
-    for p in node_addrs(alpha):
-        nu = parts[p]
+    for p, nu in parts.items():
         S = _spine_of(nu, X.family.window)
         seeds: dict[CellId, CellId] = {}
         if isinstance(nu, Degenerate):
@@ -497,11 +503,12 @@ def check_algebra_laws(A: OAlgebra, max_nodes: int) -> AlgebraLawReport:
             continue
         S = _spine_of(flat, X.family.window)
         alpha, parts = _height_two_parts(xi)
+        pasted = _paste(alpha, parts)
         for f in maps(S, X.family):
             squares += 1
             whole = PastingCell(flat, f)
             lhs = A.compose(whole)
-            inner = split_pasting(X, xi, whole)
+            inner = _split_pasted(X, parts, pasted, whole)
             label = f"square at {render(xi)} with {sorted(f.comp.items())}"
             try:
                 seeds = {

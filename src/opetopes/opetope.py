@@ -9,11 +9,14 @@ extends its parent key by one node address of the parent's decoration.
 A depth-0 address is the symbol *, a depth-(k+1) address is a finite list of
 depth-k addresses.  Address order is shortest first, then entrywise.
 
-The target of a shape and the readdressing bijection from its leaf addresses
-onto the node addresses of the target are computed by peeling childless nodes:
-a degenerate shape targets the one-node tree on its edge, a corolla targets
-its decoration, and peeling a childless corolla substitutes the decoration
-into the matching node of the smaller target.
+The target of a shape is the composite of its tree, and the readdressing is
+the bijection from its leaf addresses onto the node addresses of the target.
+A degenerate shape targets the one-node tree on its edge.  Otherwise both are
+built in one pass over the nodes in address order, parents first: the target
+starts as the root decoration, and each further node's decoration is
+substituted, in place, at the node of the target its address is readdressed
+to; only the subtrees hanging above that node move, rewired through the
+decoration's own readdressing.
 """
 
 from __future__ import annotations
@@ -61,10 +64,11 @@ class Addr:
         return self._hash  # type: ignore[attr-defined]
 
     def __eq__(self, other: object) -> bool:
-        return (
+        # for a fixed depth the key determines the address
+        return self is other or (
             isinstance(other, Addr)
             and self.depth == other.depth
-            and self.entries == other.entries
+            and self._key == other._key  # type: ignore[attr-defined]
         )
 
     def __len__(self) -> int:
@@ -337,19 +341,61 @@ def edge_colour(omega: Opetope, addr: Addr) -> Opetope:
 _TARGET: dict[Opetope, tuple[Opetope, dict[Addr, Addr]]] = {}
 
 
-def _childless(omega: Tree) -> list[Addr]:
-    return [
-        a
-        for a, dec in omega.nodes
-        if not any(omega.has_node(a.extend(q)) for q in node_addrs(dec))
-    ]
+def _child_index(nodes: dict[Addr, Opetope]) -> dict[Addr, set[Addr]]:
+    kids: dict[Addr, set[Addr]] = {}
+    for a in nodes:
+        if a.entries:
+            kids.setdefault(a.parent(), set()).add(a)
+    return kids
 
 
-def _target_readdress(omega: Opetope, peel_smallest: bool = False) -> tuple[Opetope, dict[Addr, Addr]]:
+def _replace_node(
+    nodes: dict[Addr, Opetope], kids: dict[Addr, set[Addr]], p: Addr, u: Opetope
+) -> list[tuple[Addr, Addr]]:
+    """Replace the node at p by the same-dimensional shape u, in place.
+
+    nodes is a tree as an address map and kids its child index.  The subtree
+    hanging from input e of the node at p moves to p + l, where l is the leaf
+    of u that the readdressing of u sends to e; nothing outside those subtrees
+    moves.  Returns the (old, new) addresses of the nodes that moved.
+    """
+    if p not in nodes:
+        raise AddressNotANode(f"no node at address {p}")
+    t_u, p_u = _target_readdress(u)
+    if t_u != nodes[p]:
+        raise ColourMismatch("target of the replacement differs from the replaced decoration")
+    del nodes[p]
+    if p.entries:
+        kids[p.parent()].discard(p)
+    inv = {q: l for l, q in p_u.items()}
+    moved: list[tuple[Addr, Addr]] = []
+    for c in list(kids.get(p, ())):
+        e = c.last()
+        l = inv[e]
+        if l.entries == (e,):
+            continue  # a leaf on the root of u sent to its own input: stays put
+        kids[p].discard(c)
+        stack = [(c, Addr(p.depth, p.entries + l.entries))]
+        while stack:
+            old, new = stack.pop()
+            moved.append((old, new))
+            k = len(old)
+            for child in kids.pop(old, ()):
+                stack.append((child, Addr(p.depth, new.entries + child.entries[k:])))
+    placed = [(p + b, d) for b, d in u.nodes] if isinstance(u, Tree) else []
+    placed.extend([(new, nodes.pop(old)) for old, new in moved])
+    for a, d in placed:
+        nodes[a] = d
+        if a.entries:
+            kids.setdefault(a.parent(), set()).add(a)
+    return moved
+
+
+def _target_readdress(omega: Opetope) -> tuple[Opetope, dict[Addr, Addr]]:
     """Target shape and the leaf-to-node readdressing bijection."""
     if omega.dim < 2:
         raise ValueError("readdressing is defined in dimension >= 2")
-    if not peel_smallest and omega in _TARGET:
+    if omega in _TARGET:
         return _TARGET[omega]
     if isinstance(omega, Degenerate):
         out = corolla(omega.shell), {epsilon(omega.dim - 1): epsilon(omega.dim - 2)}
@@ -359,30 +405,56 @@ def _target_readdress(omega: Opetope, peel_smallest: bool = False) -> tuple[Opet
             psi = omega.nodes[0][1]
             out = psi, {epsilon(omega.dim - 1).extend(q): q for q in node_addrs(psi)}
         else:
-            choices = [a for a in _childless(omega) if len(a) > 0]
-            m = min(choices, key=lambda a: a.key) if peel_smallest else max(choices, key=lambda a: a.key)
-            psi = omega.decoration(m)
-            rest = {a: dec for a, dec in omega.nodes if a != m}
-            nu = tree(rest)
-            t_nu, p_nu = _target_readdress(nu, peel_smallest)
-            slot = p_nu[m]
-            t_omega, reloc = _substitute_reloc(t_nu, slot, psi)
-            p_omega: dict[Addr, Addr] = {}
-            for j in leaf_addrs(nu):
-                if j != m:
-                    p_omega[j] = reloc[p_nu[j]]
-            for q in node_addrs(psi):
-                p_omega[m.extend(q)] = slot + q
-            out = t_omega, p_omega
-    if not peel_smallest:
-        _TARGET[omega] = out
+            out = _compose(omega)
+    _TARGET[omega] = out
     return out
+
+
+def _compose(omega: Tree) -> tuple[Opetope, dict[Addr, Addr]]:
+    """Target and readdressing of a tree with two or more nodes.
+
+    P sends each open leaf of the nodes visited so far to its node in the
+    target built so far, and owner is its inverse.
+    """
+    root, psi = omega.nodes[0]
+    if root.entries:
+        raise AddressNotANode(f"no node at address {epsilon(root.depth)}")
+    if omega.dim == 2:
+        # every decoration is the arrow and a depth-1 address is fixed by its
+        # length, so the nodes form a chain exactly when the k-th has length k
+        for k, (a, _) in enumerate(omega.nodes):
+            if len(a) != k:
+                raise AddressNotALeaf(f"{a} is not a leaf of the nodes below it")
+        return ARROW, {Addr(1, (STAR,) * len(omega.nodes)): STAR}
+    nodes = psi.node_map() if isinstance(psi, Tree) else {}
+    kids = _child_index(nodes)
+    P = {root.extend(q): q for q in nodes}
+    owner = {q: l for l, q in P.items()}
+    for a, psi in omega.nodes[1:]:
+        slot = P.pop(a, None)
+        if slot is None:
+            raise AddressNotALeaf(f"{a} is not a leaf of the nodes below it")
+        del owner[slot]
+        moved = _replace_node(nodes, kids, slot, psi)
+        leaves = [owner.pop(old) for old, _ in moved]
+        for j, (_, new) in zip(leaves, moved):
+            P[j] = new
+            owner[new] = j
+        for q in node_addrs(psi):
+            j = a.extend(q)
+            P[j] = slot + q
+            owner[P[j]] = j
+    if not nodes:
+        return psi, P  # the last decoration was degenerate and emptied the target
+    return tree(nodes), P
 
 
 def target(omega: Opetope) -> Opetope:
     """The output face: one dimension lower, the tree composed down."""
     if isinstance(omega, Arrow):
         return POINT
+    if isinstance(omega, Point):
+        raise ValueError("the point has no target")
     return _target_readdress(omega)[0]
 
 
@@ -448,32 +520,13 @@ def _substitute_reloc(t: Opetope, p: Addr, u: Opetope) -> tuple[Opetope, dict[Ad
         return ARROW, {}
     if not isinstance(t, Tree):
         raise AddressNotANode("substitution needs a node to replace")
-    dec = t.decoration(p)
-    if target(u) != dec:
-        raise ColourMismatch("target of the replacement differs from the replaced decoration")
-    p_u_inv: dict[Addr, Addr] = {}
-    for l, q in _target_readdress(u)[1].items():
-        p_u_inv[q] = l
-    reloc: dict[Addr, Addr] = {}
-    out: dict[Addr, Opetope] = {}
-    k = len(p)
-    for a, d in t.nodes:
-        if a == p:
-            continue
-        if p.prefix_of(a):
-            e = a.entries[k]
-            new = Addr(a.depth, p.entries + p_u_inv[e].entries + a.entries[k + 1 :])
-        else:
-            new = a
-        reloc[a] = new
-        out[new] = d
-    if isinstance(u, Tree):
-        for a, d in u.nodes:
-            out[p + a] = d
-    if not out:
-        assert isinstance(u, Degenerate)
+    nodes = t.node_map()
+    moved = _replace_node(nodes, _child_index(nodes), p, u)
+    reloc = {a: a for a, _ in t.nodes if a != p}
+    reloc.update(moved)
+    if not nodes:
         return u, reloc
-    return tree(out), reloc
+    return tree(nodes), reloc
 
 
 def substitute(t: Opetope, p: Addr, u: Opetope) -> Opetope:
@@ -893,10 +946,22 @@ def _calibrate(raw: _RawAddr, depth: int) -> Addr:
     return Addr(depth, tuple(_calibrate(e, depth - 1) for e in raw.entries))
 
 
+# Deeper input would overflow the recursion of the parser and of the
+# functions that walk the parsed shape.
+NEST_CAP = 200
+
+
 class _Parser:
     def __init__(self, text: str):
         self.toks = _tokens(text)
         self.pos = 0
+        self.depth = 0
+
+    def enter(self) -> None:
+        """Open one more level of braces or brackets."""
+        self.depth += 1
+        if self.depth > NEST_CAP:
+            raise ParseError(f"braces and brackets nest more than {NEST_CAP} levels deep")
 
     def peek(self) -> str | None:
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -924,11 +989,13 @@ class _Parser:
         if tok[:1] == "I" and tok[1:].isdigit():
             return opetopic_integer(int(tok[1:]))
         if tok == "{":
+            self.enter()
             if self.peek() == "{":
                 self.take()
                 shell = self.opetope()
                 self.take("}")
                 self.take("}")
+                self.depth -= 1
                 return Degenerate(shell)
             entries: list[tuple[_RawAddr, Opetope]] = []
             while self.peek() != "}":
@@ -937,6 +1004,7 @@ class _Parser:
                 dec = self.opetope()
                 entries.append((raw, dec))
             self.take("}")
+            self.depth -= 1
             if not entries:
                 raise ParseError("a tree needs at least one 'address <- shape' entry")
             dims = {dec.dim for _, dec in entries}
@@ -951,17 +1019,20 @@ class _Parser:
         if tok == "*":
             return _RawAddr(None)
         if tok == "[":
+            self.enter()
             entries = []
             while self.peek() != "]":
                 entries.append(self.raw_addr())
             self.take("]")
+            self.depth -= 1
             return _RawAddr(entries)
         raise ParseError(f"expected an address, found {tok!r}")
 
 
 def parse(text: str) -> Opetope:
     """Parse the text grammar: point, arrow, Ik, {{shape}}, or
-    { addr <- shape ... }."""
+    { addr <- shape ... }, with braces and brackets nested at most NEST_CAP
+    levels deep."""
     p = _Parser(text)
     out = p.opetope()
     if p.peek() is not None:

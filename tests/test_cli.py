@@ -444,3 +444,34 @@ def test_seed_flag_is_accepted(capsys):
     code, out = run(capsys, "opetope", "target", "--expr", XI, "--seed", "7")
     assert code == 0
     assert out == "I4\n"
+
+
+def test_identities_of_long_integer(capsys):
+    code, out = run(capsys, "opetope", "identities", "--expr", "I1200")
+    assert code == 0
+    assert out.splitlines()[-1] == "ok"
+
+
+NESTED = "{{" * 1500 + "point" + "}}" * 1500
+
+
+@pytest.mark.parametrize("command", ["validate", "target"])
+def test_deep_nesting_exits_two(capsys, command):
+    assert main(["opetope", command, "--expr", NESTED]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "200 levels" in captured.err
+
+
+def test_nesting_at_the_bound_parses(capsys):
+    from opetopes.opetope import NEST_CAP
+
+    expr = "{{" * NEST_CAP + "point" + "}}" * NEST_CAP
+    code, out = run(capsys, "opetope", "validate", "--expr", expr)
+    assert code == 0
+    assert out.splitlines()[1] == f"dim: {2 * NEST_CAP}"
+
+
+def test_point_target_names_the_point(capsys):
+    assert main(["opetope", "target", "--expr", "point"]) == 2
+    assert capsys.readouterr().err == "error: the point has no target\n"

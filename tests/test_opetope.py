@@ -37,6 +37,7 @@ from opetopes.opetope import (
 )
 from opetopes.opetope import _target_readdress
 from opetopes.polytree import AddressNotALeaf, AddressNotANode, ColourMismatch
+from peel_oracle import peel_target_readdress
 
 I = opetopic_integer
 E1 = Addr(1)
@@ -158,7 +159,40 @@ def test_target_independent_of_peel_order():
     shapes = list(enumerate_opetopes(3, 5)) + list(enumerate_opetopes(4, 4))
     shapes.append(XI_EX)
     for w in shapes:
-        assert _target_readdress(w, peel_smallest=True) == _target_readdress(w)
+        for peel_smallest in (False, True):
+            assert peel_target_readdress(w, peel_smallest) == _target_readdress(w)
+
+
+def test_target_matches_peeling_oracle():
+    shapes = [w for n in range(2, 6) for w in enumerate_opetopes(n, 7)]
+    shapes.append(XI_EX)
+    for w in shapes:
+        t_oracle, p_oracle = peel_target_readdress(w)
+        assert target(w) == t_oracle
+        assert readdress(w) == p_oracle
+
+
+def unary_chain(m: int):
+    """The 3-dimensional shape of m nodes decorated by I1, stacked in a line."""
+    addr, nodes = E2, {}
+    for _ in range(m):
+        nodes[addr] = I(1)
+        addr = addr.extend(E1)
+    return tree(nodes)
+
+
+def test_target_of_long_shapes():
+    w = unary_chain(1200)
+    assert target(w) == I(1)
+    p = readdress(w)
+    assert list(p) == list(leaf_addrs(w)) and len(leaf_addrs(w)) == 1
+    assert sorted(p.values(), key=lambda a: a.key) == list(node_addrs(target(w)))
+    assert target(I(5000)) == ARROW
+
+
+def test_point_has_no_target():
+    with pytest.raises(ValueError, match="the point has no target"):
+        target(POINT)
 
 
 # ------------------------------------------------- grafting and substitution

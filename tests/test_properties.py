@@ -1,4 +1,8 @@
-"""Properties over generated finite categories and presheaves.
+"""Properties over generated shapes, finite categories and presheaves.
+
+Shapes are random trees of dimension 3 and 4 whose nodes carry small
+decorations.  Checked: the face identities hold, and the readdressing is a
+bijection onto the target's nodes that agrees with the peeling oracle.
 
 Categories are random posets of up to four objects, cyclic monoids and
 left-zero monoids.  Checked: the category axioms hold, posets are finite
@@ -13,6 +17,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opetopes.oalg import FiniteCategory, ensure_category, nerve_category
+from opetopes.opetope import (
+    check_identities,
+    enumerate_opetopes,
+    epsilon,
+    leaf_addrs,
+    node_addrs,
+    readdress,
+    source,
+    target,
+    tree,
+)
 from opetopes.opset import maps, representable
 from opetopes.theory import (
     SortExpr,
@@ -26,7 +41,39 @@ from opetopes.theory import (
     validate_lfd,
 )
 
+from peel_oracle import peel_target_readdress
+
 SETTINGS = settings(max_examples=25, deadline=None)
+
+
+@st.composite
+def shapes(draw, n: int, max_nodes: int = 10):
+    """A tree of dimension n: breadth first, each input of a node gets a
+    child, decorated to match the input's colour, or stays a leaf."""
+    decs = enumerate_opetopes(n - 1, 4)
+    by_target: dict = {}
+    for d in decs:
+        by_target.setdefault(target(d), []).append(d)
+    root = epsilon(n - 1)
+    nodes = {root: draw(st.sampled_from(decs))}
+    queue = [root]
+    while queue:
+        a = queue.pop(0)
+        for q in node_addrs(nodes[a]):
+            if len(nodes) < max_nodes and draw(st.booleans()):
+                nodes[a.extend(q)] = draw(st.sampled_from(by_target[source(nodes[a], q)]))
+                queue.append(a.extend(q))
+    return tree(nodes)
+
+
+@SETTINGS
+@given(st.one_of(shapes(3), shapes(4)))
+def test_identities_and_readdressing_on_generated_shapes(w):
+    assert check_identities(w) == []
+    p = readdress(w)
+    assert sorted(p, key=lambda a: a.key) == list(leaf_addrs(w))
+    assert sorted(p.values(), key=lambda a: a.key) == list(node_addrs(target(w)))
+    assert (target(w), p) == peel_target_readdress(w)
 
 
 def poset_category(n: int, less: set[tuple[int, int]]) -> FiniteCategory:
