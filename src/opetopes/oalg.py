@@ -158,7 +158,7 @@ def _natural_fill(
     natural map.
     """
     comp: dict[CellId, CellId] = {}
-    bad = propagate(seeds, comp, [], S.table, X.table)
+    bad = propagate(seeds, comp, [], S, X)
     if bad is not None:
         c, v = bad
         if S.shape_of(c) != X.shape_of(v):
@@ -537,10 +537,16 @@ def parse_category(text: str) -> FiniteCategory:
         id a = ida
         comp g.f = h
     """
-    objects: list[str] = []
+    objects: dict[str, None] = {}
     morphisms: dict[str, tuple[str, str]] = {}
     composition: dict[tuple[str, str], str] = {}
     identities: dict[str, str] = {}
+
+    def declare(table: dict, key, value, what: str) -> None:
+        if key in table:
+            raise ValueError(f"{what} declared twice")
+        table[key] = value
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -548,21 +554,23 @@ def parse_category(text: str) -> FiniteCategory:
         parts = line.split()
         try:
             if parts[0] == "obj":
-                objects.extend(parts[1:])
+                for a in parts[1:]:
+                    declare(objects, a, None, f"object {a}")
             elif parts[0] == "mor":
                 body = line[len("mor") :].strip()
                 name, arrow = body.split(":", 1)
                 a, b = arrow.split("->")
-                morphisms[name.strip()] = (a.strip(), b.strip())
+                declare(morphisms, name.strip(), (a.strip(), b.strip()), f"morphism {name.strip()}")
             elif parts[0] == "id":
                 body = line[len("id") :].strip()
                 a, i = body.split("=")
-                identities[a.strip()] = i.strip()
+                declare(identities, a.strip(), i.strip(), f"identity of {a.strip()}")
             elif parts[0] == "comp":
                 body = line[len("comp") :].strip()
                 pair, h = body.split("=")
                 g, f = pair.split(".")
-                composition[(g.strip(), f.strip())] = h.strip()
+                g, f = g.strip(), f.strip()
+                declare(composition, (g, f), h.strip(), f"composite {g}.{f}")
             else:
                 raise ValueError(f"unknown directive {parts[0]!r}")
         except ValueError as err:

@@ -29,6 +29,7 @@ from opetopes.polytree import (
     AddressNotANode,
     ColourMismatch,
 )
+from opetopes.theory import ParseError
 
 DIM_CAP = 6
 NODE_CAP = 8
@@ -897,10 +898,6 @@ def render(omega: Opetope) -> str:
     assert isinstance(omega, Tree)
     entries = " ".join(f"{a} <- {render(d)}" for a, d in omega.nodes)
     return "{" + entries + "}"
-
-
-class ParseError(ValueError):
-    pass
 
 
 def _tokens(text: str) -> list[str]:

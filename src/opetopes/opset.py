@@ -1,15 +1,17 @@
-"""Finite presheaves over a window of shape dimensions.
+"""Finite opetopic sets over a window of shape dimensions.
 
-A presheaf stores, per shape, a tuple of globally unique cell identifiers,
-and an action table on generating faces only; restrictions along composite
-face words are folded through the table.  Windows are closed dimension
-intervals [lo, hi]; faces that would leave the window are not stored.
+An opetopic set is a `theory.FinPresheaf` whose sorts are shapes and whose
+generators are the generating faces: it stores, per shape, a tuple of
+globally unique cell identifiers, and an action table on generating faces
+only; restrictions along composite face words are folded through the
+table.  Windows are closed dimension intervals [lo, hi]; faces that would
+leave the window are not stored.  Maps, the naturality check, identities,
+composites and sub-presheaves are the shared ones of `theory`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from opetopes.opetope import (
     Addr,
@@ -31,7 +33,16 @@ from opetopes.opetope import (
     source,
     target,
 )
-from opetopes.theory import CellTable, natural_maps
+from opetopes.theory import (
+    FinPresheaf,
+    Inclusion,
+    PshMap,
+    check_psh_map,
+    natural_maps,
+    psh_compose,
+    psh_identity,
+    sub_presheaf,
+)
 
 Window = tuple[int, int]
 CellId = str
@@ -42,7 +53,7 @@ class WindowMismatch(ValueError):
 
 
 @dataclass(frozen=True)
-class FinOpSet:
+class FinOpSet(FinPresheaf):
     window: Window
     cells: dict[Opetope, tuple[CellId, ...]]
     faces: dict[tuple[CellId, Gen], CellId]
@@ -51,24 +62,17 @@ class FinOpSet:
         lo, hi = self.window
         if not (0 <= lo <= hi):
             raise ValueError("window must be a closed interval [lo, hi] with lo >= 0")
-        shape_of: dict[CellId, Opetope] = {}
-        for shape, ids in self.cells.items():
+        for shape in self.cells:
             if not lo <= shape.dim <= hi:
                 raise ValueError(f"shape {render(shape)} lies outside the window")
-            for x in ids:
-                if x in shape_of:
-                    raise ValueError(f"duplicate cell identifier {x!r}")
-                shape_of[x] = shape
-        object.__setattr__(self, "_shape_of", shape_of)
+        # faces that would leave the window are not stored
+        self._index(self.faces, {s: generators(s) if s.dim > lo else () for s in self.cells})
+
+    def _like(self, cells: dict, face: dict) -> FinOpSet:
+        return FinOpSet(self.window, cells, face)
 
     def shape_of(self, x: CellId) -> Opetope:
-        return self._shape_of[x]  # type: ignore[attr-defined]
-
-    @cached_property
-    def table(self) -> CellTable:
-        """The presheaf as the tables of the map search."""
-        gens = {shape: stored_gens(self, shape) for shape in self.cells}
-        return CellTable(self.cells, self._shape_of, gens, self.faces)  # type: ignore[attr-defined]
+        return self.sort[x]
 
     def of_shape(self, shape: Opetope) -> tuple[CellId, ...]:
         return self.cells.get(shape, ())
@@ -82,50 +86,28 @@ class FinOpSet:
     def shapes(self) -> list[Opetope]:
         return sorted(self.cells.keys(), key=lambda w: (w.dim, render(w)))
 
-    def face(self, x: CellId, gen: Gen) -> CellId:
-        return self.faces[(x, gen)]
-
     def restrict(self, x: CellId, word: tuple[Gen, ...]) -> CellId:
         for g in word:
             x = self.faces[(x, g)]
         return x
 
     def size(self) -> int:
-        return sum(len(ids) for ids in self.cells.values())
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FinOpSet)
-            and self.window == other.window
-            and self.cells == other.cells
-            and self.faces == other.faces
-        )
-
-    def __hash__(self):
-        raise TypeError("presheaves are not hashable")
-
-
-def stored_gens(X: FinOpSet, shape: Opetope) -> tuple[Gen, ...]:
-    lo = X.window[0]
-    if shape.dim - 1 < lo:
-        return ()
-    return generators(shape)
+        return len(self.sort)
 
 
 def validate_opset(X: FinOpSet) -> list[str]:
     """Check totality of the action and every two-step relation square."""
     bad: list[str] = []
     lo, _ = X.window
-    shape_of = X._shape_of  # type: ignore[attr-defined]
     for shape in X.shapes():
-        gens = stored_gens(X, shape)
+        gens = X.gens[shape]
         wants = [face(shape, g) for g in gens]
         for x in X.of_shape(shape):
             for g, want in zip(gens, wants):
                 key = (x, g)
                 if key not in X.faces:
                     bad.append(f"{x}: no face along {render_gen(g)}")
-                elif shape_of.get(X.faces[key]) != want:
+                elif X.sort.get(X.faces[key]) != want:
                     bad.append(f"{x}: face along {render_gen(g)} has the wrong shape")
         if shape.dim - 2 >= lo:
             for (a, b), (c, d) in relation_squares(shape):
@@ -147,66 +129,16 @@ def validate_opset(X: FinOpSet) -> list[str]:
 # maps and inclusions
 
 
-@dataclass(frozen=True)
-class OpSetMap:
-    src: FinOpSet
-    dst: FinOpSet
-    comp: dict[CellId, CellId]
-
-    def __call__(self, x: CellId) -> CellId:
-        return self.comp[x]
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, OpSetMap)
-            and self.src == other.src
-            and self.dst == other.dst
-            and self.comp == other.comp
-        )
-
-    def __hash__(self):
-        raise TypeError("presheaf maps are not hashable")
+OpSetMap = PshMap
+identity_map = psh_identity
+compose_maps = psh_compose  # compose_maps(f, g) is f after g
+sub_opset = sub_presheaf
 
 
-class Inclusion(OpSetMap):
-    """A componentwise injective map."""
-
-    def __init__(self, src: FinOpSet, dst: FinOpSet, comp: dict[CellId, CellId]):
-        values = list(comp.values())
-        if len(set(values)) != len(values):
-            raise ValueError("an inclusion must be injective")
-        super().__init__(src, dst, comp)
-
-
-def check_natural(f: OpSetMap) -> list[str]:
-    bad = []
-    X, Y = f.src, f.dst
-    if X.window != Y.window:
+def check_natural(f: PshMap) -> list[str]:
+    if f.src.window != f.dst.window:
         return ["windows differ"]
-    for shape in X.shapes():
-        for x in X.of_shape(shape):
-            if x not in f.comp:
-                bad.append(f"{x}: unmapped")
-                continue
-            y = f.comp[x]
-            if Y.shape_of(y) != shape:
-                bad.append(f"{x}: image has the wrong shape")
-                continue
-            for g in stored_gens(X, shape):
-                if f.comp[X.face(x, g)] != Y.face(y, g):
-                    bad.append(f"{x}: not natural along {render_gen(g)}")
-    return bad
-
-
-def identity_map(X: FinOpSet) -> Inclusion:
-    return Inclusion(X, X, {x: x for x in X.all_cells()})
-
-
-def compose_maps(f: OpSetMap, g: OpSetMap) -> OpSetMap:
-    """f after g."""
-    if g.dst != f.src:
-        raise ValueError("maps do not compose")
-    return OpSetMap(g.src, f.dst, {x: f.comp[y] for x, y in g.comp.items()})
+    return check_psh_map(f)
 
 
 # --------------------------------------------------------------------------
@@ -235,23 +167,6 @@ def representable(omega: Opetope, window: Window | None = None) -> FinOpSet:
         for g in generators(shape):
             faces[(name, g)] = names[fs.get(c, g)]
     return FinOpSet(window, {s: tuple(ids) for s, ids in cells.items()}, faces)
-
-
-def sub_opset(X: FinOpSet, keep: set[CellId]) -> Inclusion:
-    """The subpresheaf on a face-closed set of cells."""
-    for x in keep:
-        shape = X.shape_of(x)
-        for g in stored_gens(X, shape):
-            if X.face(x, g) not in keep:
-                raise ValueError(f"{x}: kept cells must be closed under faces")
-    cells = {}
-    for shape in X.shapes():
-        ids = tuple(x for x in X.of_shape(shape) if x in keep)
-        if ids:
-            cells[shape] = ids
-    faces = {k: v for k, v in X.faces.items() if k[0] in keep}
-    A = FinOpSet(X.window, cells, faces)
-    return Inclusion(A, X, {x: x for x in A.all_cells()})
 
 
 def boundary(omega: Opetope, window: Window | None = None) -> Inclusion:
@@ -317,7 +232,7 @@ def maps(X: FinOpSet, Y: FinOpSet) -> tuple[OpSetMap, ...]:
     if X.window != Y.window:
         raise WindowMismatch("maps need equal windows")
     order = [x for w in sorted(X.cells, key=lambda w: (-w.dim, render(w))) for x in X.cells[w]]
-    return tuple(OpSetMap(X, Y, comp) for comp in natural_maps(order, X.table, Y.table))
+    return tuple(OpSetMap(X, Y, comp) for comp in natural_maps(order, X, Y))
 
 
 def orthogonal_witness(incl: Inclusion, X: FinOpSet):
@@ -514,6 +429,7 @@ def load_opset(text: str) -> FinOpSet:
     validate_opset, with the first problem."""
     window: Window | None = None
     cells: dict[Opetope, tuple[CellId, ...]] = {}
+    shape_of: dict[CellId, Opetope] = {}
     pending: list[tuple[int, CellId, str, CellId]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
@@ -521,10 +437,16 @@ def load_opset(text: str) -> FinOpSet:
             continue
         try:
             if parts[0] == "window" and len(parts) == 3:
+                if window is not None:
+                    raise ValueError("window declared twice")
                 window = (int(parts[1]), int(parts[2]))
             elif parts[0] == "shape" and "cells" in parts:
                 k = parts.index("cells")
                 shape = parse_opetope(" ".join(parts[1:k]))
+                for x in parts[k + 1 :]:
+                    if x in shape_of:
+                        raise ValueError(f"cell {x} declared twice")
+                    shape_of[x] = shape
                 cells[shape] = cells.get(shape, ()) + tuple(parts[k + 1 :])
             elif parts[0] == "face" and len(parts) == 5 and parts[3] == "->":
                 pending.append((lineno, parts[1], parts[2], parts[4]))
@@ -536,13 +458,15 @@ def load_opset(text: str) -> FinOpSet:
             raise ValueError(f"line {lineno}: {err}: {raw.strip()!r}") from None
     if window is None:
         raise ValueError("missing window line")
-    shape_of = {x: shape for shape, ids in cells.items() for x in ids}
     faces: dict[tuple[CellId, Gen], CellId] = {}
     for lineno, x, gen, y in pending:
         if x not in shape_of:
             raise ValueError(f"line {lineno}: face of an undeclared cell {x!r}")
         try:
-            faces[(x, parse_gen(gen, shape_of[x]))] = y
+            key = (x, parse_gen(gen, shape_of[x]))
+            if key in faces:
+                raise ValueError(f"face of {x} along {gen} declared twice")
+            faces[key] = y
         except ValueError as err:
             raise ValueError(f"line {lineno}: {err}") from None
     X = FinOpSet(window, cells, faces)

@@ -1,12 +1,16 @@
 """Dependently sorted algebraic theories over direct categories.
 
 The kernel shared with `opset` and `oalg` lives here: the finite-category
-table type (FiniteCategory, also named FinDirectCat), its axiom checks,
-and the natural-map search on presheaves given as plain tables.  This
-module imports nothing from the rest of the package.
+table type (FiniteCategory, also named FinDirectCat) and its axiom checks,
+and the one finite-presheaf type, FinPresheaf, with what works on any
+presheaf: maps (PshMap, Inclusion), the naturality check, identities,
+composites, face-closed sub-presheaves and the natural-map search.
+Opetopic sets (`opset.FinOpSet`) and presheaves on a category table
+(FinPresheafC) are its two kinds.  This module imports nothing from the
+rest of the package.
 
 The semantic side: finite direct categories with computed dimensions,
-finite presheaves, boundaries, and cell contexts built by attaching one
+presheaves on them, boundaries, and cell contexts built by attaching one
 cell at a time, carrying the strict parent/projection/pullback structure.
 
 The syntactic side: type signatures, term signatures, and equation sets
@@ -18,7 +22,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator
 
 
@@ -251,19 +254,42 @@ def validate_lfd(C: FinDirectCat) -> LfdReport:
     return LfdReport(dims, covers, None, tuple(problems))
 
 
-@dataclass(frozen=True)
-class CellTable:
-    """A finite presheaf as the plain tables the map search reads: the
-    cells of each sort (an object or a shape), the sort of each cell, the
-    generators stored per sort, and the face of a cell along a generator."""
+# ---------------------------------------------------------------------------
+# Finite presheaves and the map search
+
+
+class FinPresheaf:
+    """A finite presheaf on a direct category, the one type that opetopic
+    sets and presheaves on a category table share.
+
+    Plain attributes, read directly by the map search: cells lists the
+    cells of each sort, sort gives the sort of each cell, gens lists the
+    generators stored for each sort that has cells, and face maps
+    (cell, generator) to a cell.  Cell ids are globally unique.
+    Subclasses fix what sorts and generators are; _like builds a
+    presheaf of the same kind on other cells and faces.
+    """
 
     cells: dict
     sort: dict
     gens: dict
     face: dict
 
+    def _index(self, face: dict, gens: dict) -> None:
+        sort: dict = {}
+        for s, xs in self.cells.items():
+            for x in xs:
+                if x in sort:
+                    raise ValueError(f"cell id {x!r} is not unique")
+                sort[x] = s
+        for name, value in (("sort", sort), ("gens", gens), ("face", face)):
+            object.__setattr__(self, name, value)
 
-def propagate(pairs, comp: dict, trail: list, src: CellTable, dst: CellTable):
+    def _like(self, cells: dict, face: dict) -> FinPresheaf:
+        raise NotImplementedError
+
+
+def propagate(pairs, comp: dict, trail: list, src: FinPresheaf, dst: FinPresheaf):
     """Extend the partial map comp by the (cell, value) pairs and by every
     pair their faces force, last in first out, appending each newly
     assigned cell to trail.  Returns None when all agree, otherwise the
@@ -285,7 +311,7 @@ def propagate(pairs, comp: dict, trail: list, src: CellTable, dst: CellTable):
     return None
 
 
-def natural_maps(order: list, src: CellTable, dst: CellTable, injective: bool = False):
+def natural_maps(order: list, src: FinPresheaf, dst: FinPresheaf, injective: bool = False):
     """Yield every map from src to dst that commutes with faces.  The
     cells of order are chosen in turn, each value tried in dst's cell
     order and followed by propagate; cells already forced are skipped.
@@ -311,17 +337,80 @@ def natural_maps(order: list, src: CellTable, dst: CellTable, injective: bool = 
     yield from extend(0)
 
 
-# ---------------------------------------------------------------------------
-# Finite presheaves
+@dataclass(frozen=True, eq=False)
+class PshMap:
+    """A map of presheaves, given by its component on every cell."""
+
+    src: FinPresheaf
+    dst: FinPresheaf
+    comp: dict
+
+    def __call__(self, x: str) -> str:
+        return self.comp[x]
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, PshMap) and vars(self) == vars(other)
+
+
+class Inclusion(PshMap):
+    """A componentwise injective map."""
+
+    def __init__(self, src: FinPresheaf, dst: FinPresheaf, comp: dict):
+        if len(set(comp.values())) != len(comp):
+            raise ValueError("an inclusion must be injective")
+        super().__init__(src, dst, comp)
+
+
+def psh_identity(X: FinPresheaf) -> Inclusion:
+    return Inclusion(X, X, {x: x for x in X.sort})
+
+
+def psh_compose(g: PshMap, f: PshMap) -> PshMap:
+    """g after f."""
+    if f.dst != g.src:
+        raise NotAMap("maps are not composable")
+    return PshMap(f.src, g.dst, {x: g.comp[y] for x, y in f.comp.items()})
+
+
+def check_psh_map(f: PshMap) -> list[str]:
+    """Cells without an image or with an image of another sort, then
+    failures of naturality at the cells whose images have the right sort."""
+    X, Y, comp = f.src, f.dst, f.comp
+    problems: list[str] = []
+    for c, xs in X.cells.items():
+        for x in xs:
+            if x not in comp:
+                problems.append(f"no image for {x}")
+            elif Y.sort.get(comp[x]) != c:
+                problems.append(f"image of {x} is not a cell at {c}")
+    for c, xs in X.cells.items():
+        for m in X.gens[c]:
+            for x in xs:
+                y, z = comp.get(x), comp.get(X.face[x, m])
+                if Y.sort.get(y) == c and z is not None and Y.face[y, m] != z:
+                    problems.append(f"naturality fails at {x} along {m}")
+    return problems
+
+
+def sub_presheaf(X: FinPresheaf, keep: set) -> Inclusion:
+    """The sub-presheaf on a face-closed set of cells, with its inclusion."""
+    for x in keep:
+        if any(X.face[x, g] not in keep for g in X.gens[X.sort[x]]):
+            raise ValueError(f"{x}: kept cells must be closed under faces")
+    cells = {s: tuple(x for x in xs if x in keep) for s, xs in X.cells.items()}
+    face = {k: y for k, y in X.face.items() if k[0] in keep}
+    A = X._like({s: xs for s, xs in cells.items() if xs}, face)
+    return Inclusion(A, X, {x: x for x in A.sort})
 
 
 @dataclass(frozen=True)
-class FinPresheafC:
+class FinPresheafC(FinPresheaf):
     """A finite presheaf on a finite direct category.
 
     cells lists the elements at each object; restriction maps a cell at
-    the target of a non-identity morphism to a cell at its source.
-    Identity restrictions are implicit.  Cell ids are globally unique.
+    the target of a non-identity morphism to a cell at its source.  The
+    generators of an object are the non-identity morphisms into it;
+    identity restrictions are implicit.
     """
 
     cat: FinDirectCat
@@ -329,20 +418,10 @@ class FinPresheafC:
     restriction: dict[tuple[str, str], str]
 
     def __post_init__(self) -> None:
-        index: dict[str, str] = {}
-        for c, xs in self.cells.items():
-            for x in xs:
-                if x in index:
-                    raise ValueError(f"cell id {x} is not unique")
-                index[x] = c
-        object.__setattr__(self, "_obj", index)
+        self._index(self.restriction, {c: self.cat.into(c) for c in self.cells})
 
-    @cached_property
-    def table(self) -> CellTable:
-        """The presheaf as the tables of the map search, one generator per
-        non-identity morphism."""
-        gens = {c: self.cat.into(c) for c in self.cat.objects}
-        return CellTable(self.cells, self._obj, gens, self.restriction)  # type: ignore[attr-defined]
+    def _like(self, cells: dict, face: dict) -> FinPresheafC:
+        return FinPresheafC(self.cat, cells, face)
 
     def of_obj(self, c: str) -> tuple[str, ...]:
         return self.cells.get(c, ())
@@ -381,45 +460,6 @@ def validate_presheaf(X: FinPresheafC) -> list[str]:
     return problems
 
 
-@dataclass(frozen=True)
-class PshMap:
-    src: FinPresheafC
-    dst: FinPresheafC
-    comp: dict[str, str]
-
-    def __call__(self, x: str) -> str:
-        return self.comp[x]
-
-
-def psh_identity(X: FinPresheafC) -> PshMap:
-    return PshMap(X, X, {x: x for xs in X.cells.values() for x in xs})
-
-
-def psh_compose(g: PshMap, f: PshMap) -> PshMap:
-    if f.dst != g.src:
-        raise NotAMap("maps are not composable")
-    return PshMap(f.src, g.dst, {x: g.comp[y] for x, y in f.comp.items()})
-
-
-def check_psh_map(f: PshMap) -> list[str]:
-    problems: list[str] = []
-    for c, xs in f.src.cells.items():
-        for x in xs:
-            y = f.comp.get(x)
-            if y is None:
-                problems.append(f"no image for {x}")
-            elif y not in f.dst.of_obj(c):
-                problems.append(f"image of {x} is not a cell at {c}")
-    for b in f.src.cat.objects:
-        for m in f.src.cat.into(b):
-            for x in f.src.of_obj(b):
-                if x not in f.comp or f.src.restrict(x, m) not in f.comp:
-                    continue
-                if f.dst.restrict(f.comp[x], m) != f.comp[f.src.restrict(x, m)]:
-                    problems.append(f"naturality fails at {x} along {m}")
-    return problems
-
-
 def _cells_by_dimension(X: FinPresheafC) -> list[tuple[str, str]]:
     """(object, cell) pairs ordered by dimension, object order, cell order."""
     dims = object_dimensions(X.cat)
@@ -435,7 +475,7 @@ def psh_maps(X: FinPresheafC, Y: FinPresheafC) -> list[PshMap]:
     if X.cat != Y.cat:
         raise NotAMap("presheaves live over different categories")
     order = [x for _, x in _cells_by_dimension(X)]
-    return [PshMap(X, Y, comp) for comp in natural_maps(order, X.table, Y.table)]
+    return [PshMap(X, Y, comp) for comp in natural_maps(order, X, Y)]
 
 
 def psh_isomorphism(X: FinPresheafC, Y: FinPresheafC) -> PshMap | None:
@@ -446,7 +486,7 @@ def psh_isomorphism(X: FinPresheafC, Y: FinPresheafC) -> PshMap | None:
     if any(len(X.of_obj(c)) != len(Y.of_obj(c)) for c in X.cat.objects):
         return None
     order = [x for _, x in _cells_by_dimension(X)]
-    for comp in natural_maps(order, X.table, Y.table, injective=True):
+    for comp in natural_maps(order, X, Y, injective=True):
         return PshMap(X, Y, comp)
     return None
 
@@ -466,22 +506,12 @@ def representable_psh(C: FinDirectCat, c: str) -> FinPresheafC:
     return FinPresheafC(C, cells, restriction)
 
 
-def boundary_c(C: FinDirectCat, c: str) -> PshMap:
+def boundary_c(C: FinDirectCat, c: str) -> Inclusion:
     """The inclusion of the boundary of c into its representable.  The
     boundary keeps exactly the non-identity morphisms into c."""
     if c not in C.objects:
         raise ValueError(f"unknown object {c}")
-    whole = representable_psh(C, c)
-    keep = set(C.into(c))
-    cells = {
-        b: tuple(x for x in xs if x in keep) for b, xs in whole.cells.items()
-    }
-    cells = {b: xs for b, xs in cells.items() if xs}
-    restriction = {
-        (x, e): y for (x, e), y in whole.restriction.items() if x in keep
-    }
-    sub = FinPresheafC(C, cells, restriction)
-    return PshMap(sub, whole, {x: x for xs in cells.values() for x in xs})
+    return sub_presheaf(representable_psh(C, c), set(C.into(c)))
 
 
 # ---------------------------------------------------------------------------
@@ -580,8 +610,7 @@ def ctx_pr(ctx: Context) -> PshMap:
     if not ctx.steps:
         raise EmptyContext("the empty context has no projection")
     prev = ctx.realization(len(ctx.steps) - 1)
-    whole = ctx.realization()
-    return PshMap(prev, whole, {x: x for xs in prev.cells.values() for x in xs})
+    return Inclusion(prev, ctx.realization(), {x: x for x in prev.sort})
 
 
 def ctx_pullback(

@@ -475,3 +475,52 @@ def test_nesting_at_the_bound_parses(capsys):
 def test_point_target_names_the_point(capsys):
     assert main(["opetope", "target", "--expr", "point"]) == 2
     assert capsys.readouterr().err == "error: the point has no target\n"
+
+
+# ------------------------------------------------------ repeated declarations
+
+Z2_CAT = "obj o\nmor e: o -> o\nmor z: o -> o\nid o = e\ncomp z.z = e\n"
+
+
+@pytest.mark.parametrize(
+    "command, text, line, what",
+    [
+        pytest.param("nerve-check", Z2_CAT + "comp z.z = z\n", 6, "composite z.z declared twice",
+                     id="comp"),
+        pytest.param("nerve-check", Z2_CAT + "id o = z\n", 6, "identity of o declared twice",
+                     id="id"),
+        pytest.param("laws", CHAIN_CAT + "mor f: b -> a\n", 13, "morphism f declared twice",
+                     id="mor"),
+        pytest.param("laws", "obj a a\nmor ia: a -> a\nid a = ia\n", 1,
+                     "object a declared twice", id="obj-one-line"),
+        pytest.param("laws", "obj a\nobj b a\nmor ia: a -> a\nid a = ia\n", 2,
+                     "object a declared twice", id="obj-two-lines"),
+    ],
+)
+def test_repeated_category_declaration_exits_two(capsys, tmp_path, command, text, line, what):
+    cat = tmp_path / "repeated.cat"
+    cat.write_text(text)
+    assert main(["oalg", command, "--file", str(cat)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: line {line}: {what}\n"
+
+
+@pytest.mark.parametrize(
+    "text, line, what",
+    [
+        pytest.param(ARROW_SET + "face a s* -> p\nface a t -> p\nface a t -> p\n", 6,
+                     "face of a along t declared twice", id="face"),
+        pytest.param(ARROW_SET.replace("cells a", "cells a p"), 3,
+                     "cell p declared twice: 'shape arrow cells a p'", id="cell"),
+        pytest.param("window 0 1\n" + ARROW_SET, 2, "window declared twice: 'window 0 1'",
+                     id="window"),
+    ],
+)
+def test_repeated_opset_declaration_exits_two(capsys, tmp_path, text, line, what):
+    bad = tmp_path / "repeated.opset"
+    bad.write_text(text)
+    assert main(["opset", "orthogonal", "--expr", "arrow", "--file", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: line {line}: {what}\n"

@@ -9,10 +9,18 @@ left-zero monoids.  Checked: the category axioms hold, posets are finite
 direct categories, maps out of a representable into a nerve are its cells
 at that shape (Yoneda), and the isomorphism search agrees with the first
 bijective map of the full map search.
+
+The presheaf kernel, on representables and boundaries over generated
+posets, on realized graph contexts, and on opetopic representables and
+boundaries of small shapes: every map the search finds passes the
+naturality check, every map that re-points one cell against its faces
+fails it at that cell, and a set of cells that drops a face of a kept
+cell is refused as a sub-presheaf.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,16 +36,19 @@ from opetopes.opetope import (
     target,
     tree,
 )
-from opetopes.opset import maps, representable
+from opetopes.opset import boundary, check_natural, maps, representable, sub_opset
 from opetopes.theory import (
+    PshMap,
     SortExpr,
     Term,
     boundary_c,
+    check_psh_map,
     parse_signature,
     psh_isomorphism,
     psh_maps,
     realize_bindings,
     representable_psh,
+    sub_presheaf,
     validate_lfd,
 )
 
@@ -186,3 +197,72 @@ def graph_contexts(draw):
 def test_isomorphism_search_on_realized_contexts(X, Y):
     assert psh_isomorphism(X, Y) == first_bijection(X, Y)
     assert psh_isomorphism(X, X) == first_bijection(X, X) is not None
+
+
+def poset_presheaf(P, data):
+    c = data.draw(st.sampled_from(P.objects))
+    return representable_psh(P, c) if data.draw(st.booleans()) else boundary_c(P, c).src
+
+
+SMALL_SHAPES = [w for n in (1, 2, 3) for w in enumerate_opetopes(n, 2)]
+
+
+def opset_presheaf(data):
+    w = data.draw(st.sampled_from(SMALL_SHAPES))
+    return representable(w, (0, 3)) if data.draw(st.booleans()) else boundary(w, (0, 3)).src
+
+
+def repointed(f):
+    """(x, g) for every map g that agrees with f except at the cell x,
+    where its value has a face that f's value on that face does not match."""
+    X, Y = f.src, f.dst
+    for x, s in X.sort.items():
+        for y in Y.cells[s]:
+            if any(Y.face[y, m] != f.comp[X.face[x, m]] for m in X.gens[s]):
+                yield x, PshMap(X, Y, {**f.comp, x: y})
+
+
+def assert_natural_and_repointing_reported(found, check):
+    for f in found:
+        assert check(f) == []
+        for x, g in repointed(f):
+            assert any(p.startswith(f"naturality fails at {x} along ") for p in check(g))
+
+
+@SETTINGS
+@given(posets(), st.data())
+def test_found_presheaf_maps_are_natural(P, data):
+    X, Y = poset_presheaf(P, data), poset_presheaf(P, data)
+    assert_natural_and_repointing_reported(psh_maps(X, Y), check_psh_map)
+
+
+@SETTINGS
+@given(graph_contexts(), graph_contexts())
+def test_found_maps_of_realized_contexts_are_natural(X, Y):
+    assert_natural_and_repointing_reported(psh_maps(X, Y), check_psh_map)
+
+
+@SETTINGS
+@given(st.data())
+def test_found_opset_maps_are_natural(data):
+    X, Y = opset_presheaf(data), opset_presheaf(data)
+    assert_natural_and_repointing_reported(maps(X, Y), check_natural)
+
+
+def without_a_face(X):
+    """All cells but one face of some cell, or None if no cell has faces."""
+    for x, s in X.sort.items():
+        for m in X.gens[s]:
+            return set(X.sort) - {X.face[x, m]}
+    return None
+
+
+@SETTINGS
+@given(posets(), st.data())
+def test_sub_presheaf_refuses_a_keep_without_a_face(P, data):
+    for X, sub in ((poset_presheaf(P, data), sub_presheaf), (opset_presheaf(data), sub_opset)):
+        keep = without_a_face(X)
+        if keep is not None:
+            with pytest.raises(ValueError, match="closed under faces"):
+                sub(X, keep)
+        assert sub(X, set(X.sort)).src == X
