@@ -1,7 +1,7 @@
-"""Opetope calculus: polynomial trees, opetopes, opetopic sets and algebras,
-and a checker for dependently sorted algebraic theories over direct categories."""
+"""Opetope calculus: opetopes as trees of higher addresses, opetopic sets
+and algebras, and a checker for dependently sorted algebraic theories over
+direct categories."""
 
-from opetopes.polytree import PolyFun, PTree, Edge, Corolla
 from opetopes.opetope import Addr, Opetope, POINT, ARROW, OMorphism
 from opetopes.opset import FinOpSet, OpSetMap
 from opetopes.oalg import (
@@ -14,10 +14,6 @@ from opetopes.oalg import (
 from opetopes.theory import FinDirectCat
 
 __all__ = [
-    "PolyFun",
-    "PTree",
-    "Edge",
-    "Corolla",
     "Addr",
     "Opetope",
     "POINT",

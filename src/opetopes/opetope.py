@@ -24,15 +24,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from opetopes.polytree import (
-    AddressNotALeaf,
-    AddressNotANode,
-    ColourMismatch,
-)
 from opetopes.theory import ParseError
 
 DIM_CAP = 6
 NODE_CAP = 8
+
+
+class AddressNotALeaf(ValueError):
+    pass
+
+
+class AddressNotANode(ValueError):
+    pass
+
+
+class ColourMismatch(ValueError):
+    pass
 
 
 # --------------------------------------------------------------------------

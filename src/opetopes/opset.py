@@ -424,16 +424,17 @@ def dump_opset(X: FinOpSet) -> str:
 
 
 def load_opset(text: str) -> FinOpSet:
-    """Read the text form written by dump_opset.  A malformed line raises
-    ValueError naming its number, and so does a set that fails
-    validate_opset, with the first problem."""
+    """Read the text form written by dump_opset; `#` starts a comment
+    anywhere on a line.  A malformed line raises ValueError naming its
+    number, and so does a set that fails validate_opset, with the first
+    problem."""
     window: Window | None = None
     cells: dict[Opetope, tuple[CellId, ...]] = {}
     shape_of: dict[CellId, Opetope] = {}
     pending: list[tuple[int, CellId, str, CellId]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.split()
-        if not parts or parts[0].startswith("#"):
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
         try:
             if parts[0] == "window" and len(parts) == 3:

@@ -524,3 +524,38 @@ def test_repeated_opset_declaration_exits_two(capsys, tmp_path, text, line, what
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: line {line}: {what}\n"
+
+
+# ---------------------------------------------------------------- comments
+
+TERMINAL_1 = ARROW_SET + "face a s* -> p\nface a t -> p\n"
+COMMENTED_1 = (
+    "# the terminal opetopic set in dimensions 0 and 1\n"
+    "window 0 1  # dimensions\n"
+    "shape point cells p # the only point\n"
+    "shape arrow cells a #\n"
+    "face a s* -> p  # source\n"
+    "face a t -> p# target\n"
+)
+
+
+def test_trailing_comments_in_opset_file_are_ignored(capsys, tmp_path):
+    plain, commented = tmp_path / "plain.opset", tmp_path / "commented.opset"
+    plain.write_text(TERMINAL_1)
+    commented.write_text(COMMENTED_1)
+    results = [
+        run(capsys, "opset", "orthogonal", "--expr", "arrow", "--file", str(path))
+        for path in (plain, commented)
+    ]
+    assert results[0] == (0, "spine: orthogonal\nboundary: orthogonal\n")
+    assert results[1] == results[0]
+
+
+def test_repeated_carrier_element_exits_two(capsys, tmp_path):
+    th, mod = tmp_path / "tcat.th", tmp_path / "repeated.mod"
+    th.write_text(TCAT)
+    mod.write_text(C3_MODEL.replace("sort V = {a, b, c}", "sort V = {a, b, a, c}"))
+    assert main(["theory", "check-model", "--theory", str(th), "--model", str(mod)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 2: element a listed twice in V()\n"

@@ -1,7 +1,7 @@
 """The import order of the package, read from the sources with `ast`.
 
-The layers are polytree <- opetope <- opset <- oalg <- cli: a module
-imports only from layers before it.  `theory` holds the shared kernel
+The layers are opetope <- opset <- oalg <- cli: a module imports only
+from layers before it.  `theory` holds the shared kernel
 and imports nothing from the package; opset, oalg and cli may use it,
 and opetope takes at most `ParseError` from it.
 """
@@ -14,9 +14,8 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "opetopes"
-LAYERS = ("polytree", "opetope", "opset", "oalg", "cli")
+LAYERS = ("opetope", "opset", "oalg", "cli")
 ALLOWED = {name: set(LAYERS[:i]) | {"theory"} for i, name in enumerate(LAYERS)}
-ALLOWED["polytree"] = set()
 ALLOWED["theory"] = set()
 
 

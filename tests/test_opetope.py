@@ -35,8 +35,7 @@ from opetopes.opetope import (
     tree,
     validate,
 )
-from opetopes.opetope import _target_readdress
-from opetopes.polytree import AddressNotALeaf, AddressNotANode, ColourMismatch
+from opetopes.opetope import AddressNotALeaf, AddressNotANode, ColourMismatch, _target_readdress
 from peel_oracle import peel_target_readdress
 
 I = opetopic_integer

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from opetopes.polytree import (
+from polytree_oracle import (
     AddressNotALeaf,
     AddressNotANode,
     ColourMismatch,
