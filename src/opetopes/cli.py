@@ -7,8 +7,11 @@ theories and their finite models.
 
 Exit codes: 0 on success, 1 when a requested check fails, 2 on usage or
 parse errors.  Output formats: `text` (default), `json` (canonical,
-sorted keys), and `dot` for single shapes.  The --seed flag is reserved
-for future randomized modes and is accepted but ignored.
+sorted keys), and `dot` for the shapes of `opetope validate` and
+`opetope target`; the other commands print their text under `dot`.  Each
+command computes its exit code, json payload and text lines, and
+`_result` prints the requested one.  The --seed flag is reserved for
+future randomized modes and is accepted but ignored.
 """
 
 from __future__ import annotations
@@ -26,10 +29,6 @@ def _read(path: str) -> str:
         return handle.read()
 
 
-def _emit_json(payload) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
-
-
 def _window(text: str) -> tuple[int, int]:
     try:
         lo, hi = text.split(":")
@@ -38,15 +37,15 @@ def _window(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected m:n, got {text!r}") from err
 
 
+def _exprs(args, count: int, usage: str) -> list[str]:
+    exprs = (args.expr or []) + ([_read(args.file)] if args.file else [])
+    if len(exprs) != count:
+        raise ValueError(usage)
+    return exprs
+
+
 def _one_expr(args) -> str:
-    exprs = args.expr or []
-    if isinstance(exprs, str):
-        exprs = [exprs]
-    if args.file:
-        exprs = exprs + [_read(args.file)]
-    if len(exprs) != 1:
-        raise ValueError("give exactly one shape via --expr or --file")
-    return exprs[0]
+    return _exprs(args, 1, "give exactly one shape via --expr or --file")[0]
 
 
 def _dot(omega: opetope.Opetope) -> str:
@@ -63,44 +62,45 @@ def _dot(omega: opetope.Opetope) -> str:
     return "\n".join(lines)
 
 
+def _result(args, code: int, payload, lines: list[str], shape=None) -> int:
+    """Print a command's result in the requested format and return its exit
+    code: json prints payload, dot the graph of shape where the command has
+    one, and text (or dot without a shape) prints lines."""
+    if args.format == "json":
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    elif args.format == "dot" and shape is not None:
+        print(_dot(shape))
+    elif lines:
+        print("\n".join(lines))
+    return code
+
+
+def _verdict(kind: str, found, bad: str) -> list[str]:
+    """One line per problem or failure, then "ok" or bad."""
+    return [f"{kind}: {x}" for x in found] + [bad if found else "ok"]
+
+
 # --- opetope ------------------------------------------------------------------
 
 
 def cmd_opetope_validate(args) -> int:
     omega = opetope.parse(_one_expr(args))
     problems = opetope.validate(omega)
-    if args.format == "json":
-        _emit_json(
-            {
-                "expr": opetope.render(omega),
-                "dim": omega.dim,
-                "size": opetope.size(omega),
-                "ok": not problems,
-                "problems": list(problems),
-            }
-        )
-    elif args.format == "dot":
-        print(_dot(omega))
-    else:
-        print(f"shape: {opetope.render(omega)}")
-        print(f"dim: {omega.dim}")
-        print(f"size: {opetope.size(omega)}")
-        for p in problems:
-            print(f"problem: {p}")
-        print("ok" if not problems else "invalid")
-    return 0 if not problems else 1
+    expr, dim, size = opetope.render(omega), omega.dim, opetope.size(omega)
+    return _result(
+        args,
+        1 if problems else 0,
+        {"expr": expr, "dim": dim, "size": size, "ok": not problems, "problems": list(problems)},
+        [f"shape: {expr}", f"dim: {dim}", f"size: {size}"]
+        + _verdict("problem", problems, "invalid"),
+        omega,
+    )
 
 
 def cmd_opetope_target(args) -> int:
-    omega = opetope.parse(_one_expr(args))
-    out = opetope.target(omega)
-    if args.format == "json":
-        _emit_json({"expr": opetope.render(out), "dim": out.dim})
-    elif args.format == "dot":
-        print(_dot(out))
-    else:
-        print(opetope.render(out))
-    return 0
+    out = opetope.target(opetope.parse(_one_expr(args)))
+    expr = opetope.render(out)
+    return _result(args, 0, {"expr": expr, "dim": out.dim}, [expr], out)
 
 
 def cmd_opetope_source(args) -> int:
@@ -109,85 +109,44 @@ def cmd_opetope_source(args) -> int:
         (str(addr), opetope.render(opetope.source(omega, addr)))
         for addr in opetope.node_addrs(omega)
     ]
-    if args.format == "json":
-        _emit_json({"sources": dict(items)})
-    else:
-        for addr, expr in items:
-            print(f"{addr} {expr}")
-    return 0
+    return _result(args, 0, {"sources": dict(items)}, [f"{addr} {expr}" for addr, expr in items])
 
 
 def cmd_opetope_faces(args) -> int:
-    omega = opetope.parse(_one_expr(args))
-    fs = opetope.faces(omega)
+    fs = opetope.faces(opetope.parse(_one_expr(args)))
     rows = [
-        {
-            "word": opetope.render_word(fs.word_of(cid)),
-            "shape": opetope.render(fs.shape_of(cid)),
-        }
+        {"word": opetope.render_word(fs.word_of(cid)), "shape": opetope.render(fs.shape_of(cid))}
         for cid in fs.cells()
     ]
-    if args.format == "json":
-        _emit_json({"cells": rows, "count": len(rows)})
-    else:
-        print(f"cells: {len(rows)}")
-        for row in rows:
-            print(f"{row['word']} : {row['shape']}")
-    return 0
+    lines = [f"cells: {len(rows)}"] + [f"{row['word']} : {row['shape']}" for row in rows]
+    return _result(args, 0, {"cells": rows, "count": len(rows)}, lines)
 
 
 def cmd_opetope_enumerate(args) -> int:
     shapes = opetope.enumerate_opetopes(args.dim, args.max_nodes)
     rendered = [opetope.render(o) for o in shapes]
-    if args.format == "json":
-        _emit_json(
-            {"dim": args.dim, "max_nodes": args.max_nodes, "opetopes": rendered}
-        )
-    else:
-        for expr in rendered:
-            print(expr)
-    return 0
+    payload = {"dim": args.dim, "max_nodes": args.max_nodes, "opetopes": rendered}
+    return _result(args, 0, payload, rendered)
 
 
 def cmd_opetope_hom(args) -> int:
-    exprs = args.expr or []
-    if args.file:
-        exprs = exprs + [_read(args.file)]
-    if len(exprs) != 2:
-        raise ValueError("give two shapes: --expr SOURCE --expr TARGET")
+    exprs = _exprs(args, 2, "give two shapes: --expr SOURCE --expr TARGET")
     psi, omega = (opetope.parse(e) for e in exprs)
-    maps = opetope.hom(psi, omega)
-    words = [opetope.render_word(m.word) for m in maps]
-    if args.format == "json":
-        _emit_json({"count": len(words), "maps": words})
-    else:
-        print(f"maps: {len(words)}")
-        for w in words:
-            print(w)
-    return 0
+    words = [opetope.render_word(m.word) for m in opetope.hom(psi, omega)]
+    return _result(args, 0, {"count": len(words), "maps": words}, [f"maps: {len(words)}"] + words)
 
 
 def cmd_opetope_identities(args) -> int:
     omega = opetope.parse(_one_expr(args))
     problems = opetope.check_identities(omega)
-    fs = opetope.faces(omega)
-    squares = opetope.relation_squares(omega)
-    if args.format == "json":
-        _emit_json(
-            {
-                "cells": len(fs.cells()),
-                "squares": len(squares),
-                "ok": not problems,
-                "problems": list(problems),
-            }
-        )
-    else:
-        print(f"cells: {len(fs.cells())}")
-        print(f"squares: {len(squares)}")
-        for p in problems:
-            print(f"problem: {p}")
-        print("ok" if not problems else "invalid")
-    return 0 if not problems else 1
+    cells = len(opetope.faces(omega).cells())
+    squares = len(opetope.relation_squares(omega))
+    return _result(
+        args,
+        1 if problems else 0,
+        {"cells": cells, "squares": squares, "ok": not problems, "problems": list(problems)},
+        [f"cells: {cells}", f"squares: {squares}"] + _verdict("problem", problems, "invalid"),
+    )
 
 
 # --- opset --------------------------------------------------------------------
@@ -197,17 +156,8 @@ def _inclusion_cmd(args, build) -> int:
     omega = opetope.parse(_one_expr(args))
     inc = build(omega, args.window)
     text = opset.dump_opset(inc.src)
-    if args.format == "json":
-        _emit_json(
-            {
-                "expr": opetope.render(omega),
-                "window": list(inc.src.window),
-                "opset": text,
-            }
-        )
-    else:
-        print(text, end="")
-    return 0
+    payload = {"expr": opetope.render(omega), "window": list(inc.src.window), "opset": text}
+    return _result(args, 0, payload, [text.removesuffix("\n")])
 
 
 def cmd_opset_spine(args) -> int:
@@ -221,49 +171,35 @@ def cmd_opset_boundary(args) -> int:
 def cmd_opset_orthogonal(args) -> int:
     omega = opetope.parse(args.expr)
     X = opset.load_opset(_read(args.file))
-    results = {}
-    for kind, build in (("spine", opset.spine), ("boundary", opset.boundary)):
-        inc = build(omega, X.window)
-        witness = opset.orthogonal_witness(inc, X)
-        results[kind] = witness
+    results = {
+        kind: opset.orthogonal_witness(build(omega, X.window), X)
+        for kind, build in (("spine", opset.spine), ("boundary", opset.boundary))
+    }
     ok = all(w is None for w in results.values())
-    if args.format == "json":
-        _emit_json(
-            {
-                kind: (None if w is None else {"extensions": w[1]})
-                for kind, w in results.items()
-            }
-            | {"ok": ok}
-        )
-    else:
-        for kind, w in results.items():
-            if w is None:
-                print(f"{kind}: orthogonal")
-            else:
-                print(f"{kind}: not orthogonal (a map extends {w[1]} times)")
-    return 0 if ok else 1
+    payload = {kind: None if w is None else {"extensions": w[1]} for kind, w in results.items()}
+    lines = [
+        f"{kind}: orthogonal"
+        if w is None
+        else f"{kind}: not orthogonal (a map extends {w[1]} times)"
+        for kind, w in results.items()
+    ]
+    return _result(args, 0 if ok else 1, payload | {"ok": ok}, lines)
 
 
 def cmd_opset_hlift(args) -> int:
     X = opset.load_opset(_read(args.file))
     report = opset.hlift_check(X, args.n, args.max_nodes)
-    payload = {
-        "spines_low": report.spines_low,
-        "boundaries_mid": report.boundaries_mid,
-        "boundaries_high": report.boundaries_high,
-        "spines_high": report.spines_high,
-        "ok": not report.failures,
-        "failures": list(report.failures),
+    flags = {
+        key: getattr(report, key)
+        for key in ("spines_low", "boundaries_mid", "boundaries_high", "spines_high")
     }
-    if args.format == "json":
-        _emit_json(payload)
-    else:
-        for key in ("spines_low", "boundaries_mid", "boundaries_high", "spines_high"):
-            print(f"{key}: {payload[key]}")
-        for f in report.failures:
-            print(f"failure: {f}")
-        print("ok" if not report.failures else "failed")
-    return 0 if not report.failures else 1
+    return _result(
+        args,
+        1 if report.failures else 0,
+        flags | {"ok": not report.failures, "failures": list(report.failures)},
+        [f"{key}: {value}" for key, value in flags.items()]
+        + _verdict("failure", report.failures, "failed"),
+    )
 
 
 # --- oalg ---------------------------------------------------------------------
@@ -273,46 +209,32 @@ def cmd_oalg_free(args) -> int:
     C = oalg.parse_category(_read(args.file))
     family = oalg.category_family(C)
     shape = opetope.parse(args.expr) if args.expr else opetope.ARROW
-    cells = oalg.free_cells(family, shape, args.max_nodes)
     rows = []
-    for cell in cells:
+    for cell in oalg.free_cells(family, shape, args.max_nodes):
         start, edges = oalg.pasting_chain(cell)
-        rows.append(
-            {
-                "shape": opetope.render(cell.shape),
-                "start": start,
-                "edges": list(edges),
-            }
-        )
-    if args.format == "json":
-        _emit_json({"count": len(rows), "cells": rows})
-    else:
-        print(f"cells: {len(rows)}")
-        for row in rows:
-            chain = " ".join([row["start"]] + row["edges"])
-            print(f"{row['shape']} | {chain}")
-    return 0
+        rows.append({"shape": opetope.render(cell.shape), "start": start, "edges": list(edges)})
+    lines = [f"cells: {len(rows)}"] + [
+        f"{row['shape']} | {' '.join([row['start']] + row['edges'])}" for row in rows
+    ]
+    return _result(args, 0, {"count": len(rows), "cells": rows}, lines)
 
 
 def cmd_oalg_laws(args) -> int:
     C = oalg.parse_category(_read(args.file))
     algebra = oalg.category_algebra(C, args.max_nodes)
     report = oalg.check_algebra_laws(algebra, args.max_nodes)
-    payload = {
-        "units_checked": report.units_checked,
-        "squares_checked": report.squares_checked,
-        "ok": not report.failures,
-        "failures": list(report.failures),
-    }
-    if args.format == "json":
-        _emit_json(payload)
-    else:
-        print(f"units checked: {report.units_checked}")
-        print(f"squares checked: {report.squares_checked}")
-        for f in report.failures:
-            print(f"failure: {f}")
-        print("ok" if not report.failures else "failed")
-    return 0 if not report.failures else 1
+    return _result(
+        args,
+        1 if report.failures else 0,
+        {
+            "units_checked": report.units_checked,
+            "squares_checked": report.squares_checked,
+            "ok": not report.failures,
+            "failures": list(report.failures),
+        },
+        [f"units checked: {report.units_checked}", f"squares checked: {report.squares_checked}"]
+        + _verdict("failure", report.failures, "failed"),
+    )
 
 
 def cmd_oalg_h(args) -> int:
@@ -323,55 +245,34 @@ def cmd_oalg_h(args) -> int:
     rows = []
     for gen in opetope.generators(omega):
         m = oalg.h_morphism(omega, gen)
-        rows.append(
-            {
-                "face": opset.render_gen(gen),
-                "src": m.src,
-                "dst": m.dst,
-                "values": list(m.values),
-            }
-        )
-    if args.format == "json":
-        _emit_json({"object": value, "faces": rows})
-    else:
-        print(f"object: {value}")
-        for row in rows:
-            vals = ", ".join(str(v) for v in row["values"])
-            print(f"{row['face']}: ({vals}) : [{row['src']}] -> [{row['dst']}]")
-    return 0
+        face = opset.render_gen(gen)
+        rows.append({"face": face, "src": m.src, "dst": m.dst, "values": list(m.values)})
+    lines = [f"object: {value}"] + [
+        f"{row['face']}: ({', '.join(map(str, row['values']))}) : [{row['src']}] -> [{row['dst']}]"
+        for row in rows
+    ]
+    return _result(args, 0, {"object": value, "faces": rows}, lines)
 
 
 def cmd_oalg_nerve(args) -> int:
-    C = oalg.parse_category(_read(args.file))
-    N = oalg.nerve_category(C, args.max_nodes)
+    N = oalg.nerve_category(oalg.parse_category(_read(args.file)), args.max_nodes)
     text = opset.dump_opset(N)
-    if args.format == "json":
-        _emit_json({"window": list(N.window), "opset": text})
-    else:
-        print(text, end="")
-    return 0
+    return _result(args, 0, {"window": list(N.window), "opset": text}, [text.removesuffix("\n")])
 
 
 def cmd_oalg_nerve_check(args) -> int:
     C = oalg.parse_category(_read(args.file))
     N = oalg.nerve_category(C, args.max_nodes)
     report = oalg.nerve_axioms_check(N, args.max_nodes)
-    payload = {
-        "segal2": report.segal2,
-        "segal3": report.segal3,
-        "boundary3": report.boundary3,
-        "ok": report.ok,
-        "failures": list(report.failures),
-    }
-    if args.format == "json":
-        _emit_json(payload)
-    else:
-        for key in ("segal2", "segal3", "boundary3"):
-            print(f"{key}: {'yes' if payload[key] else 'no'}")
-        for f in report.failures:
-            print(f"failure: {f}")
-        print("ok" if report.ok else "failed")
-    return 0 if report.ok else 1
+    flags = {key: getattr(report, key) for key in ("segal2", "segal3", "boundary3")}
+    return _result(
+        args,
+        0 if report.ok else 1,
+        flags | {"ok": report.ok, "failures": list(report.failures)},
+        [f"{key}: {'yes' if value else 'no'}" for key, value in flags.items()]
+        + [f"failure: {f}" for f in report.failures]
+        + ["ok" if report.ok else "failed"],
+    )
 
 
 # --- theory -------------------------------------------------------------------
@@ -379,87 +280,72 @@ def cmd_oalg_nerve_check(args) -> int:
 
 def cmd_theory_parse(args) -> int:
     sig, ops, eqns = theory.parse_theory(_read(args.file))
-    if args.format == "json":
-        _emit_json(
-            {
-                "types": [{"name": d.name, "grade": d.grade} for d in sig.declarations],
-                "ops": [
-                    {"name": d.name, "grade": d.grade, "output": str(d.output)}
-                    for d in ops.declarations
-                ],
-                "equations": [
-                    {"label": e.label, "grade": e.grade} for e in eqns.equations
-                ],
-            }
-        )
-    else:
-        for d in sig.declarations:
-            print(f"type {d} (grade {d.grade})")
-        for d in ops.declarations:
-            print(f"op {d} (grade {d.grade})")
-        for e in eqns.equations:
-            print(f"equation {e.label} (grade {e.grade})")
-    return 0
+    payload = {
+        "types": [{"name": d.name, "grade": d.grade} for d in sig.declarations],
+        "ops": [
+            {"name": d.name, "grade": d.grade, "output": str(d.output)} for d in ops.declarations
+        ],
+        "equations": [{"label": e.label, "grade": e.grade} for e in eqns.equations],
+    }
+    lines = (
+        [f"type {d} (grade {d.grade})" for d in sig.declarations]
+        + [f"op {d} (grade {d.grade})" for d in ops.declarations]
+        + [f"equation {e.label} (grade {e.grade})" for e in eqns.equations]
+    )
+    return _result(args, 0, payload, lines)
 
 
 def cmd_theory_lfd(args) -> int:
     sig, _, _ = theory.parse_theory(_read(args.file))
     cat = theory.signature_to_lfd(sig)
     report = theory.validate_lfd(cat)
-    payload = {
-        "objects": {c: report.dims.get(c) for c in cat.objects},
-        "morphisms": len(cat.morphisms),
-        "ok": report.ok,
-        "problems": list(report.problems),
-    }
-    if args.format == "json":
-        _emit_json(payload)
-    else:
-        for c in cat.objects:
-            print(f"object {c} (dim {report.dims.get(c)})")
-        print(f"morphisms: {len(cat.morphisms)}")
-        print("ok" if report.ok else "invalid")
-    return 0 if report.ok else 1
+    return _result(
+        args,
+        0 if report.ok else 1,
+        {
+            "objects": {c: report.dims.get(c) for c in cat.objects},
+            "morphisms": len(cat.morphisms),
+            "ok": report.ok,
+            "problems": list(report.problems),
+        },
+        [f"object {c} (dim {report.dims.get(c)})" for c in cat.objects]
+        + [f"morphisms: {len(cat.morphisms)}", "ok" if report.ok else "invalid"],
+    )
 
 
 def cmd_theory_roundtrip(args) -> int:
     sig, _, _ = theory.parse_theory(_read(args.file))
     cat = theory.signature_to_lfd(sig)
     back = theory.signature_to_lfd(theory.lfd_to_signature(cat))
-    iso = theory.cat_isomorphic(cat, back)
-    ok = iso is not None and theory.validate_lfd(back).ok
-    if args.format == "json":
-        _emit_json({"ok": ok, "objects": len(cat.objects), "morphisms": len(cat.morphisms)})
-    else:
-        print("PASS" if ok else "FAIL")
-    return 0 if ok else 1
+    ok = theory.cat_isomorphic(cat, back) is not None and theory.validate_lfd(back).ok
+    payload = {"ok": ok, "objects": len(cat.objects), "morphisms": len(cat.morphisms)}
+    return _result(args, 0 if ok else 1, payload, ["PASS" if ok else "FAIL"])
 
 
 def cmd_theory_check_model(args) -> int:
     th = theory.parse_theory(_read(args.theory))
     model = theory.parse_model(_read(args.model))
     report = theory.check_model(th, model)
-    if args.format == "json":
-        _emit_json(
-            {
-                "ok": report.ok,
-                "problems": list(report.problems),
-                "equations": [
-                    {"label": e.label, "checked": e.checked, "witness": e.witness}
-                    for e in report.equations
-                ],
-            }
-        )
-    else:
-        for p in report.problems:
-            print(f"problem: {p}")
-        for e in report.equations:
-            if e.witness is None:
-                print(f"  {e.label}: holds ({e.checked} environments)")
-            else:
-                print(f"  {e.label}: fails at {e.witness}")
-        print("PASS" if report.ok else "FAIL")
-    return 0 if report.ok else 1
+    return _result(
+        args,
+        0 if report.ok else 1,
+        {
+            "ok": report.ok,
+            "problems": list(report.problems),
+            "equations": [
+                {"label": e.label, "checked": e.checked, "witness": e.witness}
+                for e in report.equations
+            ],
+        },
+        [f"problem: {p}" for p in report.problems]
+        + [
+            f"  {e.label}: holds ({e.checked} environments)"
+            if e.witness is None
+            else f"  {e.label}: fails at {e.witness}"
+            for e in report.equations
+        ]
+        + ["PASS" if report.ok else "FAIL"],
+    )
 
 
 def cmd_theory_context(args) -> int:
@@ -470,26 +356,22 @@ def cmd_theory_context(args) -> int:
     problems = theory.validate_context(ctx)
     iso = theory.psh_isomorphism(X, ctx.realization())
     ok = not problems and iso is not None
-    if args.format == "json":
-        _emit_json(
-            {
-                "steps": [
-                    {"name": s.name, "obj": s.obj, "attach": dict(s.attach)}
-                    for s in ctx.steps
-                ],
-                "iso": None if iso is None else iso.comp,
-                "ok": ok,
-            }
-        )
-    else:
-        for s in ctx.steps:
-            att = ", ".join(f"{m}->{y}" for m, y in s.attach)
-            print(f"{s.name}: {s.obj}({att})" if att else f"{s.name}: {s.obj}")
-        if iso is not None:
-            pairs = ", ".join(f"{k}->{v}" for k, v in sorted(iso.comp.items()))
-            print(f"iso: {pairs}")
-        print("ok" if ok else "failed")
-    return 0 if ok else 1
+    lines = []
+    for s in ctx.steps:
+        att = ", ".join(f"{m}->{y}" for m, y in s.attach)
+        lines.append(f"{s.name}: {s.obj}({att})" if att else f"{s.name}: {s.obj}")
+    if iso is not None:
+        lines.append("iso: " + ", ".join(f"{k}->{v}" for k, v in sorted(iso.comp.items())))
+    return _result(
+        args,
+        0 if ok else 1,
+        {
+            "steps": [{"name": s.name, "obj": s.obj, "attach": dict(s.attach)} for s in ctx.steps],
+            "iso": None if iso is None else iso.comp,
+            "ok": ok,
+        },
+        lines + ["ok" if ok else "failed"],
+    )
 
 
 # --- wiring -------------------------------------------------------------------
@@ -499,7 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("text", "json", "dot"), default="text",
-        help="output format (dot only for single shapes)",
+        help="output format (dot: validate and target; text elsewhere)",
     )
     common.add_argument(
         "--seed", type=int, default=None,

@@ -1329,7 +1329,9 @@ def parse_model(text: str) -> Model:
                 raise ParseError(f"line {lineno}: duplicate carrier for {name}{tuple(args)}")
             for i, e in enumerate(elems):
                 if e in elems[:i]:
-                    raise ParseError(f"line {lineno}: element {e} listed twice in {name}{tuple(args)}")
+                    raise ParseError(
+                        f"line {lineno}: element {e} listed twice in {name}{tuple(args)}"
+                    )
             sorts[key] = tuple(elems)
             current = None
         elif head == "op":

@@ -16,6 +16,10 @@ For every tree within the bounds, two properties are checked:
 The oracle enumerates by number of nodes, `enumerate_opetopes` by total
 size, so the trees are bounded twice: at most N nodes, each decorated by a
 shape of size at most D.  A single bound of 4 for both takes minutes.
+
+The functor's outputs are `opetope.target` one dimension down, so the
+checks at dimension n + 2 rest on the target at dimension n + 1, which the
+same checks cover at the level below.
 """
 
 from __future__ import annotations
@@ -52,8 +56,8 @@ from polytree_oracle import (
 # (n, N, D): trees of dimension n + 2 with at most N nodes, each decorated
 # by a shape of size at most D
 ENUMERATION_BOUNDS = [(0, 6, 0), (1, 3, 2), (2, 2, 3), (2, 3, 2)]
-# the oracle's enumeration is cheap at these, the opetope one is not, and
-# at (1, 4, 3) the oracle's takes a minute and a half
+# larger: these need no `enumerate_opetopes` up to N * (D + 1); the
+# oracle's own enumeration at (1, 4, 3) takes a minute and a half
 TARGET_BOUNDS = [(1, 5, 2), (1, 3, 3), (2, 3, 4)]
 
 
@@ -91,7 +95,8 @@ def to_opetope(t: PTree, dim: int, decoration) -> Opetope:
     shape decoration(b)."""
     if isinstance(t, Edge):
         return Degenerate(t.colour)
-    return tree({Addr(dim - 1, a): decoration(subtree_at(t, a).node) for a in node_addresses(None, t)})
+    nodes = {Addr(dim - 1, a): decoration(subtree_at(t, a).node) for a in node_addresses(None, t)}
+    return tree(nodes)
 
 
 def where(t: PTree, symbol) -> tuple:

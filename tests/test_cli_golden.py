@@ -116,7 +116,9 @@ CASES = {
     "theory-parse": ("theory", "parse", "--file", "tcat.th"),
     "theory-roundtrip": ("theory", "roundtrip", "--file", "tcat.th"),
     "theory-check-model-c3": ("theory", "check-model", "--theory", "tcat.th", "--model", "c3.mod"),
-    "theory-check-model-bad-unit": ("theory", "check-model", "--theory", "tcat.th", "--model", "bad-unit.mod"),
+    "theory-check-model-bad-unit": (
+        "theory", "check-model", "--theory", "tcat.th", "--model", "bad-unit.mod"
+    ),
 }
 
 # the cases also pinned in dot; `opetope source` has no dot form

@@ -83,7 +83,9 @@ def main(argv: list[str] | None = None) -> int:
     for name in workloads.WORKLOADS:
         for seed in args.seeds:
             J = workloads.build(name, seed)
-            jobs = [(j["id"], fmt, j["argv"] + ["--format", fmt]) for j in J.jobs for fmt in FORMATS]
+            jobs = [
+                (j["id"], fmt, j["argv"] + ["--format", fmt]) for j in J.jobs for fmt in FORMATS
+            ]
             with tempfile.TemporaryDirectory() as inputs:
                 for fname, text in J.files.items():
                     with open(os.path.join(inputs, fname), "w", encoding="utf-8") as handle:
