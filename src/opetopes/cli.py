@@ -90,7 +90,13 @@ def cmd_opetope_validate(args) -> int:
     return _result(
         args,
         1 if problems else 0,
-        {"expr": expr, "dim": dim, "size": size, "ok": not problems, "problems": list(problems)},
+        {
+            "expr": expr,
+            "dim": dim,
+            "size": size,
+            "ok": not problems,
+            "problems": list(problems),
+        },
         [f"shape: {expr}", f"dim: {dim}", f"size: {size}"]
         + _verdict("problem", problems, "invalid"),
         omega,
@@ -109,13 +115,17 @@ def cmd_opetope_source(args) -> int:
         (str(addr), opetope.render(opetope.source(omega, addr)))
         for addr in opetope.node_addrs(omega)
     ]
-    return _result(args, 0, {"sources": dict(items)}, [f"{addr} {expr}" for addr, expr in items])
+    lines = [f"{addr} {expr}" for addr, expr in items]
+    return _result(args, 0, {"sources": dict(items)}, lines)
 
 
 def cmd_opetope_faces(args) -> int:
     fs = opetope.faces(opetope.parse(_one_expr(args)))
     rows = [
-        {"word": opetope.render_word(fs.word_of(cid)), "shape": opetope.render(fs.shape_of(cid))}
+        {
+            "word": opetope.render_word(fs.word_of(cid)),
+            "shape": opetope.render(fs.shape_of(cid)),
+        }
         for cid in fs.cells()
     ]
     lines = [f"cells: {len(rows)}"] + [f"{row['word']} : {row['shape']}" for row in rows]
@@ -133,7 +143,8 @@ def cmd_opetope_hom(args) -> int:
     exprs = _exprs(args, 2, "give two shapes: --expr SOURCE --expr TARGET")
     psi, omega = (opetope.parse(e) for e in exprs)
     words = [opetope.render_word(m.word) for m in opetope.hom(psi, omega)]
-    return _result(args, 0, {"count": len(words), "maps": words}, [f"maps: {len(words)}"] + words)
+    payload = {"count": len(words), "maps": words}
+    return _result(args, 0, payload, [f"maps: {len(words)}"] + words)
 
 
 def cmd_opetope_identities(args) -> int:
@@ -144,8 +155,14 @@ def cmd_opetope_identities(args) -> int:
     return _result(
         args,
         1 if problems else 0,
-        {"cells": cells, "squares": squares, "ok": not problems, "problems": list(problems)},
-        [f"cells: {cells}", f"squares: {squares}"] + _verdict("problem", problems, "invalid"),
+        {
+            "cells": cells,
+            "squares": squares,
+            "ok": not problems,
+            "problems": list(problems),
+        },
+        [f"cells: {cells}", f"squares: {squares}"]
+        + _verdict("problem", problems, "invalid"),
     )
 
 
@@ -176,7 +193,9 @@ def cmd_opset_orthogonal(args) -> int:
         for kind, build in (("spine", opset.spine), ("boundary", opset.boundary))
     }
     ok = all(w is None for w in results.values())
-    payload = {kind: None if w is None else {"extensions": w[1]} for kind, w in results.items()}
+    payload = {
+        kind: None if w is None else {"extensions": w[1]} for kind, w in results.items()
+    }
     lines = [
         f"{kind}: orthogonal"
         if w is None
@@ -212,7 +231,9 @@ def cmd_oalg_free(args) -> int:
     rows = []
     for cell in oalg.free_cells(family, shape, args.max_nodes):
         start, edges = oalg.pasting_chain(cell)
-        rows.append({"shape": opetope.render(cell.shape), "start": start, "edges": list(edges)})
+        rows.append(
+            {"shape": opetope.render(cell.shape), "start": start, "edges": list(edges)}
+        )
     lines = [f"cells: {len(rows)}"] + [
         f"{row['shape']} | {' '.join([row['start']] + row['edges'])}" for row in rows
     ]
@@ -232,7 +253,10 @@ def cmd_oalg_laws(args) -> int:
             "ok": not report.failures,
             "failures": list(report.failures),
         },
-        [f"units checked: {report.units_checked}", f"squares checked: {report.squares_checked}"]
+        [
+            f"units checked: {report.units_checked}",
+            f"squares checked: {report.squares_checked}",
+        ]
         + _verdict("failure", report.failures, "failed"),
     )
 
@@ -248,7 +272,8 @@ def cmd_oalg_h(args) -> int:
         face = opset.render_gen(gen)
         rows.append({"face": face, "src": m.src, "dst": m.dst, "values": list(m.values)})
     lines = [f"object: {value}"] + [
-        f"{row['face']}: ({', '.join(map(str, row['values']))}) : [{row['src']}] -> [{row['dst']}]"
+        f"{row['face']}: ({', '.join(map(str, row['values']))}) : "
+        f"[{row['src']}] -> [{row['dst']}]"
         for row in rows
     ]
     return _result(args, 0, {"object": value, "faces": rows}, lines)
@@ -257,7 +282,8 @@ def cmd_oalg_h(args) -> int:
 def cmd_oalg_nerve(args) -> int:
     N = oalg.nerve_category(oalg.parse_category(_read(args.file)), args.max_nodes)
     text = opset.dump_opset(N)
-    return _result(args, 0, {"window": list(N.window), "opset": text}, [text.removesuffix("\n")])
+    payload = {"window": list(N.window), "opset": text}
+    return _result(args, 0, payload, [text.removesuffix("\n")])
 
 
 def cmd_oalg_nerve_check(args) -> int:
@@ -283,7 +309,8 @@ def cmd_theory_parse(args) -> int:
     payload = {
         "types": [{"name": d.name, "grade": d.grade} for d in sig.declarations],
         "ops": [
-            {"name": d.name, "grade": d.grade, "output": str(d.output)} for d in ops.declarations
+            {"name": d.name, "grade": d.grade, "output": str(d.output)}
+            for d in ops.declarations
         ],
         "equations": [{"label": e.label, "grade": e.grade} for e in eqns.equations],
     }
@@ -366,7 +393,9 @@ def cmd_theory_context(args) -> int:
         args,
         0 if ok else 1,
         {
-            "steps": [{"name": s.name, "obj": s.obj, "attach": dict(s.attach)} for s in ctx.steps],
+            "steps": [
+                {"name": s.name, "obj": s.obj, "attach": dict(s.attach)} for s in ctx.steps
+            ],
             "iso": None if iso is None else iso.comp,
             "ok": ok,
         },

@@ -1327,11 +1327,13 @@ def parse_model(text: str) -> Model:
             key = (name, tuple(args))
             if key in sorts:
                 raise ParseError(f"line {lineno}: duplicate carrier for {name}{tuple(args)}")
-            for i, e in enumerate(elems):
-                if e in elems[:i]:
+            seen: set[str] = set()
+            for e in elems:
+                if e in seen:
                     raise ParseError(
                         f"line {lineno}: element {e} listed twice in {name}{tuple(args)}"
                     )
+                seen.add(e)
             sorts[key] = tuple(elems)
             current = None
         elif head == "op":

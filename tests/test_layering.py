@@ -3,7 +3,9 @@
 The layers are opetope <- opset <- oalg <- cli: a module imports only
 from layers before it.  `theory` holds the shared kernel
 and imports nothing from the package; opset, oalg and cli may use it,
-and opetope takes at most `ParseError` from it.
+and opetope takes at most `ParseError` from it.  The Baez-Dolan oracle
+in `tests/polytree_oracle.py` imports nothing from the package, so that
+it checks `opetope` independently.
 """
 
 from __future__ import annotations
@@ -13,16 +15,17 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "opetopes"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "opetopes"
 LAYERS = ("opetope", "opset", "oalg", "cli")
 ALLOWED = {name: set(LAYERS[:i]) | {"theory"} for i, name in enumerate(LAYERS)}
 ALLOWED["theory"] = set()
 
 
-def package_imports(module: str) -> dict[str, set[str]]:
+def package_imports(module: str, directory: Path = PACKAGE) -> dict[str, set[str]]:
     """The package modules `module` imports, each with the names taken
     from it ("*" for the module itself)."""
-    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    tree = ast.parse((directory / f"{module}.py").read_text(encoding="utf-8"))
     out: dict[str, set[str]] = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -54,6 +57,10 @@ def test_opetope_takes_at_most_parse_error_from_theory():
 def test_every_module_has_a_layer():
     modules = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
     assert modules == set(ALLOWED)
+
+
+def test_oracle_imports_nothing_from_the_package():
+    assert package_imports("polytree_oracle", TESTS) == {}
 
 
 def test_one_parse_error():

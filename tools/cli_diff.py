@@ -1,12 +1,13 @@
 """Run the benchmark's CLI jobs against two source trees and diff the results.
 
-    python3 tools/cli_diff.py SRC_A SRC_B [--seeds 11 12]
+    python3 tools/cli_diff.py SRC_A SRC_B
 
 SRC_A and SRC_B are checkouts of this repository (each has `src/opetopes`).
 The job lists are built from `perfbench/workloads.py` of the checkout this
-script lives in, which is only read.  Every job of every workload runs in
-text, json and dot, appended as `--format F`, once against each tree: each
-tree runs its jobs in its own subprocess, one per workload and seed, as
+script lives in, which is only read, at seeds 11 and 12.  Every job of
+every workload runs in text, json and dot, appended as `--format F`, once
+against each tree: each tree runs its jobs in its own subprocess, one per
+workload and seed, through `perfbench/worker.py`'s `run_jobs`, as
 in-process `opetopes.cli.main` calls inside the job's input directory.
 
 Prints every job whose stdout, stderr or exit code differs between the two
@@ -15,7 +16,6 @@ trees, then a summary line.  Exits 1 if any job differs, 0 otherwise.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import subprocess
@@ -25,36 +25,26 @@ import tempfile
 HERE = os.path.dirname(os.path.abspath(__file__))
 PERFBENCH = os.path.join(os.path.dirname(HERE), "perfbench")
 FORMATS = ("text", "json", "dot")
+SEEDS = (11, 12)
+COMPARED = ("code", "raised", "out", "err")
 
 
 def worker(src: str) -> int:
-    """Read argv lists from stdin, run each through `cli.main` of the tree
-    at src, and write one JSON list of {code, out, err} to stdout."""
-    import contextlib
-    import io
-
+    """Read jobs ({id, argv}) from stdin, run them through `run_jobs` with
+    `cli.main` of the tree at src, and write the results to stdout."""
     sys.path.insert(0, os.path.join(os.path.abspath(src), "src"))
+    sys.path.insert(0, PERFBENCH)
     from opetopes import cli
+    from worker import run_jobs
 
-    results = []
-    for argv in json.load(sys.stdin):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = cli.main(argv)
-            except SystemExit as exc:
-                code = exc.code if isinstance(exc.code, int) else 1
-            except Exception as exc:  # a crash is a result too
-                code = f"raised {type(exc).__name__}: {exc}"
-        results.append({"code": code, "out": out.getvalue(), "err": err.getvalue()})
-    json.dump(results, sys.stdout)
+    json.dump(run_jobs(cli.main, json.load(sys.stdin)), sys.stdout)
     return 0
 
 
-def run_tree(src: str, inputs: str, argvs: list[list[str]]) -> list[dict]:
+def run_tree(src: str, inputs: str, jobs: list[dict]) -> list[dict]:
     proc = subprocess.run(
         [sys.executable, os.path.abspath(__file__), "--worker", os.path.abspath(src)],
-        input=json.dumps(argvs),
+        input=json.dumps(jobs),
         capture_output=True,
         text=True,
         cwd=inputs,
@@ -66,39 +56,37 @@ def run_tree(src: str, inputs: str, argvs: list[list[str]]) -> list[dict]:
 
 
 def differences(a: dict, b: dict) -> list[str]:
-    return [key for key in ("code", "out", "err") if a[key] != b[key]]
+    return [key for key in COMPARED if a[key] != b[key]]
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("src_a")
-    parser.add_argument("src_b")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[11, 12])
-    args = parser.parse_args(argv)
-
+def main(src_a: str, src_b: str) -> int:
     sys.path.insert(0, PERFBENCH)
     import workloads
 
     runs = differing = 0
     for name in workloads.WORKLOADS:
-        for seed in args.seeds:
+        for seed in SEEDS:
             J = workloads.build(name, seed)
             jobs = [
-                (j["id"], fmt, j["argv"] + ["--format", fmt]) for j in J.jobs for fmt in FORMATS
+                {
+                    "id": f"{j['id']} seed {seed} --format {f}",
+                    "argv": j["argv"] + ["--format", f],
+                }
+                for j in J.jobs
+                for f in FORMATS
             ]
             with tempfile.TemporaryDirectory() as inputs:
                 for fname, text in J.files.items():
                     with open(os.path.join(inputs, fname), "w", encoding="utf-8") as handle:
                         handle.write(text)
-                argvs = [a for _, _, a in jobs]
-                got_a = run_tree(args.src_a, inputs, argvs)
-                got_b = run_tree(args.src_b, inputs, argvs)
-            for (jid, fmt, _), a, b in zip(jobs, got_a, got_b):
+                got_a = run_tree(src_a, inputs, jobs)
+                got_b = run_tree(src_b, inputs, jobs)
+            for job, a, b in zip(jobs, got_a, got_b):
                 runs += 1
                 keys = differences(a, b)
                 if keys:
                     differing += 1
-                    print(f"{jid} seed {seed} --format {fmt}: {', '.join(keys)} differ")
+                    print(f"{job['id']}: {', '.join(keys)} differ")
     print(f"{runs} runs, {differing} differ")
     return 1 if differing else 0
 
@@ -106,4 +94,6 @@ def main(argv: list[str] | None = None) -> int:
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--worker"]:
         sys.exit(worker(sys.argv[2]))
-    sys.exit(main())
+    if len(sys.argv) != 3:
+        sys.exit(__doc__)
+    sys.exit(main(sys.argv[1], sys.argv[2]))
