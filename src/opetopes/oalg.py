@@ -5,8 +5,16 @@ pasting cells over such a family, the unit and multiplication of the free
 pasting monad, algebra structures given by finite composition tables, the
 ordinal realization for (k, n) = (1, 1) together with diagrammatic
 presentations of monotone maps, and nerves of finite categories all live
-here.  The finite-category type, its axiom checks and the propagation
-step that fills pastings come from `theory`.
+here.
+
+The monad and the realization read cells off the face structure of a
+shape.  A pasting of pastings is a uniform-height-2 shape xi, and in
+faces(xi) each spine cell of an inner shape equals one spine cell of
+target(xi): multiplication glues the inner fillings along that map, and
+splitting reads them back through it.  The realization names the points
+of a shape by face words, and sends each point of a face to the point it
+equals in faces(omega).  The finite-category type and its axiom checks
+come from `theory`.
 """
 
 from __future__ import annotations
@@ -25,15 +33,13 @@ from .opetope import (
     STAR,
     T_GEN,
     Tree,
-    _substitute_reloc,
     corolla,
     epsilon,
     enumerate_opetopes,
+    face,
     faces,
-    leaf_addrs,
     node_addrs,
     opetopic_integer,
-    readdress,
     render,
     render_word,
     size,
@@ -47,6 +53,7 @@ from .opset import (
     FinOpSet,
     Inclusion,
     OpSetMap,
+    _cell_words,
     Window,
     WindowMismatch,
     boundary,
@@ -178,13 +185,9 @@ def _node_cell(a: Addr) -> CellId:
     return f"s{a}"
 
 
-def _edge_cell(t: Opetope, e: Addr) -> CellId:
-    """Name of the spine cell sitting on edge e of the tree t."""
-    fs = faces(t)
-    if len(e.entries) == 0:
-        word: tuple[Gen, ...] = (T_GEN, T_GEN)
-    else:
-        word = (("s", e.parent()), ("s", e.last()))
+def _face_cell(nu: Opetope, word: tuple[Gen, ...]) -> CellId:
+    """Name of the cell of nu that the face word reaches."""
+    fs = faces(nu)
     return render_word(fs.word_of(fs.cell_of_word(word)))
 
 
@@ -226,45 +229,6 @@ def monad_unit(X: SortedFamily, x: CellId) -> PastingCell:
     return PastingCell(nu, OpSetMap(S, X.family, comp))
 
 
-def _paste(alpha: Tree, parts: dict[Addr, Opetope]):
-    """Substitute parts[p] into alpha at every node p.
-
-    Returns the resulting tree, the placement map sending each node of the
-    result to the (p, node-of-parts[p]) pair it came from, and, for each
-    degenerate part, the edge of the result its collapse landed on.
-    """
-    current: Opetope = alpha
-    pos = {p: p for p in node_addrs(alpha)}
-    placed: dict[Addr, tuple[Addr, Addr]] = {}
-    deg_edge: dict[Addr, Addr] = {}
-    for p in sorted(node_addrs(alpha), key=lambda a: a.key, reverse=True):
-        q = pos.pop(p)
-        u = parts[p]
-        nxt, reloc = _substitute_reloc(current, q, u)
-
-        def move(e: Addr) -> Addr:
-            if len(e.entries) == 0:
-                return e
-            par, last = e.parent(), e.last()
-            if par == q:
-                if isinstance(u, Degenerate):
-                    return q
-                inv = {v: l for l, v in readdress(u).items()}
-                return q + inv[last]
-            return reloc[par].extend(last)
-
-        placed = {reloc[a]: v for a, v in placed.items()}
-        deg_edge = {k: move(e) for k, e in deg_edge.items()}
-        pos = {k: reloc[a] for k, a in pos.items()}
-        if isinstance(u, Degenerate):
-            deg_edge[p] = q
-        else:
-            for l in node_addrs(u):
-                placed[q + l] = (p, l)
-        current = nxt
-    return current, placed, deg_edge
-
-
 def _height_two_parts(xi: Opetope) -> tuple[Opetope, dict[Addr, Opetope]]:
     """Split a uniform-height-2 shape into its root decoration and the
     decorations sitting immediately above it."""
@@ -285,6 +249,39 @@ def _height_two_parts(xi: Opetope) -> tuple[Opetope, dict[Addr, Opetope]]:
     return alpha, parts
 
 
+def _gluing(
+    xi: Opetope, parts: dict[Addr, Opetope], window: Window
+) -> dict[Addr, dict[CellId, CellId]]:
+    """Where the inner spines of a uniform-height-2 shape land in its target.
+
+    In faces(xi) the spine cell w of the inner shape at outer node p, the
+    word (s[p]) + w, equals exactly one spine cell w' of target(xi), the
+    word (t) + w'.  Returns, for each p, the map w -> w' on cell names.
+    """
+    fs = faces(xi)
+
+    def spine_cells(nu: Opetope, head: Gen) -> dict[CellId, int]:
+        """Each spine cell of the face nu of xi at head, as a cell of fs."""
+        S = _spine_of(nu, window)
+        words = _cell_words(nu)
+        return {x: fs.cell_of_word((head,) + words[x]) for x in S.sort}
+
+    on_flat = {c: x for x, c in spine_cells(target(xi), T_GEN).items()}
+    root = epsilon(xi.dim - 1)
+    return {
+        p: {y: on_flat[c] for y, c in spine_cells(nu, ("s", root.extend(p))).items()}
+        for p, nu in parts.items()
+    }
+
+
+def _slice(
+    X: SortedFamily, nu: Opetope, glue: dict[CellId, CellId], f: OpSetMap
+) -> PastingCell:
+    """The pasting of shape nu that reads the filling f through glue."""
+    S = _spine_of(nu, X.family.window)
+    return PastingCell(nu, OpSetMap(S, X.family, {y: f(x) for y, x in glue.items()}))
+
+
 def monad_mult(
     X: SortedFamily,
     xi: Opetope,
@@ -297,9 +294,10 @@ def monad_mult(
     alpha, with exactly one node above it per node of alpha, decorated by
     the inner shapes.  inner supplies the pasting cell for each node of
     alpha.  When alpha is degenerate there are no inner cells; shell then
-    names the single colour of the result.  The assembled filling places
-    the cell of inner[p] at the nodes of the flattened tree coming from p,
-    and the common boundary values must agree.
+    names the single colour of the result.  The result has shape
+    target(xi), and its filling merges the inner fillings along the gluing
+    of their spines into the spine of target(xi); a cell that two inner
+    fillings give different values is an error.
     """
     if xi.dim != X.n + 2:
         raise ShapeMismatch(f"multiplication takes a shape of dimension {X.n + 2}")
@@ -329,79 +327,30 @@ def monad_mult(
         if cell.filling.dst != X.family:
             raise ShapeMismatch("inner cells must be pastings over the same family")
 
-    result, placed, deg_edge = _paste(alpha, parts)
-    S = _spine_of(result, X.family.window)
-    lo = X.family.window[0]
-    seeds: list[tuple[CellId, CellId]] = []
-    for a, (p, l) in placed.items():
-        seeds.append((_node_cell(a), inner[p].filling(_node_cell(l))))
-    for p, e in deg_edge.items():
-        cell = inner[p]
-        shell_shape = cell.shape.shell  # type: ignore[union-attr]
-        if shell_shape.dim < lo:
-            continue
-        v = cell.filling(_shell_cell(cell.filling.src, shell_shape))
-        if isinstance(result, Degenerate):
-            seeds.append((_shell_cell(S, result.shell), v))
-        else:
-            seeds.append((_edge_cell(result, e), v))
-    if isinstance(result, Degenerate) and not seeds:
-        raise ShapeMismatch("multiplication: no data determines the result colour")
+    flat = target(xi)
+    glue = _gluing(xi, parts, X.family.window)
+    seeds = [(x, inner[p].filling(y)) for p in parts for y, x in glue[p].items()]
+    S = _spine_of(flat, X.family.window)
     comp = _natural_fill(S, X.family, seeds, "multiplication")
-    return PastingCell(result, OpSetMap(S, X.family, comp))
+    return PastingCell(flat, OpSetMap(S, X.family, comp))
 
 
 def split_pasting(X: SortedFamily, xi: Opetope, cell: PastingCell) -> dict[Addr, PastingCell]:
     """Invert monad_mult: slice a filling of the flattened tree back into
     one pasting cell per outer node of the uniform-height-2 shape xi."""
-    alpha, parts = _height_two_parts(xi)
-    return _split_pasted(X, parts, _paste(alpha, parts), cell)
-
-
-def _split_pasted(
-    X: SortedFamily, parts: dict[Addr, Opetope], pasted, cell: PastingCell
-) -> dict[Addr, PastingCell]:
-    """split_pasting, given the parts of xi and their paste."""
-    result, placed, deg_edge = pasted
-    if cell.shape != result:
+    _, parts = _height_two_parts(xi)
+    if cell.shape != target(xi):
         raise ShapeMismatch(
-            f"filling has shape {render(cell.shape)}, expected {render(result)}"
+            f"filling has shape {render(cell.shape)}, expected {render(target(xi))}"
         )
-    lo = X.family.window[0]
-    out: dict[Addr, PastingCell] = {}
-    for p, nu in parts.items():
-        S = _spine_of(nu, X.family.window)
-        seeds: dict[CellId, CellId] = {}
-        if isinstance(nu, Degenerate):
-            if nu.shell.dim >= lo:
-                e = deg_edge[p]
-                if isinstance(result, Degenerate):
-                    v = cell.filling(_shell_cell(cell.filling.src, result.shell))
-                else:
-                    v = cell.filling(_edge_cell(result, e))
-                seeds[_shell_cell(S, nu.shell)] = v
-        else:
-            for a, (p2, l) in placed.items():
-                if p2 == p:
-                    seeds[_node_cell(l)] = cell.filling(_node_cell(a))
-        comp = _natural_fill(S, X.family, seeds.items(), f"slice at {p}")
-        out[p] = PastingCell(nu, OpSetMap(S, X.family, comp))
-    return out
+    glue = _gluing(xi, parts, X.family.window)
+    return {p: _slice(X, nu, glue[p], cell.filling) for p, nu in parts.items()}
 
 
 def pasting_face(X: SortedFamily, cell: PastingCell, gen: Gen) -> CellId:
     """The boundary value of a pasting cell along a generating face of its
-    output sort."""
-    nu = cell.shape
-    S = cell.filling.src
-    if isinstance(nu, Degenerate):
-        return cell.filling(_shell_cell(S, nu.shell))
-    if gen == T_GEN:
-        e = epsilon(nu.dim - 1)
-    else:
-        inv = {v: l for l, v in readdress(nu).items()}
-        e = inv[gen[1]]
-    return cell.filling(_edge_cell(nu, e))
+    output sort: the value at the face word (t, gen) of its shape."""
+    return cell.filling(_face_cell(cell.shape, (T_GEN, gen)))
 
 
 # ---------------------------------------------------------------------------
@@ -503,16 +452,15 @@ def check_algebra_laws(A: OAlgebra, max_nodes: int) -> AlgebraLawReport:
             continue
         S = _spine_of(flat, X.family.window)
         alpha, parts = _height_two_parts(xi)
-        pasted = _paste(alpha, parts)
+        glue = _gluing(xi, parts, X.family.window)
         for f in maps(S, X.family):
             squares += 1
-            whole = PastingCell(flat, f)
-            lhs = A.compose(whole)
-            inner = _split_pasted(X, parts, pasted, whole)
+            lhs = A.compose(PastingCell(flat, f))
             label = f"square at {render(xi)} with {sorted(f.comp.items())}"
             try:
                 seeds = {
-                    _node_cell(p): A.compose(cell) for p, cell in inner.items()
+                    _node_cell(p): A.compose(_slice(X, nu, glue[p], f))
+                    for p, nu in parts.items()
                 }
                 SA = _spine_of(alpha, X.family.window)
                 comp = _natural_fill(SA, X.family, seeds.items(), "outer pasting")
@@ -595,15 +543,11 @@ def category_family(C: FiniteCategory) -> SortedFamily:
 def pasting_chain(cell: PastingCell) -> tuple[str, tuple[str, ...]]:
     """Read off the path a pasting over a graph traces out, as the start
     vertex followed by the edges in diagram order."""
-    nu = cell.shape
-    if isinstance(nu, Degenerate):
-        return cell.filling(_shell_cell(cell.filling.src, POINT)), ()
-    m = len(node_addrs(nu))
+    m = len(node_addrs(cell.shape))
     edges = tuple(
         cell.filling(_node_cell(Addr(1, (STAR,) * (m - 1 - i)))) for i in range(m)
     )
-    start = cell.filling(_edge_cell(nu, Addr(1, (STAR,) * m)))
-    return start, edges
+    return cell.filling(_face_cell(cell.shape, (T_GEN, ("s", STAR)))), edges
 
 
 def category_algebra(C: FiniteCategory, max_nodes: int) -> OAlgebra:
@@ -668,98 +612,40 @@ def monotone_maps(m: int, mp: int) -> list[LambdaMorphism]:
     ]
 
 
+def _points(omega: Opetope) -> list[tuple[Gen, ...]]:
+    """The points 0..m of the ordinal realized by a shape of dimension at
+    most 3, as face words into it.  Arrow i of a 2-shape I_m is its node
+    at [*^(m-1-i)]; a 3-shape realizes the points of its target."""
+    d = omega.dim
+    if d == 0:
+        return [()]
+    if d == 1:
+        return [(("s", STAR),), (T_GEN,)]
+    if d == 2:
+        m = len(node_addrs(omega))
+        arrows = [("s", Addr(1, (STAR,) * (m - 1 - i))) for i in range(m)]
+        return [(a, ("s", STAR)) for a in arrows] + [(T_GEN, T_GEN)]
+    if d == 3:
+        return [(T_GEN,) + w for w in _points(target(omega))]
+    raise ValueError(f"no ordinal realization in dimension {d}")
+
+
 def h_object(omega: Opetope) -> int:
     """The ordinal realized by a shape of dimension at most 3: the number
     of composable arrows it presents."""
-    d = omega.dim
-    if d == 0:
-        return 0
-    if d == 1:
-        return 1
-    if d == 2:
-        return len(node_addrs(omega))
-    if d == 3:
-        return len(node_addrs(target(omega)))
-    raise ValueError(f"no ordinal realization in dimension {d}")
+    return len(_points(omega)) - 1
 
 
 def h_morphism(omega: Opetope, gen: Gen) -> LambdaMorphism:
     """The monotone map realizing a generating face of a shape of
-    dimension at most 3."""
-    d = omega.dim
-    m = h_object(omega)
-    if d == 1:
-        if gen == T_GEN:
-            return LambdaMorphism(0, 1, (1,))
-        return LambdaMorphism(0, 1, (0,))
-    if d == 2:
-        if gen == T_GEN:
-            return LambdaMorphism(1, m, (0, m))
-        i = len(gen[1].entries)
-        return LambdaMorphism(1, m, (m - 1 - i, m - i))
-    if d == 3:
-        if gen == T_GEN:
-            return lambda_identity(m)
-        return _h_source_map(omega, gen[1])
-    raise ValueError(f"no realization for faces in dimension {d}")
-
-
-def _h_source_map(omega: Opetope, p: Addr) -> LambdaMorphism:
-    """Realize a source face of a 3-shape.
-
-    Each arrow of the face corresponds to a subtree hanging off the node
-    at p; the leaves of that subtree name, through the readdressing, the
-    block of target arrows the subtree composes to.  The blocks tile a
-    monotone map.  An input whose subtree has no leaves collapses, and a
-    face none of whose inputs reaches a leaf lands entirely on the vertex
-    its own edge occupies in the parent face.
-    """
-    nu = source(omega, p)
-    m = h_object(omega)
-    P = readdress(omega)
-    r = len(node_addrs(nu))
-    blocks: list[tuple[int, int] | None] = []
-    for j in range(r):
-        child = p.extend(Addr(1, (STAR,) * j))
-        if isinstance(omega, Tree) and omega.has_node(child):
-            hits = [P[l] for l in leaf_addrs(omega) if child.prefix_of(l)]
-        else:
-            hits = [P[child]]
-        if not hits:
-            blocks.append(None)
-            continue
-        ws = sorted(len(a.entries) for a in hits)
-        lo, hi = m - 1 - ws[-1], m - ws[0]
-        if ws != list(range(ws[0], ws[-1] + 1)):
-            raise ShapeMismatch(f"face at {p} covers a non-contiguous block")
-        blocks.append((lo, hi))
-    vals: list[int | None] = [None] * (r + 1)
-    cur: int | None = None
-    first_hi: int | None = None
-    for j in range(r):
-        b = blocks[j]
-        if b is None:
-            vals[r - 1 - j] = cur
-            continue
-        lo, hi = b
-        if cur is None:
-            first_hi = hi
-        elif hi != cur:
-            raise ShapeMismatch(f"face at {p} has a gap between blocks")
-        vals[r - j] = hi
-        vals[r - 1 - j] = lo
-        cur = lo
-    if first_hi is None:
-        if m == 0:
-            vals = [0] * (r + 1)
-        else:
-            par = h_morphism(omega, ("s", p.parent()))
-            rp = len(node_addrs(source(omega, p.parent())))
-            i = rp - 1 - len(p.last().entries)
-            vals = [par(i)] * (r + 1)
-    else:
-        vals = [first_hi if v is None else v for v in vals]
-    return LambdaMorphism(r, m, tuple(vals))  # type: ignore[arg-type]
+    dimension at most 3: each point of the face goes to the point of
+    omega that it equals in faces(omega)."""
+    if not 1 <= omega.dim <= 3:
+        raise ValueError(f"no realization for faces in dimension {omega.dim}")
+    fs = faces(omega)
+    index = {fs.cell_of_word(w): i for i, w in enumerate(_points(omega))}
+    values = tuple(index[fs.cell_of_word((gen,) + w)] for w in _points(face(omega, gen)))
+    return LambdaMorphism(len(values) - 1, len(index) - 1, values)
 
 
 # ---------------------------------------------------------------------------
@@ -903,11 +789,11 @@ def nerve_category(C: FiniteCategory, max_shape_nodes: int | None = None) -> Fin
             continue
         tag = "x" + render(xi).replace(" ", "")
         ids = []
+        phis = {p: h_morphism(xi, ("s", p)) for p in node_addrs(xi)}
         for start, ms in _chains(C, m):
             cid = _chain_id(tag, start, ms)
             ids.append(cid)
-            for p in node_addrs(xi):
-                phi = h_morphism(xi, ("s", p))
+            for p, phi in phis.items():
                 s2, ms2 = _chain_restrict(C, start, ms, phi)
                 fac[(cid, ("s", p))] = _chain_id("c", s2, ms2)
             fac[(cid, T_GEN)] = _chain_id("c", start, ms)

@@ -409,9 +409,11 @@ def _target_readdress(omega: Opetope) -> tuple[Opetope, dict[Addr, Addr]]:
         out = corolla(omega.shell), {epsilon(omega.dim - 1): epsilon(omega.dim - 2)}
     else:
         assert isinstance(omega, Tree)
+        root, psi = omega.nodes[0]
+        if root.entries:
+            raise AddressNotANode(f"no node at address {epsilon(root.depth)}")
         if len(omega.nodes) == 1:
-            psi = omega.nodes[0][1]
-            out = psi, {epsilon(omega.dim - 1).extend(q): q for q in node_addrs(psi)}
+            out = psi, {root.extend(q): q for q in node_addrs(psi)}
         else:
             out = _compose(omega)
     _TARGET[omega] = out
@@ -419,14 +421,12 @@ def _target_readdress(omega: Opetope) -> tuple[Opetope, dict[Addr, Addr]]:
 
 
 def _compose(omega: Tree) -> tuple[Opetope, dict[Addr, Addr]]:
-    """Target and readdressing of a tree with two or more nodes.
+    """Target and readdressing of a rooted tree with two or more nodes.
 
     P sends each open leaf of the nodes visited so far to its node in the
     target built so far, and owner is its inverse.
     """
     root, psi = omega.nodes[0]
-    if root.entries:
-        raise AddressNotANode(f"no node at address {epsilon(root.depth)}")
     if omega.dim == 2:
         # every decoration is the arrow and a depth-1 address is fixed by its
         # length, so the nodes form a chain exactly when the k-th has length k
@@ -514,34 +514,24 @@ def graft(nu: Opetope, leaf: Addr, x: Opetope) -> Opetope:
     return tree(out)
 
 
-def _substitute_reloc(t: Opetope, p: Addr, u: Opetope) -> tuple[Opetope, dict[Addr, Addr]]:
-    """Replace the node of t at p by the same-dimensional tree u.
+def substitute(t: Opetope, p: Addr, u: Opetope) -> Opetope:
+    """Replace the node of t at p by the tree u; t and u share a dimension.
 
-    Returns the result and the relocation of the remaining node addresses of t.
     The rewiring of hanging subtrees is forced by the readdressing of u.
     """
+    if u.dim != t.dim:
+        raise ColourMismatch("substitution needs equal dimensions")
     if isinstance(t, Arrow):
         if p != STAR:
             raise AddressNotANode("the 1-dimensional shape has a single node *")
         if u != ARROW:
             raise ColourMismatch("only the 1-dimensional shape substitutes into it")
-        return ARROW, {}
+        return ARROW
     if not isinstance(t, Tree):
         raise AddressNotANode("substitution needs a node to replace")
     nodes = t.node_map()
-    moved = _replace_node(nodes, _child_index(nodes), p, u)
-    reloc = {a: a for a, _ in t.nodes if a != p}
-    reloc.update(moved)
-    if not nodes:
-        return u, reloc
-    return tree(nodes), reloc
-
-
-def substitute(t: Opetope, p: Addr, u: Opetope) -> Opetope:
-    """Replace the node of t at p by the tree u; t and u share a dimension."""
-    if u.dim != t.dim:
-        raise ColourMismatch("substitution needs equal dimensions")
-    return _substitute_reloc(t, p, u)[0]
+    _replace_node(nodes, _child_index(nodes), p, u)
+    return tree(nodes) if nodes else u
 
 
 # --------------------------------------------------------------------------

@@ -51,7 +51,6 @@ from opetopes.oalg import (
     parse_category,
     pasting_chain,
 )
-from opetopes.oalg import _paste
 from opetopes.opset import (
     FinOpSet,
     OpSetMap,
@@ -371,7 +370,9 @@ def _route_b(cells, alpha, layers) -> PastingCell:
         p: (lay.shape if isinstance(lay, PastingCell) else lay[0])
         for p, lay in layers.items()
     }
-    flat, placed, _ = _paste(alpha, betas)
+    xi = tree({E2: alpha, **{E2.extend(p): beta for p, beta in betas.items()}})
+    flat = target(xi)
+    placed = {a: j.entries for j, a in readdress(xi).items()}
     nodes = {E2: flat}
     inner = {}
     for a, (p, leaf) in placed.items():

@@ -477,6 +477,14 @@ def test_point_target_names_the_point(capsys):
     assert capsys.readouterr().err == "error: the point has no target\n"
 
 
+@pytest.mark.parametrize(
+    "command", [("opetope", "target"), ("opetope", "faces"), ("oalg", "h")]
+)
+def test_tree_without_a_root_node_exits_two(capsys, command):
+    assert main([*command, "--expr", "{[[*]] <- I2}"]) == 2
+    assert capsys.readouterr().err == "error: no node at address []\n"
+
+
 # ------------------------------------------------------ repeated declarations
 
 Z2_CAT = "obj o\nmor e: o -> o\nmor z: o -> o\nid o = e\ncomp z.z = e\n"

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +23,7 @@ from opetopes.opetope import (
     node_addrs,
     opetopic_integer,
     parse,
+    readdress,
     render,
     size,
     source,
@@ -32,6 +34,7 @@ from opetopes.opset import (
     FinOpSet,
     WindowMismatch,
     maps,
+    render_gen,
     representable,
     terminal_opset,
     validate_opset,
@@ -69,7 +72,6 @@ from opetopes.oalg import (
     pasting_face,
     split_pasting,
 )
-from opetopes.oalg import _paste
 
 I = opetopic_integer
 E1 = Addr(1)
@@ -270,7 +272,9 @@ def route_b(alpha, layers) -> PastingCell:
         p: (lay.shape if isinstance(lay, PastingCell) else lay[0])
         for p, lay in layers.items()
     }
-    flat, placed, _ = _paste(alpha, betas)
+    xi = tree({E2: alpha, **{E2.extend(p): beta for p, beta in betas.items()}})
+    flat = target(xi)
+    placed = {a: j.entries for j, a in readdress(xi).items()}
     if isinstance(flat, Degenerate):
         v = next(
             lay.filling(c)
@@ -527,6 +531,24 @@ def test_realized_face_blocks_tile():
             j = len(c.last().entries)
             assert phis[c](0) == parent(parent.src - 1 - j)
             assert phis[c](phis[c].src) == parent(parent.src - j)
+
+
+H_GOLDEN = Path(__file__).resolve().parent / "golden" / "oalg-h.txt"
+
+
+def h_lines() -> list[str]:
+    """One line SHAPE FACE VALUES per generating face of arrow, I0-I6 and
+    every 3-shape of at most 7 nodes."""
+    shapes = [ARROW] + [I(m) for m in range(7)] + list(enumerate_opetopes(3, 7))
+    return [
+        f"{render(w)} {render_gen(g)} {','.join(map(str, h_morphism(w, g).values))}"
+        for w in shapes
+        for g in generators(w)
+    ]
+
+
+def test_realized_faces_match_golden():
+    assert h_lines() == H_GOLDEN.read_text(encoding="utf-8").splitlines()
 
 
 def test_monotone_map_validation():

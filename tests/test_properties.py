@@ -16,6 +16,11 @@ boundaries of small shapes: every map the search finds passes the
 naturality check, every map that re-points one cell against its faces
 fails it at that cell, and a set of cells that drops a face of a kept
 cell is refused as a sub-presheaf.
+
+The free pasting monad, over the graphs of the 3-object chain and of Z/2:
+on every filling of every uniform-height-2 shape of at most 7 nodes,
+splitting and then multiplying gives the filling back, and each slice is
+a natural map that covers its whole spine.
 """
 
 from __future__ import annotations
@@ -24,7 +29,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opetopes.oalg import FiniteCategory, ensure_category, nerve_category
+from opetopes.oalg import (
+    FiniteCategory,
+    PastingCell,
+    _height_two_shapes,
+    category_family,
+    ensure_category,
+    monad_mult,
+    nerve_category,
+    split_pasting,
+)
 from opetopes.opetope import (
     check_identities,
     enumerate_opetopes,
@@ -36,7 +50,7 @@ from opetopes.opetope import (
     target,
     tree,
 )
-from opetopes.opset import boundary, check_natural, maps, representable, sub_opset
+from opetopes.opset import boundary, check_natural, maps, representable, spine, sub_opset
 from opetopes.theory import (
     PshMap,
     SortExpr,
@@ -266,3 +280,24 @@ def test_sub_presheaf_refuses_a_keep_without_a_face(P, data):
             with pytest.raises(ValueError, match="closed under faces"):
                 sub(X, keep)
         assert sub(X, set(X.sort)).src == X
+
+
+@pytest.mark.parametrize(
+    "C, count",
+    [(poset_category(3, {(0, 1), (1, 2)}), 103), (monoid_category("cyclic", 2), 49)],
+    ids=["chain", "z2"],
+)
+def test_split_then_multiply_is_the_identity(C, count):
+    X = category_family(C)
+    fillings = 0
+    for xi in _height_two_shapes(1, 7):
+        flat = target(xi)
+        for f in maps(spine(flat, X.family.window).src, X.family):
+            fillings += 1
+            cell = PastingCell(flat, f)
+            inner = split_pasting(X, xi, cell)
+            assert monad_mult(X, xi, inner) == cell
+            for part in inner.values():
+                assert check_natural(part.filling) == []
+                assert set(part.filling.comp) == set(part.filling.src.sort)
+    assert fillings == count
