@@ -509,7 +509,7 @@ def main(argv: list[str] | None = None) -> int:
         # the reader went away mid-output; silence the shutdown flush too
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (ValueError, KeyError, OSError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

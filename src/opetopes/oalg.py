@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Iterable
 
 from .opetope import (
@@ -51,7 +52,6 @@ from .opetope import (
 from .opset import (
     CellId,
     FinOpSet,
-    Inclusion,
     OpSetMap,
     _cell_words,
     Window,
@@ -66,7 +66,9 @@ from .theory import (
     FinDirectCat,  # noqa: F401  (the same class as FiniteCategory, re-exported)
     FiniteCategory,
     NotACategory,
+    line_error,
     ensure_category,
+    numbered_lines,
     propagate,
 )
 
@@ -145,14 +147,9 @@ def pasting_key(cell: PastingCell):
     return cell.shape, tuple(sorted(cell.filling.comp.items()))
 
 
-_SPINES: dict[tuple[Opetope, Window], Inclusion] = {}
-
-
+@cache
 def _spine_of(nu: Opetope, window: Window) -> FinOpSet:
-    key = (nu, window)
-    if key not in _SPINES:
-        _SPINES[key] = spine(nu, window)
-    return _SPINES[key].src
+    return spine(nu, window).src
 
 
 def _natural_fill(
@@ -495,12 +492,9 @@ def parse_category(text: str) -> FiniteCategory:
             raise ValueError(f"{what} declared twice")
         table[key] = value
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        try:
+    try:
+        for lineno, line in numbered_lines(text):
+            parts = line.split()
             if parts[0] == "obj":
                 for a in parts[1:]:
                     declare(objects, a, None, f"object {a}")
@@ -521,8 +515,8 @@ def parse_category(text: str) -> FiniteCategory:
                 declare(composition, (g, f), h.strip(), f"composite {g}.{f}")
             else:
                 raise ValueError(f"unknown directive {parts[0]!r}")
-        except ValueError as err:
-            raise NotACategory(f"line {lineno}: {err}") from None
+    except ValueError as err:
+        raise line_error(lineno, err, NotACategory) from None
     C = FiniteCategory(tuple(objects), morphisms, composition, identities)
     ensure_category(C)
     return C

@@ -21,7 +21,9 @@ decoration's own readdressing.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterator
 
 from opetopes.theory import ParseError
@@ -346,8 +348,6 @@ def edge_colour(omega: Opetope, addr: Addr) -> Opetope:
 # --------------------------------------------------------------------------
 # target and readdressing
 
-_TARGET: dict[Opetope, tuple[Opetope, dict[Addr, Addr]]] = {}
-
 
 def _child_index(nodes: dict[Addr, Opetope]) -> dict[Addr, set[Addr]]:
     kids: dict[Addr, set[Addr]] = {}
@@ -399,25 +399,20 @@ def _replace_node(
     return moved
 
 
+@cache
 def _target_readdress(omega: Opetope) -> tuple[Opetope, dict[Addr, Addr]]:
     """Target shape and the leaf-to-node readdressing bijection."""
     if omega.dim < 2:
         raise ValueError("readdressing is defined in dimension >= 2")
-    if omega in _TARGET:
-        return _TARGET[omega]
     if isinstance(omega, Degenerate):
-        out = corolla(omega.shell), {epsilon(omega.dim - 1): epsilon(omega.dim - 2)}
-    else:
-        assert isinstance(omega, Tree)
-        root, psi = omega.nodes[0]
-        if root.entries:
-            raise AddressNotANode(f"no node at address {epsilon(root.depth)}")
-        if len(omega.nodes) == 1:
-            out = psi, {root.extend(q): q for q in node_addrs(psi)}
-        else:
-            out = _compose(omega)
-    _TARGET[omega] = out
-    return out
+        return corolla(omega.shell), {epsilon(omega.dim - 1): epsilon(omega.dim - 2)}
+    assert isinstance(omega, Tree)
+    root, psi = omega.nodes[0]
+    if root.entries:
+        raise AddressNotANode(f"no node at address {epsilon(root.depth)}")
+    if len(omega.nodes) == 1:
+        return psi, {root.extend(q): q for q in node_addrs(psi)}
+    return _compose(omega)
 
 
 def _compose(omega: Tree) -> tuple[Opetope, dict[Addr, Addr]]:
@@ -619,9 +614,6 @@ def _skey(omega: Opetope):
     return (3, tuple((a.key, _skey(d)) for a, d in omega.nodes))
 
 
-_ENUM: dict[tuple[int, int], tuple[Opetope, ...]] = {}
-
-
 def enumerate_opetopes(n: int, max_nodes: int = NODE_CAP) -> tuple[Opetope, ...]:
     """All n-dimensional shapes of total size <= max_nodes.
 
@@ -632,16 +624,20 @@ def enumerate_opetopes(n: int, max_nodes: int = NODE_CAP) -> tuple[Opetope, ...]
         raise ValueError("dimension must be >= 0")
     if n > DIM_CAP:
         raise ValueError(f"dimension cap is {DIM_CAP}")
-    key = (n, max_nodes)
-    if key in _ENUM:
-        return _ENUM[key]
+    return _enumerate(n, max_nodes)
+
+
+# cached apart from enumerate_opetopes, so that a defaulted max_nodes shares
+# its entry and perfbench/tracing.py can wrap a plain function
+@cache
+def _enumerate(n: int, max_nodes: int) -> tuple[Opetope, ...]:
     if n == 0:
         out: list[Opetope] = [POINT]
     elif n == 1:
         out = [ARROW]
     else:
-        out = [Degenerate(shell) for shell in enumerate_opetopes(n - 2, max_nodes)]
-        decs = enumerate_opetopes(n - 1, max_nodes)
+        out = [Degenerate(shell) for shell in _enumerate(n - 2, max_nodes)]
+        decs = _enumerate(n - 1, max_nodes)
         by_target: dict[Opetope, list[Opetope]] = {}
         for d in decs:
             if d.dim >= 1:
@@ -679,9 +675,7 @@ def enumerate_opetopes(n: int, max_nodes: int = NODE_CAP) -> tuple[Opetope, ...]
             for m in grow(dec, max_nodes):
                 out.append(tree(m))
     out.sort(key=lambda w: (size(w), _skey(w)))
-    result = tuple(out)
-    _ENUM[key] = result
-    return result
+    return tuple(out)
 
 
 # --------------------------------------------------------------------------
@@ -829,13 +823,12 @@ class FaceStructure:
         return out
 
 
-_FACES: dict[Opetope, FaceStructure] = {}
+_face_structure = cache(FaceStructure)
 
 
+# a plain function, not the cache itself, so that perfbench/tracing.py can wrap it
 def faces(omega: Opetope) -> FaceStructure:
-    if omega not in _FACES:
-        _FACES[omega] = FaceStructure(omega)
-    return _FACES[omega]
+    return _face_structure(omega)
 
 
 @dataclass(frozen=True)
@@ -897,47 +890,28 @@ def render(omega: Opetope) -> str:
     return "{" + entries + "}"
 
 
+# \w and \s are exactly str.isalnum() plus "_" and str.isspace()
+_TOKEN = re.compile(r"[{}\[\]*]|<-|\w+")
+# a character outside every token: "<" not starting "<-", "-" not ending it
+_STRAY = re.compile(r"<(?!-)|(?<!<)-|[^\s\w{}\[\]*<-]")
+
+
 def _tokens(text: str) -> list[str]:
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "{}[]*":
-            out.append(ch)
-            i += 1
-        elif text.startswith("<-", i):
-            out.append("<-")
-            i += 2
-        elif ch.isalnum() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(text[i:j])
-            i = j
-        else:
-            raise ParseError(f"unexpected character {ch!r} at position {i}")
-    return out
+    stray = _STRAY.search(text)
+    if stray:
+        raise ParseError(f"unexpected character {stray[0]!r} at position {stray.start()}")
+    return _TOKEN.findall(text)
 
 
-class _RawAddr:
-    """Parsed address before its depth is known: * or a list of raw addresses."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        self.entries = entries  # None for *, else list
-
-
-def _calibrate(raw: _RawAddr, depth: int) -> Addr:
-    if raw.entries is None:
+def _calibrate(raw: tuple | None, depth: int) -> Addr:
+    """The address at depth of a parsed one: None for *, else its entries."""
+    if raw is None:
         if depth != 0:
             raise ParseError(f"* used where a depth-{depth} address is needed")
         return STAR
     if depth == 0:
         raise ParseError("a bracketed address cannot have depth 0")
-    return Addr(depth, tuple(_calibrate(e, depth - 1) for e in raw.entries))
+    return Addr(depth, tuple(_calibrate(e, depth - 1) for e in raw))
 
 
 # Deeper input would overflow the recursion of the parser and of the
@@ -991,7 +965,7 @@ class _Parser:
                 self.take("}")
                 self.depth -= 1
                 return Degenerate(shell)
-            entries: list[tuple[_RawAddr, Opetope]] = []
+            entries: list[tuple[tuple | None, Opetope]] = []
             while self.peek() != "}":
                 raw = self.raw_addr()
                 self.take("<-")
@@ -1008,10 +982,10 @@ class _Parser:
             return tree({_calibrate(raw, depth): dec for raw, dec in entries})
         raise ParseError(f"unexpected token {tok!r}")
 
-    def raw_addr(self) -> _RawAddr:
+    def raw_addr(self) -> tuple | None:
         tok = self.take()
         if tok == "*":
-            return _RawAddr(None)
+            return None
         if tok == "[":
             self.enter()
             entries = []
@@ -1019,7 +993,7 @@ class _Parser:
                 entries.append(self.raw_addr())
             self.take("]")
             self.depth -= 1
-            return _RawAddr(entries)
+            return tuple(entries)
         raise ParseError(f"expected an address, found {tok!r}")
 
 

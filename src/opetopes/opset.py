@@ -11,6 +11,7 @@ composites and sub-presheaves are the shared ones of `theory`.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from opetopes.opetope import (
@@ -37,8 +38,10 @@ from opetopes.theory import (
     FinPresheaf,
     Inclusion,
     PshMap,
+    line_error,
     check_psh_map,
     natural_maps,
+    numbered_lines,
     psh_compose,
     psh_identity,
     sub_presheaf,
@@ -227,12 +230,17 @@ def terminal_opset(window: Window, max_nodes: int) -> FinOpSet:
 # map enumeration and orthogonality
 
 
+def _search_order(X: FinOpSet) -> list[CellId]:
+    """The cells of X from the top dimension down: the order maps() fills them in."""
+    shapes = sorted(X.cells, key=lambda w: (-w.dim, render(w)))
+    return [x for w in shapes for x in X.cells[w]]
+
+
 def maps(X: FinOpSet, Y: FinOpSet) -> tuple[OpSetMap, ...]:
     """All natural maps, by backtracking from the top dimension down."""
     if X.window != Y.window:
         raise WindowMismatch("maps need equal windows")
-    order = [x for w in sorted(X.cells, key=lambda w: (-w.dim, render(w))) for x in X.cells[w]]
-    return tuple(OpSetMap(X, Y, comp) for comp in natural_maps(order, X, Y))
+    return tuple(OpSetMap(X, Y, comp) for comp in natural_maps(_search_order(X), X, Y))
 
 
 def orthogonal_witness(incl: Inclusion, X: FinOpSet):
@@ -240,16 +248,16 @@ def orthogonal_witness(incl: Inclusion, X: FinOpSet):
     otherwise (offending map, number of extensions)."""
     if incl.src.window != X.window:
         raise WindowMismatch("orthogonality needs equal windows")
-    inv = {v: k for k, v in incl.comp.items()}
-    counts: dict[tuple, int] = {}
-    for g in maps(incl.dst, X):
-        restricted = tuple(sorted((inv[b], g.comp[b]) for b in inv))
-        counts[restricted] = counts.get(restricted, 0) + 1
-    for f in maps(incl.src, X):
-        key = tuple(sorted(f.comp.items()))
-        n = counts.get(key, 0)
+    # The maps from incl.src, of which a spine can have exponentially many,
+    # are streamed, and the search stops at the first witness.  The maps from
+    # incl.dst are listed: for a spine or boundary, one per top cell of X.
+    order = _search_order(incl.src)
+    image = [incl.comp[x] for x in order]
+    counts = Counter(tuple(g.comp[y] for y in image) for g in maps(incl.dst, X))
+    for f in natural_maps(order, incl.src, X):
+        n = counts[tuple(f[x] for x in order)]
         if n != 1:
-            return f, n
+            return OpSetMap(incl.src, X, f), n
     return None
 
 
@@ -432,10 +440,8 @@ def load_opset(text: str) -> FinOpSet:
     cells: dict[Opetope, tuple[CellId, ...]] = {}
     shape_of: dict[CellId, Opetope] = {}
     pending: list[tuple[int, CellId, str, CellId]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.split("#", 1)[0].split()
-        if not parts:
-            continue
+    for lineno, line in numbered_lines(text):
+        parts = line.split()
         try:
             if parts[0] == "window" and len(parts) == 3:
                 if window is not None:
@@ -456,20 +462,20 @@ def load_opset(text: str) -> FinOpSet:
                     "expected 'window LO HI', 'shape SHAPE cells ID...' or 'face ID GEN -> ID'"
                 )
         except ValueError as err:
-            raise ValueError(f"line {lineno}: {err}: {raw.strip()!r}") from None
+            raise line_error(lineno, ValueError(f"{err}: {line!r}")) from None
     if window is None:
         raise ValueError("missing window line")
     faces: dict[tuple[CellId, Gen], CellId] = {}
     for lineno, x, gen, y in pending:
-        if x not in shape_of:
-            raise ValueError(f"line {lineno}: face of an undeclared cell {x!r}")
         try:
+            if x not in shape_of:
+                raise ValueError(f"face of an undeclared cell {x!r}")
             key = (x, parse_gen(gen, shape_of[x]))
             if key in faces:
                 raise ValueError(f"face of {x} along {gen} declared twice")
             faces[key] = y
         except ValueError as err:
-            raise ValueError(f"line {lineno}: {err}") from None
+            raise line_error(lineno, err, ValueError) from None
     X = FinOpSet(window, cells, faces)
     problems = validate_opset(X)
     if problems:

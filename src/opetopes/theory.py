@@ -6,8 +6,9 @@ and the one finite-presheaf type, FinPresheaf, with what works on any
 presheaf: maps (PshMap, Inclusion), the naturality check, identities,
 composites, face-closed sub-presheaves and the natural-map search.
 Opetopic sets (`opset.FinOpSet`) and presheaves on a category table
-(FinPresheafC) are its two kinds.  This module imports nothing from the
-rest of the package.
+(FinPresheafC) are its two kinds.  numbered_lines and line_error read
+the lines of every text format of the package and name the line of an
+error.  This module imports nothing from the rest of the package.
 
 The semantic side: finite direct categories with computed dimensions,
 presheaves on them, boundaries, and cell contexts built by attaching one
@@ -47,6 +48,23 @@ class IllFormedContext(ValueError):
 
 class NotACategory(ValueError):
     pass
+
+
+def numbered_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, text) for each line of text that is not blank once its
+    `#` comment is cut off; the text is stripped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+def line_error(
+    lineno: int, err: ValueError, error: type[ValueError] | None = None
+) -> ValueError:
+    """err with `line lineno: ` before its message, as error or, by default,
+    as the type it had: what a text parser raises for a bad line."""
+    return (error or type(err))(f"line {lineno}: {err}")
 
 
 # ---------------------------------------------------------------------------
@@ -754,10 +772,9 @@ _TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_']*|\|-|[(),:={}]|\S")
 
 
 class _Tokens:
-    def __init__(self, line: str, lineno: int):
+    def __init__(self, line: str):
         self.items = _TOKEN.findall(line.replace("⊢", "|-"))
         self.pos = 0
-        self.lineno = lineno
 
     def peek(self) -> str | None:
         return self.items[self.pos] if self.pos < len(self.items) else None
@@ -765,19 +782,19 @@ class _Tokens:
     def next(self) -> str:
         t = self.peek()
         if t is None:
-            raise ParseError(f"line {self.lineno}: unexpected end of line")
+            raise ParseError("unexpected end of line")
         self.pos += 1
         return t
 
     def expect(self, token: str) -> None:
         t = self.next()
         if t != token:
-            raise ParseError(f"line {self.lineno}: expected {token!r}, found {t!r}")
+            raise ParseError(f"expected {token!r}, found {t!r}")
 
     def done(self) -> None:
         t = self.peek()
         if t is not None:
-            raise ParseError(f"line {self.lineno}: trailing input {t!r}")
+            raise ParseError(f"trailing input {t!r}")
 
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_']*\Z")
@@ -786,7 +803,7 @@ _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_']*\Z")
 def _ident(tok: _Tokens) -> str:
     t = tok.next()
     if not _IDENT.match(t):
-        raise ParseError(f"line {tok.lineno}: expected a name, found {t!r}")
+        raise ParseError(f"expected a name, found {t!r}")
     return t
 
 
@@ -854,28 +871,27 @@ def _subst_sort(s: SortExpr, theta: dict[str, Term]) -> SortExpr:
     return SortExpr(s.head, tuple(_subst_term(a, theta) for a in s.args))
 
 
-def _match_term(pattern: Term, actual: Term, theta: dict[str, Term], where: str) -> None:
+def _match_term(pattern: Term, actual: Term, theta: dict[str, Term]) -> None:
     if pattern.args is None:
         if pattern.head in theta:
             if theta[pattern.head] != actual:
                 raise ParseError(
-                    f"{where}: {pattern.head} matches both "
-                    f"{theta[pattern.head]} and {actual}"
+                    f"{pattern.head} matches both {theta[pattern.head]} and {actual}"
                 )
         else:
             theta[pattern.head] = actual
         return
     if actual.args is None or actual.head != pattern.head:
-        raise ParseError(f"{where}: {actual} does not match {pattern}")
+        raise ParseError(f"{actual} does not match {pattern}")
     for p, a in zip(pattern.args, actual.args):
-        _match_term(p, a, theta, where)
+        _match_term(p, a, theta)
 
 
-def _match_sort(pattern: SortExpr, actual: SortExpr, theta: dict[str, Term], where: str) -> None:
+def _match_sort(pattern: SortExpr, actual: SortExpr, theta: dict[str, Term]) -> None:
     if pattern.head != actual.head or len(pattern.args) != len(actual.args):
-        raise ParseError(f"{where}: sort {actual} does not match {pattern}")
+        raise ParseError(f"sort {actual} does not match {pattern}")
     for p, a in zip(pattern.args, actual.args):
-        _match_term(p, a, theta, where)
+        _match_term(p, a, theta)
 
 
 def _sort_of(
@@ -883,17 +899,16 @@ def _sort_of(
     ctx: dict[str, SortExpr],
     sig: Signature,
     ops: dict[str, TermDecl],
-    where: str,
 ) -> SortExpr:
     if t.args is None:
         if t.head in ctx:
             return ctx[t.head]
         if t.head in ops and not ops[t.head].explicit:
-            return _apply(ops[t.head], (), ctx, sig, ops, where)[1]
-        raise ParseError(f"{where}: unbound variable {t.head}")
+            return _apply(ops[t.head], (), ctx, sig, ops)[1]
+        raise ParseError(f"unbound variable {t.head}")
     if t.head not in ops:
-        raise ParseError(f"{where}: unknown operation {t.head}")
-    return _apply(ops[t.head], t.args, ctx, sig, ops, where)[1]
+        raise ParseError(f"unknown operation {t.head}")
+    return _apply(ops[t.head], t.args, ctx, sig, ops)[1]
 
 
 def _apply(
@@ -902,62 +917,55 @@ def _apply(
     ctx: dict[str, SortExpr],
     sig: Signature,
     ops: dict[str, TermDecl],
-    where: str,
 ) -> tuple[dict[str, Term], SortExpr]:
     """Infer the full instantiation of op's context from its explicit
     arguments, verify it, and return it with the instantiated output sort."""
     if len(args) != len(op.explicit):
-        raise ParseError(
-            f"{where}: {op.name} takes {len(op.explicit)} arguments, got {len(args)}"
-        )
+        raise ParseError(f"{op.name} takes {len(op.explicit)} arguments, got {len(args)}")
     opctx = dict(op.context)
     theta: dict[str, Term] = dict(zip(op.explicit, args))
     for name, actual in zip(op.explicit, args):
         declared = opctx[name]
-        _match_sort(declared, _sort_of(actual, ctx, sig, ops, where), theta, where)
+        _match_sort(declared, _sort_of(actual, ctx, sig, ops), theta)
     for v, _ in op.context:
         if v not in theta:
-            raise ParseError(f"{where}: cannot infer {v} in {op.name}")
+            raise ParseError(f"cannot infer {v} in {op.name}")
     for v, s in op.context:
         want = _subst_sort(s, theta)
-        got = _sort_of(theta[v], ctx, sig, ops, where)
+        got = _sort_of(theta[v], ctx, sig, ops)
         if got != want:
-            raise ParseError(f"{where}: {theta[v]} has sort {got}, expected {want}")
+            raise ParseError(f"{theta[v]} has sort {got}, expected {want}")
     return theta, _subst_sort(op.output, theta)
 
 
 def _check_context(
-    bindings: tuple[Binding, ...],
-    sig: Signature,
-    ops: dict[str, TermDecl],
-    lineno: int,
+    bindings: tuple[Binding, ...], sig: Signature, ops: dict[str, TermDecl]
 ) -> None:
     """A context must be built from the type signature alone: sorts name
     declared types and their arguments are previously bound variables."""
-    where = f"line {lineno}"
     seen: dict[str, SortExpr] = {}
     declared = set(sig.names) | set(ops)
     for v, s in bindings:
         if v in declared:
-            raise IllFormedContext(f"{where}: variable {v} shadows a declared symbol")
+            raise IllFormedContext(f"variable {v} shadows a declared symbol")
         if v in seen:
-            raise IllFormedContext(f"{where}: variable {v} bound twice")
+            raise IllFormedContext(f"variable {v} bound twice")
         if s.head in ops:
             raise IllFormedContext(
-                f"{where}: context mentions the term symbol {s.head}; "
+                f"context mentions the term symbol {s.head}; "
                 "contexts must be well-formed over the type signature alone"
             )
         if s.head not in sig.names:
-            raise IllFormedContext(f"{where}: unknown type {s.head}")
+            raise IllFormedContext(f"unknown type {s.head}")
         for a in s.args:
             if a.args is not None:
                 raise IllFormedContext(
-                    f"{where}: context argument {a} is not a variable; "
+                    f"context argument {a} is not a variable; "
                     "contexts must be well-formed over the type signature alone"
                 )
             if a.head not in seen:
-                raise IllFormedContext(f"{where}: unbound variable {a.head} in {s}")
-        _check_sort_instance(s, seen, sig, {}, where, IllFormedContext)
+                raise IllFormedContext(f"unbound variable {a.head} in {s}")
+        _check_sort_instance(s, seen, sig, {}, IllFormedContext)
         seen[v] = s
 
 
@@ -975,81 +983,72 @@ def parse_theory(text: str) -> tuple[Signature, TermSignature, EquationSet]:
     ops: list[TermDecl] = []
     eqns: list[Equation] = []
     grades: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tok = _Tokens(line, lineno)
-        ctx = _parse_ctx(tok)
-        tok.expect("|-")
-        sig = Signature(tuple(types))
-        opmap = {d.name: d for d in ops}
-        _check_context(ctx, sig, opmap, lineno)
-        lead = _parse_term(tok)
-        nxt = tok.peek()
-        if nxt == "type":
-            tok.next()
-            tok.done()
-            name = lead.head
-            if name in grades or name in opmap:
-                raise FreshnessViolation(f"line {lineno}: {name} is already declared")
-            ctx_vars = tuple(v for v, _ in ctx)
-            if lead.args is None:
-                arg_order = ctx_vars
+    try:
+        for lineno, line in numbered_lines(text):
+            tok = _Tokens(line)
+            ctx = _parse_ctx(tok)
+            tok.expect("|-")
+            sig = Signature(tuple(types))
+            opmap = {d.name: d for d in ops}
+            _check_context(ctx, sig, opmap)
+            lead = _parse_term(tok)
+            nxt = tok.peek()
+            if nxt == "type":
+                tok.next()
+                tok.done()
+                name = lead.head
+                if name in grades or name in opmap:
+                    raise FreshnessViolation(f"{name} is already declared")
+                ctx_vars = tuple(v for v, _ in ctx)
+                if lead.args is None:
+                    arg_order = ctx_vars
+                else:
+                    arg_order = tuple(a.head for a in lead.args)
+                    if any(a.args is not None for a in lead.args):
+                        raise ParseError("type arguments must be variables")
+                    # _check_context has made ctx_vars distinct
+                    if sorted(arg_order) != sorted(ctx_vars):
+                        raise ParseError(f"{name} must list each context variable once")
+                grade = _grade_of_context(ctx, grades)
+                types.append(TypeDecl(name, ctx, arg_order, grade))
+                grades[name] = grade
+            elif nxt == ":":
+                tok.next()
+                output = _parse_sortexpr(tok)
+                tok.done()
+                name = lead.head
+                if name in grades or name in opmap:
+                    raise FreshnessViolation(f"{name} is already declared")
+                if lead.args is None:
+                    raise ParseError(f"operation {name} needs an argument list")
+                explicit = tuple(a.head for a in lead.args)
+                ctx_vars = {v for v, _ in ctx}
+                if any(a.args is not None or a.head not in ctx_vars for a in lead.args):
+                    raise ParseError(f"arguments of {name} must be context variables")
+                if len(set(explicit)) != len(explicit):
+                    raise ParseError(f"repeated argument in {name}")
+                if output.head not in grades:
+                    raise ParseError(f"unknown type {output.head}")
+                _check_sort_instance(output, dict(ctx), sig, opmap)
+                ops.append(TermDecl(name, ctx, explicit, output, grades[output.head]))
+            elif nxt == "=":
+                tok.next()
+                rhs = _parse_term(tok)
+                tok.expect(":")
+                sort = _parse_sortexpr(tok)
+                tok.done()
+                ctxmap = dict(ctx)
+                for side in (lead, rhs):
+                    got = _sort_of(side, ctxmap, sig, opmap)
+                    if got != sort:
+                        raise ParseError(f"{side} has sort {got}, expected {sort}")
+                if sort.head not in grades:
+                    raise ParseError(f"unknown type {sort.head}")
+                eqns.append(Equation(ctx, lead, rhs, sort, grades[sort.head]))
             else:
-                arg_order = tuple(a.head for a in lead.args)
-                if any(a.args is not None for a in lead.args):
-                    raise ParseError(f"line {lineno}: type arguments must be variables")
-                if sorted(arg_order) != sorted(ctx_vars) or len(set(arg_order)) != len(arg_order):
-                    raise ParseError(
-                        f"line {lineno}: {name} must list each context variable once"
-                    )
-            grade = _grade_of_context(ctx, grades)
-            types.append(TypeDecl(name, ctx, arg_order, grade))
-            grades[name] = grade
-        elif nxt == ":":
-            tok.next()
-            output = _parse_sortexpr(tok)
-            tok.done()
-            name = lead.head
-            if name in grades or name in opmap:
-                raise FreshnessViolation(f"line {lineno}: {name} is already declared")
-            if lead.args is None:
-                raise ParseError(f"line {lineno}: operation {name} needs an argument list")
-            explicit = tuple(a.head for a in lead.args)
-            ctx_vars = {v for v, _ in ctx}
-            if any(a.args is not None or a.head not in ctx_vars for a in lead.args):
-                raise ParseError(
-                    f"line {lineno}: arguments of {name} must be context variables"
-                )
-            if len(set(explicit)) != len(explicit):
-                raise ParseError(f"line {lineno}: repeated argument in {name}")
-            where = f"line {lineno}"
-            if output.head not in grades:
-                raise ParseError(f"{where}: unknown type {output.head}")
-            _check_sort_instance(output, dict(ctx), sig, opmap, where)
-            ops.append(TermDecl(name, ctx, explicit, output, grades[output.head]))
-        elif nxt == "=":
-            tok.next()
-            rhs = _parse_term(tok)
-            tok.expect(":")
-            sort = _parse_sortexpr(tok)
-            tok.done()
-            where = f"line {lineno}"
-            ctxmap = dict(ctx)
-            for side in (lead, rhs):
-                got = _sort_of(side, ctxmap, sig, opmap, where)
-                if got != sort:
-                    raise ParseError(
-                        f"{where}: {side} has sort {got}, expected {sort}"
-                    )
-            if sort.head not in grades:
-                raise ParseError(f"{where}: unknown type {sort.head}")
-            eqns.append(Equation(ctx, lead, rhs, sort, grades[sort.head]))
-        else:
-            raise ParseError(
-                f"line {lineno}: expected 'type', ':' or '=' after the head"
-            )
+                raise ParseError("expected 'type', ':' or '=' after the head")
+    except ValueError as err:
+        raise line_error(lineno, err) from None
     return Signature(tuple(types)), TermSignature(tuple(ops)), EquationSet(tuple(eqns))
 
 
@@ -1058,21 +1057,20 @@ def _check_sort_instance(
     ctx: dict[str, SortExpr],
     sig: Signature,
     ops: dict[str, TermDecl],
-    where: str,
     error: type[ValueError] = ParseError,
 ) -> None:
     """Check that the arguments of s have the sorts its declaration asks
     for, raising error otherwise."""
     decl = sig.decl(s.head)
     if len(s.args) != len(decl.arg_order):
-        raise error(f"{where}: {s.head} takes {len(decl.arg_order)} arguments")
+        raise error(f"{s.head} takes {len(decl.arg_order)} arguments")
     theta = dict(zip(decl.arg_order, s.args))
     opctx = dict(decl.context)
     for w in decl.arg_order:
         want = _subst_sort(opctx[w], theta)
-        got = _sort_of(theta[w], ctx, sig, ops, where)
+        got = _sort_of(theta[w], ctx, sig, ops)
         if got != want:
-            raise error(f"{where}: {theta[w]} has sort {got}, expected {want}")
+            raise error(f"{theta[w]} has sort {got}, expected {want}")
 
 
 def parse_signature(text: str) -> Signature:
@@ -1086,12 +1084,15 @@ def parse_signature(text: str) -> Signature:
 def parse_context(sig: Signature, text: str) -> tuple[Binding, ...]:
     """Parse a bare context such as "x y : V, f : E(x, y)" and check it
     against the type signature."""
-    tok = _Tokens(text, 1)
-    if tok.peek() is None:
-        return ()
-    bindings = _parse_ctx(tok)
-    tok.done()
-    _check_context(bindings, sig, {}, 1)
+    try:
+        tok = _Tokens(text)
+        if tok.peek() is None:
+            return ()
+        bindings = _parse_ctx(tok)
+        tok.done()
+        _check_context(bindings, sig, {})
+    except ValueError as err:
+        raise line_error(1, err) from None
     return bindings
 
 
@@ -1240,7 +1241,7 @@ def cat_isomorphic(C1: FinDirectCat, C2: FinDirectCat) -> dict[str, str] | None:
     """An isomorphism of categories as a map on objects and morphisms,
     or None.  Found by backtracking over dimension-compatible bijections."""
     d1, d2 = object_dimensions(C1), object_dimensions(C2)
-    if sorted(d1.values()) != sorted(d2.values()):
+    if sorted(d1.values()) != sorted(d2.values()) or len(C1.morphisms) != len(C2.morphisms):
         return None
     ms1 = sorted(C1.morphisms)
     candidates = {
@@ -1308,60 +1309,58 @@ def parse_model(text: str) -> Model:
     sorts: dict[tuple[str, tuple[str, ...]], tuple[str, ...]] = {}
     ops: dict[str, dict[tuple[str, ...], str]] = {}
     current: str | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tok = _Tokens(line, lineno)
-        head = tok.next()
-        if head == "sort":
-            name = _ident(tok)
-            args: list[str] = []
-            if tok.peek() == "(":
-                tok.next()
+    try:
+        for lineno, line in numbered_lines(text):
+            tok = _Tokens(line)
+            head = tok.next()
+            if head == "sort":
+                name = _ident(tok)
+                args: list[str] = []
+                if tok.peek() == "(":
+                    tok.next()
+                    args = _names(tok, ")")
+                tok.expect("=")
+                tok.expect("{")
+                elems = _names(tok, "}")
+                tok.done()
+                key = (name, tuple(args))
+                if key in sorts:
+                    raise ParseError(f"duplicate carrier for {name}{tuple(args)}")
+                seen: set[str] = set()
+                for e in elems:
+                    if e in seen:
+                        raise ParseError(f"element {e} listed twice in {name}{tuple(args)}")
+                    seen.add(e)
+                sorts[key] = tuple(elems)
+                current = None
+            elif head == "op":
+                name = _ident(tok)
+                if tok.peek() == "(":
+                    depth = 0
+                    while True:
+                        t = tok.next()
+                        depth += {"(": 1, ")": -1}.get(t, 0)
+                        if depth == 0:
+                            break
+                tok.expect("table")
+                tok.expect(":")
+                tok.done()
+                ops.setdefault(name, {})
+                current = name
+            else:
+                if current is None or not _IDENT.match(head) or head != current:
+                    raise ParseError("expected a sort, op, or table row")
+                tok.expect("(")
                 args = _names(tok, ")")
-            tok.expect("=")
-            tok.expect("{")
-            elems = _names(tok, "}")
-            tok.done()
-            key = (name, tuple(args))
-            if key in sorts:
-                raise ParseError(f"line {lineno}: duplicate carrier for {name}{tuple(args)}")
-            seen: set[str] = set()
-            for e in elems:
-                if e in seen:
-                    raise ParseError(
-                        f"line {lineno}: element {e} listed twice in {name}{tuple(args)}"
-                    )
-                seen.add(e)
-            sorts[key] = tuple(elems)
-            current = None
-        elif head == "op":
-            name = _ident(tok)
-            if tok.peek() == "(":
-                depth = 0
-                while True:
-                    t = tok.next()
-                    depth += {"(": 1, ")": -1}.get(t, 0)
-                    if depth == 0:
-                        break
-            tok.expect("table")
-            tok.expect(":")
-            tok.done()
-            ops.setdefault(name, {})
-            current = name
-        else:
-            if current is None or not _IDENT.match(head) or head != current:
-                raise ParseError(f"line {lineno}: expected a sort, op, or table row")
-            tok.expect("(")
-            args = _names(tok, ")")
-            tok.expect("=")
-            value = _ident(tok)
-            tok.done()
-            key2 = tuple(args)
-            if key2 in ops[current]:
-                raise ParseError(f"line {lineno}: duplicate row for {current}{key2}")
-            ops[current][key2] = value
+                tok.expect("=")
+                value = _ident(tok)
+                tok.done()
+                key2 = tuple(args)
+                if key2 in ops[current]:
+                    raise ParseError(f"duplicate row for {current}{key2}")
+                ops[current][key2] = value
+    except ValueError as err:
+        raise line_error(lineno, err) from None
     return Model(sorts, ops)
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from opetopes import cli
 from opetopes.cli import main
 from opetopes.opset import dump_opset, load_opset, terminal_opset
 
@@ -567,3 +568,39 @@ def test_repeated_carrier_element_exits_two(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: line 2: element a listed twice in V()\n"
+
+
+# ------------------------------------------------------------ shape tokens
+
+
+@pytest.mark.parametrize(
+    "expr, code, err",
+    [
+        ("<<-", 2, "error: unexpected character '<' at position 0\n"),
+        ("<--", 2, "error: unexpected character '-' at position 2\n"),
+        ("{ [] <-- I2 }", 2, "error: unexpected character '-' at position 7\n"),
+        ("{ [] < - I2 }", 2, "error: unexpected character '<' at position 5\n"),
+        ("a<b", 2, "error: unexpected character '<' at position 1\n"),
+        ("x-", 2, "error: unexpected character '-' at position 1\n"),
+        ("I 3", 0, ""),
+        ("{\t[] <- I2 }", 0, ""),
+        ("{ [] <- I2 }\u200b", 2, "error: unexpected character '\\u200b' at position 12\n"),
+        ("é", 2, "error: unexpected token 'é'\n"),
+        ("{ [] <- I2 } ß", 2, "error: trailing input from token 'ß'\n"),
+    ],
+)
+def test_shape_token_errors(capsys, expr, code, err):
+    assert main(["opetope", "validate", "--expr", expr]) == code
+    assert capsys.readouterr().err == err
+
+
+# ---------------------------------------------------------------- crashes
+
+
+def test_key_error_is_not_an_input_error(monkeypatch):
+    def lookup_bug(args):
+        raise KeyError("a bug")
+
+    monkeypatch.setattr(cli, "cmd_opetope_target", lookup_bug)
+    with pytest.raises(KeyError):
+        main(["opetope", "target", "--expr", "I2"])

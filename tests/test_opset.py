@@ -252,6 +252,52 @@ def test_orthogonal_window_guard():
         orthogonal(boundary(ARROW, (0, 2)), X)
 
 
+def counting_witness(incl: Inclusion, X: FinOpSet):
+    """orthogonal_witness by counting every map out of incl.dst per restriction."""
+    inv = {v: k for k, v in incl.comp.items()}
+    counts: dict[tuple, int] = {}
+    for g in maps(incl.dst, X):
+        key = tuple(sorted((inv[b], g.comp[b]) for b in inv))
+        counts[key] = counts.get(key, 0) + 1
+    for f in maps(incl.src, X):
+        n = counts.get(tuple(sorted(f.comp.items())), 0)
+        if n != 1:
+            return f, n
+    return None
+
+
+def without_cell(X: FinOpSet, c: str) -> FinOpSet:
+    """X less the cell c and every cell that has c as an iterated face."""
+    dropped = {c}
+    for w in sorted(X.cells, key=lambda w: w.dim):
+        for x in X.cells[w]:
+            if any(X.face[x, g] in dropped for g in X.gens[w]):
+                dropped.add(x)
+    return sub_opset(X, set(X.sort) - dropped).src
+
+
+def test_orthogonal_witness_matches_counting():
+    from opetopes.oalg import nerve_category, parse_category
+    from test_cli_golden import CHAIN_CAT, Z2_CAT
+
+    z2 = nerve_category(parse_category(Z2_CAT), 3)
+    targets = [
+        nerve_category(parse_category(CHAIN_CAT), 3),
+        z2,
+        without_cell(z2, z2.of_shape(I(2))[1]),
+        terminal_opset((0, 3), 3),
+    ]
+    witnesses = []
+    for X in targets:
+        for n in (1, 2, 3):
+            for w in enumerate_opetopes(n, 3):
+                for incl in (spine(w, X.window), boundary(w, X.window)):
+                    witness = orthogonal_witness(incl, X)
+                    assert witness == counting_witness(incl, X), (render(w), X.cells)
+                    witnesses.append(witness)
+    assert {w[1] for w in witnesses if w is not None} >= {0, 2, 3}
+
+
 # ------------------------------------------------------- cell decompositions
 
 

@@ -675,3 +675,55 @@ def test_model_parser_rejects_malformed_input():
         parse_model("frob V = {a}")
     with pytest.raises(ParseError, match="duplicate row"):
         parse_model("sort V = {a}\nop i table:\n  i(a) = a\n  i(a) = a")
+
+
+def assert_isomorphism(C1: FinDirectCat, C2: FinDirectCat, iso: dict[str, str]) -> None:
+    """iso is a bijection on objects and on morphisms that keeps endpoints,
+    identities and composites."""
+    assert sorted(iso[a] for a in C1.objects) == sorted(C2.objects)
+    assert sorted(iso[f] for f in C1.morphisms) == sorted(C2.morphisms)
+    for f, (a, b) in C1.morphisms.items():
+        assert C2.morphisms[iso[f]] == (iso[a], iso[b])
+    for a, i in C1.identities.items():
+        assert C2.identities[iso[a]] == iso[i]
+    for g, (b, _) in C1.morphisms.items():
+        for f, (_, b2) in C1.morphisms.items():
+            if b2 == b:
+                assert C2.compose(iso[g], iso[f]) == iso[C1.compose(g, f)]
+
+
+def test_found_isomorphisms_keep_the_structure():
+    pairs = [
+        (signature_to_lfd(parse_signature(GG1_SIG)), GG1),
+        (signature_to_lfd(parse_signature(TRI_SIG)), SS2),
+        (signature_to_lfd(lfd_to_signature(GG1)), GG1),
+        (signature_to_lfd(lfd_to_signature(SS2)), SS2),
+        (SS2, SS2),
+    ]
+    for C1, C2 in pairs:
+        assert_isomorphism(C1, C2, cat_isomorphic(C1, C2))
+
+
+IDS3 = {"a": "ia", "b": "ib", "c": "ic"}
+TWO_WAYS = {
+    **{i: (a, a) for a, i in IDS3.items()},
+    "f": ("a", "b"), "f2": ("a", "b"), "g": ("b", "c"), "h": ("a", "c"), "h2": ("a", "c"),
+}
+
+
+def test_isomorphism_search_can_say_no():
+    abc = ("a", "b", "c")
+    apart = FinDirectCat(abc, TWO_WAYS, {("g", "f"): "h", ("g", "f2"): "h2"}, IDS3)
+    merged = FinDirectCat(abc, TWO_WAYS, {("g", "f"): "h", ("g", "f2"): "h"}, IDS3)
+    assert validate_lfd(apart).dims == validate_lfd(merged).dims
+    assert cat_isomorphic(apart, merged) is None
+    assert cat_isomorphic(merged, apart) is None
+    assert_isomorphism(apart, apart, cat_isomorphic(apart, apart))
+
+    ids = {"a": "ia", "b": "ib"}
+    arrows = {"ia": ("a", "a"), "ib": ("b", "b"), "f": ("a", "b")}
+    one = FinDirectCat(("a", "b"), arrows, {}, ids)
+    two = FinDirectCat(("a", "b"), {**one.morphisms, "f2": ("a", "b")}, {}, ids)
+    assert validate_lfd(one).dims == validate_lfd(two).dims
+    assert cat_isomorphic(one, two) is None
+    assert cat_isomorphic(two, one) is None
