@@ -10,8 +10,7 @@ parse errors.  Output formats: `text` (default), `json` (canonical,
 sorted keys), and `dot` for the shapes of `opetope validate` and
 `opetope target`; the other commands print their text under `dot`.  Each
 command computes its exit code, json payload and text lines, and
-`_result` prints the requested one.  The --seed flag is reserved for
-future randomized modes and is accepted but ignored.
+`_result` prints the requested one.
 """
 
 from __future__ import annotations
@@ -383,10 +382,7 @@ def cmd_theory_context(args) -> int:
     problems = theory.validate_context(ctx)
     iso = theory.psh_isomorphism(X, ctx.realization())
     ok = not problems and iso is not None
-    lines = []
-    for s in ctx.steps:
-        att = ", ".join(f"{m}->{y}" for m, y in s.attach)
-        lines.append(f"{s.name}: {s.obj}({att})" if att else f"{s.name}: {s.obj}")
+    lines = [str(s) for s in ctx.steps]
     if iso is not None:
         lines.append("iso: " + ", ".join(f"{k}->{v}" for k, v in sorted(iso.comp.items())))
     return _result(
@@ -411,10 +407,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("text", "json", "dot"), default="text",
         help="output format (dot: validate and target; text elsewhere)",
-    )
-    common.add_argument(
-        "--seed", type=int, default=None,
-        help="reserved for future randomized modes; currently ignored",
     )
 
     parser = argparse.ArgumentParser(

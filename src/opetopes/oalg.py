@@ -2,10 +2,10 @@
 
 A sorted family is a finite opetopic set over the window [n-k, n].  Free
 pasting cells over such a family, the unit and multiplication of the free
-pasting monad, algebra structures given by finite composition tables, the
-ordinal realization for (k, n) = (1, 1) together with diagrammatic
-presentations of monotone maps, and nerves of finite categories all live
-here.
+pasting monad, algebra structures given by a composition rule (a map
+from pastings to cells, checked up to a node bound), the ordinal
+realization for (k, n) = (1, 1) together with diagrammatic presentations
+of monotone maps, and nerves of finite categories all live here.
 
 The monad and the realization read cells off the face structure of a
 shape.  A pasting of pastings is a uniform-height-2 shape xi, and in
@@ -20,9 +20,9 @@ come from `theory`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .opetope import (
     Addr,
@@ -42,7 +42,6 @@ from .opetope import (
     node_addrs,
     opetopic_integer,
     render,
-    render_word,
     size,
     source,
     substitute,
@@ -53,17 +52,17 @@ from .opset import (
     CellId,
     FinOpSet,
     OpSetMap,
-    _cell_words,
     Window,
     WindowMismatch,
     boundary,
+    cell_name,
+    cell_words,
     empty_opset,
     maps,
     orthogonal_witness,
     spine,
 )
 from .theory import (
-    FinDirectCat,  # noqa: F401  (the same class as FiniteCategory, re-exported)
     FiniteCategory,
     NotACategory,
     line_error,
@@ -142,11 +141,6 @@ class PastingCell:
         return f"pasting of shape {render(self.shape)}"
 
 
-def pasting_key(cell: PastingCell):
-    """Hashable canonical form, used to index composition tables."""
-    return cell.shape, tuple(sorted(cell.filling.comp.items()))
-
-
 @cache
 def _spine_of(nu: Opetope, window: Window) -> FinOpSet:
     return spine(nu, window).src
@@ -180,12 +174,6 @@ def _natural_fill(
 
 def _node_cell(a: Addr) -> CellId:
     return f"s{a}"
-
-
-def _face_cell(nu: Opetope, word: tuple[Gen, ...]) -> CellId:
-    """Name of the cell of nu that the face word reaches."""
-    fs = faces(nu)
-    return render_word(fs.word_of(fs.cell_of_word(word)))
 
 
 def _shell_cell(S: FinOpSet, shell: Opetope) -> CellId:
@@ -255,13 +243,11 @@ def _gluing(
     word (s[p]) + w, equals exactly one spine cell w' of target(xi), the
     word (t) + w'.  Returns, for each p, the map w -> w' on cell names.
     """
-    fs = faces(xi)
 
-    def spine_cells(nu: Opetope, head: Gen) -> dict[CellId, int]:
-        """Each spine cell of the face nu of xi at head, as a cell of fs."""
-        S = _spine_of(nu, window)
-        words = _cell_words(nu)
-        return {x: fs.cell_of_word((head,) + words[x]) for x in S.sort}
+    def spine_cells(nu: Opetope, head: Gen) -> dict[CellId, CellId]:
+        """Each spine cell of the face nu of xi at head, named as a cell of xi."""
+        words = cell_words(nu)
+        return {x: cell_name(xi, (head,) + words[x]) for x in _spine_of(nu, window).sort}
 
     on_flat = {c: x for x, c in spine_cells(target(xi), T_GEN).items()}
     root = epsilon(xi.dim - 1)
@@ -347,43 +333,44 @@ def split_pasting(X: SortedFamily, xi: Opetope, cell: PastingCell) -> dict[Addr,
 def pasting_face(X: SortedFamily, cell: PastingCell, gen: Gen) -> CellId:
     """The boundary value of a pasting cell along a generating face of its
     output sort: the value at the face word (t, gen) of its shape."""
-    return cell.filling(_face_cell(cell.shape, (T_GEN, gen)))
+    return cell.filling(cell_name(cell.shape, (T_GEN, gen)))
 
 
 # ---------------------------------------------------------------------------
-# Algebras as finite composition tables
+# Algebras as composition rules
 
 
-@dataclass
+@dataclass(frozen=True)
 class OAlgebra:
-    """A sorted family with a materialized composition table.
+    """A sorted family with its composition rule, a map from pastings to cells.
 
-    The table is indexed by the canonical form of each pasting cell and
-    must cover every pasting up to the node bound it was built with.
+    compose applies the rule to the pastings over the family whose shape
+    and output sort have at most max_nodes nodes, and refuses every other
+    one.  It does not check that a filling is natural.
     """
 
     base: SortedFamily
-    table: dict[tuple, CellId] = field(default_factory=dict)
-    max_nodes: int = 0
+    rule: Callable[[PastingCell], CellId]
+    max_nodes: int
 
     def compose(self, cell: PastingCell) -> CellId:
-        key = pasting_key(cell)
-        if key not in self.table:
+        if (
+            cell.filling.dst != self.base.family
+            or cell.shape.dim != self.base.n + 1
+            or size(cell.shape) > self.max_nodes
+            or size(cell.output) > self.max_nodes
+        ):
             raise ShapeMismatch(
                 f"composition table has no entry for {cell} "
                 f"(built up to {self.max_nodes} nodes)"
             )
-        return self.table[key]
+        return self.rule(cell)
 
 
 def build_algebra(X: SortedFamily, rule, max_nodes: int) -> OAlgebra:
-    """Materialize an algebra structure by tabulating rule over every
-    pasting with at most max_nodes nodes."""
-    table: dict[tuple, CellId] = {}
-    for omega in enumerate_opetopes(X.n, max_nodes):
-        for cell in free_cells(X, omega, max_nodes):
-            table[pasting_key(cell)] = rule(cell)
-    return OAlgebra(X, table, max_nodes)
+    """The algebra over X that composes every pasting with at most
+    max_nodes nodes by rule."""
+    return OAlgebra(X, rule, max_nodes)
 
 
 @dataclass(frozen=True)
@@ -541,7 +528,7 @@ def pasting_chain(cell: PastingCell) -> tuple[str, tuple[str, ...]]:
     edges = tuple(
         cell.filling(_node_cell(Addr(1, (STAR,) * (m - 1 - i)))) for i in range(m)
     )
-    return cell.filling(_face_cell(cell.shape, (T_GEN, ("s", STAR)))), edges
+    return cell.filling(cell_name(cell.shape, (T_GEN, ("s", STAR)))), edges
 
 
 def category_algebra(C: FiniteCategory, max_nodes: int) -> OAlgebra:

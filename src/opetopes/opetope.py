@@ -951,10 +951,10 @@ class _Parser:
             return ARROW
         if tok == "I":
             num = self.take()
-            if not num.isdigit():
+            if not (num.isascii() and num.isdigit()):
                 raise ParseError(f"expected a number after I, found {num!r}")
             return opetopic_integer(int(num))
-        if tok[:1] == "I" and tok[1:].isdigit():
+        if tok[:1] == "I" and tok[1:].isascii() and tok[1:].isdigit():
             return opetopic_integer(int(tok[1:]))
         if tok == "{":
             self.enter()

@@ -148,27 +148,34 @@ def check_natural(f: PshMap) -> list[str]:
 # representables, boundaries, spines
 
 
+def cell_name(omega: Opetope, word: tuple[Gen, ...]) -> CellId:
+    """The name, in the representable of omega, of the cell a face word reaches."""
+    fs = face_structure(omega)
+    return render_word(fs.word_of(fs.cell_of_word(word)))
+
+
+def cell_words(omega: Opetope) -> dict[CellId, tuple[Gen, ...]]:
+    """Each cell of the representable of omega by name, with its face word."""
+    fs = face_structure(omega)
+    return {render_word(fs.word_of(c)): fs.word_of(c) for c in fs.cells()}
+
+
 def representable(omega: Opetope, window: Window | None = None) -> FinOpSet:
     """The presheaf of all face-map composites into omega, truncated."""
     if window is None:
         window = (0, omega.dim)
     lo, hi = window
     fs = face_structure(omega)
+    names = {fs.cell_of_word(w): name for name, w in cell_words(omega).items()}
     cells: dict[Opetope, list[CellId]] = {}
-    names: dict[int, CellId] = {}
-    for c in fs.cells():
-        shape = fs.shape_of(c)
-        if lo <= shape.dim <= hi:
-            name = render_word(fs.word_of(c))
-            names[c] = name
-            cells.setdefault(shape, []).append(name)
     faces: dict[tuple[CellId, Gen], CellId] = {}
     for c, name in names.items():
         shape = fs.shape_of(c)
-        if shape.dim - 1 < lo:
-            continue
-        for g in generators(shape):
-            faces[(name, g)] = names[fs.get(c, g)]
+        if lo <= shape.dim <= hi:
+            cells.setdefault(shape, []).append(name)
+        if lo < shape.dim <= hi:
+            for g in generators(shape):
+                faces[(name, g)] = names[fs.get(c, g)]
     return FinOpSet(window, {s: tuple(ids) for s, ids in cells.items()}, faces)
 
 
@@ -312,11 +319,6 @@ class SpineAttachment:
     complex_after: FinOpSet
 
 
-def _cell_words(omega: Opetope) -> dict[CellId, tuple[Gen, ...]]:
-    fs = face_structure(omega)
-    return {render_word(fs.word_of(c)): fs.word_of(c) for c in fs.cells()}
-
-
 def spine_cell_decomposition(xi: Opetope) -> tuple[SpineAttachment, ...]:
     """Build the spine of xi from the spine of its target, one node at a time.
 
@@ -328,28 +330,19 @@ def spine_cell_decomposition(xi: Opetope) -> tuple[SpineAttachment, ...]:
         raise ValueError("the decomposition needs dimension >= 2")
     window = (0, xi.dim - 1)
     big = representable(xi, window)
-    fs = face_structure(xi)
-
-    def cell_name(word: tuple[Gen, ...]) -> CellId:
-        return render_word(fs.word_of(fs.cell_of_word(word)))
-
     # start from the spine of the target, embedded by t-precomposition
-    t_words = _cell_words(target(xi))
+    t_words = cell_words(target(xi))
     t_spine = spine(target(xi))
-    current = {cell_name((T_GEN,) + t_words[x]) for x in t_spine.src.all_cells()}
+    current = {cell_name(xi, (T_GEN,) + t_words[x]) for x in t_spine.src.all_cells()}
     complex_now = sub_opset(big, current).src
     steps: list[SpineAttachment] = []
     for p in sorted(node_addrs(xi), key=lex_key, reverse=True):
         nu = source(xi, p)
-        nu_words = _cell_words(nu)
         nu_spine = spine(nu)
-        comp = {
-            x: cell_name((("s", p),) + nu_words[x]) for x in nu_spine.src.all_cells()
-        }
+        names = {x: cell_name(xi, (("s", p),) + w) for x, w in cell_words(nu).items()}
+        comp = {x: names[x] for x in nu_spine.src.all_cells()}
         attach = OpSetMap(nu_spine.src, complex_now, comp)
-        current |= {
-            cell_name((("s", p),) + nu_words[x]) for x in nu_spine.dst.all_cells()
-        }
+        current |= {names[x] for x in nu_spine.dst.all_cells()}
         complex_now = sub_opset(big, current).src
         steps.append(SpineAttachment(p, nu, attach, complex_now))
     return tuple(steps)

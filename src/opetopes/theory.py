@@ -546,6 +546,10 @@ class AttachStep:
     attach: tuple[tuple[str, str], ...]
     name: str
 
+    def __str__(self) -> str:
+        att = ", ".join(f"{m}->{y}" for m, y in self.attach)
+        return f"{self.name}: {self.obj}({att})" if att else f"{self.name}: {self.obj}"
+
 
 @dataclass(frozen=True)
 class Context:
@@ -569,11 +573,7 @@ class Context:
         )
 
     def __str__(self) -> str:
-        parts = []
-        for step in self.steps:
-            att = ", ".join(f"{m}->{y}" for m, y in step.attach)
-            parts.append(f"{step.name}: {step.obj}({att})" if att else f"{step.name}: {step.obj}")
-        return "[" + "; ".join(parts) + "]"
+        return "[" + "; ".join(map(str, self.steps)) + "]"
 
 
 def validate_context(ctx: Context) -> list[str]:

@@ -441,10 +441,10 @@ def test_bad_window_exits_two():
     assert exc.value.code == 2
 
 
-def test_seed_flag_is_accepted(capsys):
-    code, out = run(capsys, "opetope", "target", "--expr", XI, "--seed", "7")
-    assert code == 0
-    assert out == "I4\n"
+def test_seed_flag_is_a_usage_error():
+    with pytest.raises(SystemExit) as exc:
+        main(["opetope", "target", "--expr", "I2", "--seed", "7"])
+    assert exc.value.code == 2
 
 
 def test_identities_of_long_integer(capsys):
@@ -587,6 +587,9 @@ def test_repeated_carrier_element_exits_two(capsys, tmp_path):
         ("{ [] <- I2 }\u200b", 2, "error: unexpected character '\\u200b' at position 12\n"),
         ("é", 2, "error: unexpected token 'é'\n"),
         ("{ [] <- I2 } ß", 2, "error: trailing input from token 'ß'\n"),
+        ("I²", 2, "error: unexpected token 'I²'\n"),
+        ("I٣", 2, "error: unexpected token 'I٣'\n"),
+        ("I ٣", 2, "error: expected a number after I, found '٣'\n"),
     ],
 )
 def test_shape_token_errors(capsys, expr, code, err):

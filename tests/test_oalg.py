@@ -396,6 +396,36 @@ def test_algebra_table_is_bounded():
         A.compose(big[0])
 
 
+def test_algebra_refuses_degenerate_pastings_past_the_bound():
+    # {{arrow}} has no nodes, but its output sort I1 has one
+    X = SortedFamily(terminal_opset((1, 2), 1), 1, 2)
+    cells = [c for c in free_cells(X, I(1), 1) if isinstance(c.shape, Degenerate)]
+    assert [render(c.shape) for c in cells] == ["{{arrow}}"]
+    A = build_algebra(X, lambda cell: "never", 0)
+    with pytest.raises(ShapeMismatch, match="built up to 0 nodes"):
+        A.compose(cells[0])
+
+
+def test_algebra_refuses_pastings_over_another_family():
+    other = graph_family({"d0": ("w0", "w1")}, ("w0", "w1"))
+    A = build_algebra(GRAPH, lambda cell: "e0", 4)
+    for cell in free_cells(other, ARROW, 2):
+        with pytest.raises(ShapeMismatch, match="built up to 4 nodes"):
+            A.compose(cell)
+    # nor one of the wrong dimension, though its filling lands in the family
+    with pytest.raises(ShapeMismatch, match="built up to 4 nodes"):
+        A.compose(PastingCell(ARROW, monad_unit(GRAPH, "e0").filling))
+
+
+def test_algebra_applies_its_rule_only_on_compose():
+    def rule(cell: PastingCell) -> str:
+        raise RuntimeError(f"no value for {cell}")
+
+    A = build_algebra(GRAPH, rule, 4)
+    with pytest.raises(RuntimeError, match="no value for pasting of shape I1"):
+        A.compose(by_path(I(1), "v0", "e0"))
+
+
 def test_nonassociative_table_fails_the_square():
     elems = ("m0", "m1", "m2")
     X = SortedFamily(
