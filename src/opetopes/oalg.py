@@ -13,8 +13,11 @@ faces(xi) each spine cell of an inner shape equals one spine cell of
 target(xi): multiplication glues the inner fillings along that map, and
 splitting reads them back through it.  The realization names the points
 of a shape by face words, and sends each point of a face to the point it
-equals in faces(omega).  The finite-category type and its axiom checks
-come from `theory`.
+equals in faces(omega).  The nerve of a category is read off the
+realization: its cells at a shape omega are the chains of length h(omega),
+the faces of a cell are its restrictions along the realization of omega's
+faces, and one shape rule cuts it off at a node bound.  The finite-category
+type and its axiom checks come from `theory`.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .opetope import (
     enumerate_opetopes,
     face,
     faces,
+    generators,
     node_addrs,
     opetopic_integer,
     render,
@@ -54,12 +58,11 @@ from .opset import (
     OpSetMap,
     Window,
     WindowMismatch,
-    boundary,
     cell_name,
     cell_words,
     empty_opset,
+    lifting_failures,
     maps,
-    orthogonal_witness,
     spine,
 )
 from .theory import (
@@ -440,7 +443,6 @@ def check_algebra_laws(A: OAlgebra, max_nodes: int) -> AlgebraLawReport:
         for f in maps(S, X.family):
             squares += 1
             lhs = A.compose(PastingCell(flat, f))
-            label = f"square at {render(xi)} with {sorted(f.comp.items())}"
             try:
                 seeds = {
                     _node_cell(p): A.compose(_slice(X, nu, glue[p], f))
@@ -449,11 +451,14 @@ def check_algebra_laws(A: OAlgebra, max_nodes: int) -> AlgebraLawReport:
                 SA = _spine_of(alpha, X.family.window)
                 comp = _natural_fill(SA, X.family, seeds.items(), "outer pasting")
             except ShapeMismatch as err:
-                failures.append(f"{label}: {err}")
-                continue
-            rhs = A.compose(PastingCell(alpha, OpSetMap(SA, X.family, comp)))
-            if lhs != rhs:
-                failures.append(f"{label}: flattened {lhs} != staged {rhs}")
+                problem = str(err)
+            else:
+                rhs = A.compose(PastingCell(alpha, OpSetMap(SA, X.family, comp)))
+                if lhs == rhs:
+                    continue
+                problem = f"flattened {lhs} != staged {rhs}"
+            label = f"square at {render(xi)} with {sorted(f.comp.items())}"
+            failures.append(f"{label}: {problem}")
     return AlgebraLawReport(units, squares, tuple(failures))
 
 
@@ -524,10 +529,7 @@ def category_family(C: FiniteCategory) -> SortedFamily:
 def pasting_chain(cell: PastingCell) -> tuple[str, tuple[str, ...]]:
     """Read off the path a pasting over a graph traces out, as the start
     vertex followed by the edges in diagram order."""
-    m = len(node_addrs(cell.shape))
-    edges = tuple(
-        cell.filling(_node_cell(Addr(1, (STAR,) * (m - 1 - i)))) for i in range(m)
-    )
+    edges = tuple(cell.filling(_node_cell(a)) for a in _arrows(cell.shape))
     return cell.filling(cell_name(cell.shape, (T_GEN, ("s", STAR)))), edges
 
 
@@ -593,22 +595,33 @@ def monotone_maps(m: int, mp: int) -> list[LambdaMorphism]:
     ]
 
 
+def _arrows(omega: Opetope) -> list[Addr]:
+    """The nodes of a 2-shape I_m in diagram order: arrow i is at [*^(m-1-i)]."""
+    m = len(node_addrs(omega))
+    return [Addr(1, (STAR,) * (m - 1 - i)) for i in range(m)]
+
+
 def _points(omega: Opetope) -> list[tuple[Gen, ...]]:
     """The points 0..m of the ordinal realized by a shape of dimension at
-    most 3, as face words into it.  Arrow i of a 2-shape I_m is its node
-    at [*^(m-1-i)]; a 3-shape realizes the points of its target."""
+    most 3, as face words into it: the sources of the arrows of a 2-shape,
+    then its last target; a 3-shape realizes the points of its target."""
     d = omega.dim
     if d == 0:
         return [()]
     if d == 1:
         return [(("s", STAR),), (T_GEN,)]
     if d == 2:
-        m = len(node_addrs(omega))
-        arrows = [("s", Addr(1, (STAR,) * (m - 1 - i))) for i in range(m)]
-        return [(a, ("s", STAR)) for a in arrows] + [(T_GEN, T_GEN)]
+        return [(("s", a), ("s", STAR)) for a in _arrows(omega)] + [(T_GEN, T_GEN)]
     if d == 3:
         return [(T_GEN,) + w for w in _points(target(omega))]
     raise ValueError(f"no ordinal realization in dimension {d}")
+
+
+@cache
+def _point_index(omega: Opetope) -> dict[int, int]:
+    """Each point's cell in faces(omega), mapped to its place in the ordinal."""
+    fs = faces(omega)
+    return {fs.cell_of_word(w): i for i, w in enumerate(_points(omega))}
 
 
 def h_object(omega: Opetope) -> int:
@@ -624,7 +637,7 @@ def h_morphism(omega: Opetope, gen: Gen) -> LambdaMorphism:
     if not 1 <= omega.dim <= 3:
         raise ValueError(f"no realization for faces in dimension {omega.dim}")
     fs = faces(omega)
-    index = {fs.cell_of_word(w): i for i, w in enumerate(_points(omega))}
+    index = _point_index(omega)
     values = tuple(index[fs.cell_of_word((gen,) + w)] for w in _points(face(omega, gen)))
     return LambdaMorphism(len(values) - 1, len(index) - 1, values)
 
@@ -683,14 +696,10 @@ def diagram_for_monotone(f: LambdaMorphism) -> Diagram:
     m, mp = f.src, f.dst
     if m < 1:
         raise ValueError("only maps from [m] with m >= 1 are diagrams")
-    r = f(0) + 1 + mp - f(m)
-    q = Addr(1, (STAR,) * (r - 1 - f(0)))
-    nodes: dict[Addr, Opetope] = {
-        epsilon(2): opetopic_integer(r),
-        Addr(2, (q,)): opetopic_integer(m),
-    }
-    for i in range(m):
-        li = Addr(1, (STAR,) * (m - 1 - i))
+    root, marked = opetopic_integer(f(0) + 1 + mp - f(m)), opetopic_integer(m)
+    q = _arrows(root)[f(0)]
+    nodes: dict[Addr, Opetope] = {epsilon(2): root, Addr(2, (q,)): marked}
+    for i, li in enumerate(_arrows(marked)):
         nodes[Addr(2, (q, li))] = opetopic_integer(f(i + 1) - f(i))
     return Diagram(tree(nodes), Addr(2, (q,)))
 
@@ -700,17 +709,14 @@ def diagram_for_monotone(f: LambdaMorphism) -> Diagram:
 
 
 def _chain_id(shape_tag: str, start: str, ms: tuple[str, ...]) -> CellId:
-    body = ".".join((start,) + ms)
-    return f"{shape_tag}.{body}"
+    return ".".join((shape_tag, start) + ms)
 
 
 def _chains(C: FiniteCategory, m: int) -> list[tuple[str, tuple[str, ...]]]:
     outgoing: dict[str, list[str]] = {a: [] for a in C.objects}
     for f in sorted(C.morphisms):
         outgoing[C.src(f)].append(f)
-    chains: list[tuple[str, tuple[str, ...]]] = [
-        (a, ()) for a in C.objects
-    ]
+    chains: list[tuple[str, tuple[str, ...]]] = [(a, ()) for a in C.objects]
     for _ in range(m):
         nxt = []
         for start, ms in chains:
@@ -724,22 +730,31 @@ def _chains(C: FiniteCategory, m: int) -> list[tuple[str, tuple[str, ...]]]:
 def _chain_restrict(
     C: FiniteCategory, start: str, ms: tuple[str, ...], phi: LambdaMorphism
 ) -> tuple[str, tuple[str, ...]]:
-    objs = [start]
-    for e in ms:
-        objs.append(C.tgt(e))
-    out = []
-    for j in range(phi.src):
-        a, b = phi(j), phi(j + 1)
-        out.append(C.chain_composite(objs[a], ms[a:b]))
-    return objs[phi(0)], tuple(out)
+    """The chain that phi picks out of (start, ms): between its points
+    phi(j) and phi(j + 1), the composite of the arrows of ms there."""
+    objs = [start] + [C.tgt(e) for e in ms]
+    cuts = phi.values
+    return objs[cuts[0]], tuple(
+        C.chain_composite(objs[a], ms[a:b]) for a, b in zip(cuts, cuts[1:])
+    )
+
+
+def _nerve_shapes(bound: int) -> list[Opetope]:
+    """The shapes at which the nerve cut at a node bound has cells: I_m for
+    m <= bound, then the 3-shapes within the bound that realize at most
+    bound arrows."""
+    threes = [xi for xi in enumerate_opetopes(3, bound) if h_object(xi) <= bound]
+    return [opetopic_integer(m) for m in range(bound + 1)] + threes
 
 
 def nerve_category(C: FiniteCategory, max_shape_nodes: int | None = None) -> FinOpSet:
     """The opetopic nerve of a finite category over the window [0, 3].
 
-    Point cells are objects, arrow cells morphisms, 2-cells composable
-    chains, and each 3-shape is filled uniquely by the chain its target
-    presents.  Every nonempty category has chains of every length, so a
+    Point cells are objects and arrow cells morphisms.  At each shape of
+    dimension 2 or 3 that the shape bound keeps, the cells are the chains
+    of length h(omega), and the face g of a chain is its restriction along
+    the realization h(g): a morphism when the face is an arrow, a chain
+    otherwise.  Every nonempty category has chains of every length, so a
     shape bound is required; omitting it raises InfiniteNerve.
     """
     ensure_category(C)
@@ -753,33 +768,18 @@ def nerve_category(C: FiniteCategory, max_shape_nodes: int | None = None) -> Fin
     graph = category_family(C).family
     cells: dict[Opetope, tuple[CellId, ...]] = dict(graph.cells)
     fac: dict[tuple[CellId, Gen], CellId] = dict(graph.faces)
-    for m in range(max_shape_nodes + 1):
-        shape = opetopic_integer(m)
+    for omega in _nerve_shapes(max_shape_nodes):
+        tag = "c" if omega.dim == 2 else "x" + render(omega).replace(" ", "")
+        phis = {g: h_morphism(omega, g) for g in generators(omega)}
         ids = []
-        for start, ms in _chains(C, m):
-            cid = _chain_id("c", start, ms)
-            ids.append(cid)
-            for i in range(m):
-                fac[(cid, ("s", Addr(1, (STAR,) * i)))] = f"a.{ms[m - 1 - i]}"
-            fac[(cid, T_GEN)] = f"a.{C.chain_composite(start, ms)}"
-        if ids:
-            cells[shape] = tuple(ids)
-    for xi in enumerate_opetopes(3, max_shape_nodes):
-        m = h_object(xi)
-        if m > max_shape_nodes:
-            continue
-        tag = "x" + render(xi).replace(" ", "")
-        ids = []
-        phis = {p: h_morphism(xi, ("s", p)) for p in node_addrs(xi)}
-        for start, ms in _chains(C, m):
+        for start, ms in _chains(C, h_object(omega)):
             cid = _chain_id(tag, start, ms)
             ids.append(cid)
-            for p, phi in phis.items():
+            for g, phi in phis.items():
                 s2, ms2 = _chain_restrict(C, start, ms, phi)
-                fac[(cid, ("s", p))] = _chain_id("c", s2, ms2)
-            fac[(cid, T_GEN)] = _chain_id("c", start, ms)
+                fac[(cid, g)] = f"a.{ms2[0]}" if omega.dim == 2 else _chain_id("c", s2, ms2)
         if ids:
-            cells[xi] = tuple(ids)
+            cells[omega] = tuple(ids)
     return FinOpSet((0, 3), cells, fac)
 
 
@@ -797,33 +797,19 @@ class NerveReport:
 
 def nerve_axioms_check(N: FinOpSet, max_nodes: int = 4) -> NerveReport:
     """Check unique spine extension in dimensions 2 and 3 and unique
-    boundary extension in dimension 3, over shapes within the node bound."""
+    boundary extension in dimension 3, over the shapes of the nerve cut at
+    the node bound."""
     if N.window != (0, 3):
         raise WindowMismatch(f"nerve checks need window (0, 3), got {N.window}")
     failures: list[str] = []
+    shapes = _nerve_shapes(max_nodes)
 
-    def run(kind: str, incls) -> bool:
-        good = True
-        for label, incl in incls:
-            w = orthogonal_witness(incl, N)
-            if w is not None:
-                f, count = w
-                good = False
-                failures.append(
-                    f"{kind} fails at {label}: a map extends {count} times"
-                )
-        return good
+    def run(build: str, d: int) -> bool:
+        bad = lifting_failures(N, build, [w for w in shapes if w.dim == d])
+        what = f"{build} extension in dimension {d} fails at"
+        failures.extend(f"{what} {render(w)}: a map extends {n} times" for w, n in bad)
+        return not bad
 
-    twos = [
-        (render(opetopic_integer(m)), spine(opetopic_integer(m), (0, 3)))
-        for m in range(max_nodes + 1)
-    ]
-    threes = list(enumerate_opetopes(3, max_nodes))
-    s3 = [(render(xi), spine(xi, (0, 3))) for xi in threes]
-    b3 = [(render(xi), boundary(xi, (0, 3))) for xi in threes]
     return NerveReport(
-        run("spine extension in dimension 2", twos),
-        run("spine extension in dimension 3", s3),
-        run("boundary extension in dimension 3", b3),
-        tuple(failures),
+        run("spine", 2), run("spine", 3), run("boundary", 3), tuple(failures)
     )

@@ -624,6 +624,8 @@ def enumerate_opetopes(n: int, max_nodes: int = NODE_CAP) -> tuple[Opetope, ...]
         raise ValueError("dimension must be >= 0")
     if n > DIM_CAP:
         raise ValueError(f"dimension cap is {DIM_CAP}")
+    if max_nodes < 0:
+        raise ValueError("the node bound must be >= 0")
     return _enumerate(n, max_nodes)
 
 

@@ -273,6 +273,16 @@ def orthogonal(incl: Inclusion, X: FinOpSet) -> bool:
     return orthogonal_witness(incl, X) is None
 
 
+def lifting_failures(
+    X: FinOpSet, build: str, shapes: list[Opetope]
+) -> list[tuple[Opetope, int]]:
+    """(shape, number of extensions) for each shape whose inclusion X is
+    not orthogonal to; build names the inclusion, "spine" or "boundary"."""
+    include = {"spine": spine, "boundary": boundary}[build]
+    found = ((w, orthogonal_witness(include(w, X.window), X)) for w in shapes)
+    return [(w, witness[1]) for w, witness in found if witness is not None]
+
+
 # --------------------------------------------------------------------------
 # pushouts and the spine cell decomposition
 
@@ -378,16 +388,10 @@ def hlift_check(X: FinOpSet, n: int, max_nodes: int = 6) -> HLiftReport:
     failures: list[str] = []
 
     def family(kind: str, dims: list[int]) -> bool:
-        ok = True
-        for d in dims:
-            if d < 1:
-                continue
-            for w in enumerate_opetopes(d, max_nodes):
-                incl = spine(w, X.window) if kind == "spine" else boundary(w, X.window)
-                if not orthogonal(incl, X):
-                    ok = False
-                    failures.append(f"{kind} of {render(w)} not orthogonal")
-        return ok
+        shapes = [w for d in dims if d >= 1 for w in enumerate_opetopes(d, max_nodes)]
+        bad = lifting_failures(X, kind, shapes)
+        failures.extend(f"{kind} of {render(w)} not orthogonal" for w, _ in bad)
+        return not bad
 
     return HLiftReport(
         spines_low=family("spine", [n, n + 1]),

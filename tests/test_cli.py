@@ -341,6 +341,22 @@ def test_h_realization(capsys):
     assert "s[[*]]: (1, 2, 3) : [2] -> [4]" in lines
 
 
+def test_h_realization_of_long_integer(capsys):
+    code, out = run(capsys, "oalg", "h", "--expr", "I1200")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 1202
+    assert lines[-1] == "t: (0, 1200) : [1] -> [1200]"
+
+
+def test_nerve_check_at_bound_zero_passes(capsys, tmp_path):
+    cat = tmp_path / "chain.cat"
+    cat.write_text(CHAIN_CAT)
+    code, out = run(capsys, "oalg", "nerve-check", "--file", str(cat), "--max-nodes", "0")
+    assert code == 0
+    assert out.rstrip().splitlines()[-1] == "ok"
+
+
 def test_nerve_check_passes(capsys, tmp_path):
     cat = tmp_path / "chain.cat"
     cat.write_text(CHAIN_CAT)
@@ -445,6 +461,45 @@ def test_seed_flag_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["opetope", "target", "--expr", "I2", "--seed", "7"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["opetope", "enumerate", "--dim", "2", "--max-nodes", "-1"],
+        ["oalg", "free", "--file", "{cat}", "--max-nodes", "-1"],
+        ["oalg", "nerve", "--file", "{cat}", "--max-nodes", "-2"],
+        ["oalg", "nerve-check", "--file", "{cat}", "--max-nodes", "-1"],
+        ["opset", "hlift", "--file", "{terminal}", "--n", "1", "--max-nodes", "-1"],
+    ],
+    ids=["enumerate", "free", "nerve", "nerve-check", "hlift"],
+)
+def test_negative_node_bound_exits_two(capsys, tmp_path, argv):
+    cat = tmp_path / "chain.cat"
+    cat.write_text(CHAIN_CAT)
+    terminal = tmp_path / "terminal.opset"
+    terminal.write_text(dump_opset(terminal_opset((0, 3), 2)))
+    assert main([a.format(cat=cat, terminal=terminal) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the node bound must be >= 0\n"
+
+
+@pytest.mark.xfail(
+    raises=RecursionError,
+    strict=True,
+    reason="theory.natural_maps recurses once per choice point",
+)
+def test_orthogonal_on_a_long_integer(capsys, tmp_path):
+    terminal = tmp_path / "terminal.opset"
+    terminal.write_text(dump_opset(terminal_opset((0, 2), 3)))
+    code, out = run(capsys, "opset", "orthogonal", "--expr", "I1200",
+                    "--file", str(terminal))
+    assert code == 1
+    assert out.splitlines() == [
+        "spine: not orthogonal (a map extends 0 times)",
+        "boundary: not orthogonal (a map extends 0 times)",
+    ]
 
 
 def test_identities_of_long_integer(capsys):

@@ -7,8 +7,11 @@ bijection onto the target's nodes that agrees with the peeling oracle.
 Categories are random posets of up to four objects, cyclic monoids and
 left-zero monoids.  Checked: the category axioms hold, posets are finite
 direct categories, maps out of a representable into a nerve are its cells
-at that shape (Yoneda), and the isomorphism search agrees with the first
-bijective map of the full map search.
+at that shape (Yoneda), the isomorphism search agrees with the first
+bijective map of the full map search, the nerve's 2-cells are the chains
+with the faces the arrows read off by hand (arrow i of I_m at [*^(m-1-i)]),
+each 3-cell's target is the 2-cell of its own chain, and the nerve cut at
+the node bound 0, 1 or 2 passes the nerve checks at that bound.
 
 The presheaf kernel, on representables and boundaries over generated
 posets, on realized graph contexts, and on opetopic representables and
@@ -25,6 +28,8 @@ a natural map that covers its whole spine.
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,15 +41,21 @@ from opetopes.oalg import (
     category_family,
     ensure_category,
     monad_mult,
+    nerve_axioms_check,
     nerve_category,
     split_pasting,
 )
 from opetopes.opetope import (
+    STAR,
+    T_GEN,
+    Addr,
     check_identities,
     enumerate_opetopes,
     epsilon,
     leaf_addrs,
     node_addrs,
+    opetopic_integer,
+    render,
     readdress,
     source,
     target,
@@ -171,6 +182,37 @@ def test_yoneda_on_nerves(C):
     N = nerve_category(C, 2)
     for w in N.shapes():
         assert len(maps(representable(w, N.window), N)) == len(N.of_shape(w))
+
+
+@SETTINGS
+@given(categories)
+def test_nerve_cells_are_chains_with_hand_read_faces(C):
+    N = nerve_category(C, 3)
+    for m in range(4):
+        chains = [(a, ()) for a in C.objects] if m == 0 else [
+            (C.src(ms[0]), ms)
+            for ms in itertools.product(sorted(C.morphisms), repeat=m)
+            if all(C.tgt(f) == C.src(g) for f, g in zip(ms, ms[1:]))
+        ]
+        names = [".".join(("c", start) + ms) for start, ms in chains]
+        assert sorted(N.of_shape(opetopic_integer(m))) == sorted(names)
+        for cid, (start, ms) in zip(names, chains):
+            for i in range(m):
+                assert N.faces[(cid, ("s", Addr(1, (STAR,) * i)))] == f"a.{ms[m - 1 - i]}"
+            assert N.faces[(cid, T_GEN)] == f"a.{C.chain_composite(start, ms)}"
+    for xi in N.shapes():
+        if xi.dim == 3:
+            tag = "x" + render(xi).replace(" ", "")
+            for x in N.of_shape(xi):
+                assert N.faces[(x, T_GEN)] == "c" + x.removeprefix(tag)
+
+
+@SETTINGS
+@given(categories)
+def test_nerve_passes_its_checks_at_small_bounds(C):
+    for bound in (0, 1, 2):
+        report = nerve_axioms_check(nerve_category(C, bound), bound)
+        assert report.ok, report.failures
 
 
 def first_bijection(X, Y):
