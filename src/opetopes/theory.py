@@ -10,13 +10,16 @@ Opetopic sets (`opset.FinOpSet`) and presheaves on a category table
 the lines of every text format of the package and name the line of an
 error.  This module imports nothing from the rest of the package.
 
-The semantic side: finite direct categories with computed dimensions,
-presheaves on them, boundaries, and cell contexts built by attaching one
-cell at a time, carrying the strict parent/projection/pullback structure.
+The semantic side: finite direct categories, whose direction and
+dimensions validate_lfd checks in one pass after the table and law checks
+it shares with ensure_category, presheaves on them, boundaries, and cell
+contexts built by attaching one cell at a time, carrying the strict
+parent/projection/pullback structure.
 
 The syntactic side: type signatures, term signatures, and equation sets
 parsed from a small declaration grammar, the translation between
-signatures and direct categories, and an exhaustive finite-model checker.
+signatures and direct categories (a morphism a -> b is a variable of b's
+extended context of sort a(...)), and an exhaustive finite-model checker.
 """
 
 from __future__ import annotations
@@ -79,7 +82,8 @@ class FiniteCategory:
     (source, target); identities designates one endomorphism per object;
     composition lists g after f for composable pairs, and composites with
     an identity may be left implicit.  A direct category is one whose
-    non-identity morphisms form no cycle; validate_lfd checks that.
+    non-identity morphisms form no cycle; validate_lfd checks that in the
+    one pass that also computes the dimensions.
     """
 
     objects: tuple[str, ...]
@@ -188,52 +192,37 @@ def ensure_category(C: FiniteCategory) -> None:
             raise NotACategory(problem)
 
 
-def _find_cycle(C: FinDirectCat) -> tuple[str, ...] | None:
-    """A cycle in the relation "non-identity morphism from a to b", or None."""
-    succ: dict[str, set[str]] = {a: set() for a in C.objects}
-    for f, (a, b) in C.morphisms.items():
-        if not C.is_identity(f):
-            succ[a].add(b)
-    state: dict[str, int] = {}
-    stack: list[str] = []
-
-    def visit(v: str) -> tuple[str, ...] | None:
-        state[v] = 1
-        stack.append(v)
-        for w in sorted(succ[v]):
-            if state.get(w) == 1:
-                return tuple(stack[stack.index(w) :]) + (w,)
-            if state.get(w) is None:
-                got = visit(w)
-                if got is not None:
-                    return got
-        stack.pop()
-        state[v] = 2
-        return None
-
-    for v in C.objects:
-        if state.get(v) is None:
-            got = visit(v)
-            if got is not None:
-                return got
-    return None
+def _dimensions(C: FinDirectCat) -> tuple[dict[str, int], tuple[str, ...] | None]:
+    """The dimension of each object, the length of the longest chain of
+    non-identity morphisms ending at it, and None; or {} and a cycle of
+    non-identity morphisms, in arrow order.  Each round takes every object
+    whose non-identity predecessors all have a dimension already; when no
+    object is ready, walking back along predecessors meets a cycle."""
+    preds = {c: {C.src(f) for f in C.into(c)} for c in C.objects}
+    dims: dict[str, int] = {}
+    rest = list(C.objects)
+    while rest:
+        ready = [c for c in rest if preds[c].issubset(dims)]
+        if not ready:
+            path = [rest[0]]
+            while True:
+                c = min(preds[path[-1]] - dims.keys())
+                if c in path:
+                    return {}, tuple(reversed(path[path.index(c) :] + [c]))
+                path.append(c)
+        for c in ready:
+            dims[c] = 1 + max((dims[p] for p in preds[c]), default=-1)
+        rest = [c for c in rest if c not in dims]
+    return dims, None
 
 
 def object_dimensions(C: FinDirectCat) -> dict[str, int]:
     """Dimension of each object: the length of the longest chain of
     non-identity morphisms ending at it.  Requires an acyclic category."""
-    if _find_cycle(C) is not None:
+    dims, cycle = _dimensions(C)
+    if cycle is not None:
         raise ValueError("the category is not direct")
-    memo: dict[str, int] = {}
-
-    def dim(c: str) -> int:
-        if c not in memo:
-            memo[c] = 1 + max((dim(C.src(f)) for f in C.into(c)), default=-1)
-        return memo[c]
-
-    for c in C.objects:
-        dim(c)
-    return memo
+    return dims
 
 
 @dataclass(frozen=True)
@@ -256,10 +245,9 @@ def validate_lfd(C: FinDirectCat) -> LfdReport:
     table = tuple(_table_problems(C))
     if table:
         return LfdReport({}, {}, None, table)
-    cycle = _find_cycle(C)
+    dims, cycle = _dimensions(C)
     if cycle is not None:
         return LfdReport({}, {}, cycle, ())
-    dims = object_dimensions(C)
     problems = list(_law_problems(C))
     # with sound tables and no cycle, a composite of two non-identity
     # morphisms into c can only fail to be listed, never leave the cover
@@ -1103,38 +1091,10 @@ def parse_context(sig: Signature, text: str) -> tuple[Binding, ...]:
 _SELF = "@"
 
 
-def _decl_vars(decl: TypeDecl) -> tuple[str, ...]:
-    return tuple(v for v, _ in decl.context) + (_SELF,)
-
-
 def _decl_sorts(decl: TypeDecl) -> dict[str, SortExpr]:
+    """The extended context of decl: its context, then `@`."""
     out = dict(decl.context)
     out[_SELF] = SortExpr(decl.name, tuple(Term(v) for v in decl.arg_order))
-    return out
-
-
-def _assignments(src: TypeDecl, dst: TypeDecl) -> list[tuple[str, ...]]:
-    """Sort-compatible maps from the variables of src's extended context
-    into the variables of dst's extended context.  Each is a morphism
-    from the src declaration to the dst declaration."""
-    svars = _decl_vars(src)
-    ssorts = _decl_sorts(src)
-    dsorts = _decl_sorts(dst)
-    out: list[tuple[str, ...]] = []
-
-    def place(i: int, theta: dict[str, Term]) -> None:
-        if i == len(svars):
-            out.append(tuple(theta[v].head for v in svars))
-            return
-        v = svars[i]
-        want = _subst_sort(ssorts[v], theta)
-        for w in _decl_vars(dst):
-            if dsorts[w] == want:
-                theta[v] = Term(w)
-                place(i + 1, theta)
-                del theta[v]
-
-    place(0, {})
     return out
 
 
@@ -1143,38 +1103,44 @@ def signature_category(
 ) -> tuple[FinDirectCat, dict[str, tuple[str, ...]]]:
     """The direct category of a signature, with one object per type
     declaration, together with the variable assignment realizing each
-    morphism (indexed by the source declaration's variables)."""
+    morphism (indexed by the source declaration's variables, then `@`).
+
+    A declaration's extended context is its context followed by `@`, a
+    variable of the declared type.  A morphism a -> b is a variable w of
+    b's extended context whose sort is an instance a(u1, ..., un): it sends
+    a's arguments to u1, ..., un and `@` to w.  A type lists every context
+    variable once among its arguments, so w fixes the morphism, and the
+    composite of f: a -> b and g: b -> c is the morphism at g's image of
+    f's `@` image."""
     decls = sig.declarations
-    names: dict[tuple[str, str, tuple[str, ...]], str] = {}
+    sorts = {d.name: _decl_sorts(d) for d in decls}
+    pos = {d.name: {v: i for i, v in enumerate(sorts[d.name])} for d in decls}
+    at: dict[tuple[str, str], str] = {}
     morphisms: dict[str, tuple[str, str]] = {}
     assign: dict[str, tuple[str, ...]] = {}
     identities: dict[str, str] = {}
     for a in decls:
         for b in decls:
-            for t in _assignments(a, b):
-                if a.name == b.name and t == _decl_vars(a):
-                    mname = f"1_{a.name}"
-                    identities[a.name] = mname
+            found = []
+            for w, s in sorts[b.name].items():
+                if s.head == a.name:
+                    theta = dict(zip(a.arg_order, s.args))
+                    found.append(tuple(theta[v].head for v, _ in a.context) + (w,))
+            # ordered by the images of a's variables in turn, as b lists them
+            for t in sorted(found, key=lambda t: [pos[b.name][v] for v in t]):
+                if a.name == b.name and t[-1] == _SELF:
+                    mname = identities[a.name] = f"1_{a.name}"
                 else:
                     mname = f"{a.name}>{b.name}:{','.join(t)}"
-                names[(a.name, b.name, t)] = mname
+                at[b.name, t[-1]] = mname
                 morphisms[mname] = (a.name, b.name)
                 assign[mname] = t
+    ids = set(identities.values())
     composition: dict[tuple[str, str], str] = {}
-    by_obj = {d.name: d for d in decls}
-    for f, (a, b) in morphisms.items():
+    for f, (_, b) in morphisms.items():
         for g, (b2, c) in morphisms.items():
-            if b != b2:
-                continue
-            fa = dict(zip(_decl_vars(by_obj[a]), assign[f]))
-            ga = dict(zip(_decl_vars(by_obj[b]), assign[g]))
-            comp = tuple(ga[fa[v]] for v in _decl_vars(by_obj[a]))
-            composition[(g, f)] = names[(a, c, comp)]
-    composition = {
-        (g, f): h
-        for (g, f), h in composition.items()
-        if g not in identities.values() and f not in identities.values()
-    }
+            if b2 == b and f not in ids and g not in ids:
+                composition[g, f] = at[c, assign[g][pos[b][assign[f][-1]]]]
     cat = FinDirectCat(tuple(d.name for d in decls), morphisms, composition, identities)
     return cat, assign
 
@@ -1184,26 +1150,23 @@ def signature_to_lfd(sig: Signature) -> FinDirectCat:
 
 
 def realize_bindings(sig: Signature, bindings: tuple[Binding, ...]) -> FinPresheafC:
-    """The presheaf presented by a syntactic context: cells at each
-    object are the sort-compatible assignments of that declaration's
-    extended context into the bindings, named by their last variable."""
+    """The presheaf presented by a syntactic context: the cells at each
+    object are the bindings whose sort is an instance of it.  A cell x of sort
+    b(u1, ..., un) restricts along m: a -> b to what m's `@` image names
+    once b's arguments are read as u1, ..., un and `@` as x."""
     cat, assign = signature_category(sig)
     sorts = dict(bindings)
     cells: dict[str, tuple[str, ...]] = {}
-    for decl in sig.declarations:
-        xs = [v for v, s in bindings if s.head == decl.name]
-        if xs:
-            cells[decl.name] = tuple(xs)
     restriction: dict[tuple[str, str], str] = {}
     for decl in sig.declarations:
-        dsorts = _decl_sorts(decl)
-        for x in cells.get(decl.name, ()):
-            theta = dict(zip(decl.arg_order, sorts[x].args))
-            theta[_SELF] = Term(x)
+        xs = tuple(v for v, s in bindings if s.head == decl.name)
+        if xs:
+            cells[decl.name] = xs
+        for x in xs:
+            theta = {v: a.head for v, a in zip(decl.arg_order, sorts[x].args)}
+            theta[_SELF] = x
             for m in cat.into(decl.name):
-                src_decl = sig.decl(cat.src(m))
-                image = dict(zip(_decl_vars(src_decl), assign[m]))[_SELF]
-                restriction[(x, m)] = _subst_term(Term(image), theta).head
+                restriction[(x, m)] = theta[assign[m][-1]]
     return FinPresheafC(cat, cells, restriction)
 
 
@@ -1237,54 +1200,45 @@ def lfd_to_signature(C: FinDirectCat) -> Signature:
     return Signature(tuple(decls))
 
 
+# The shape of the 2-truncated nerve: a pair is two composable morphisms
+# f, g together with their composite h.
+_PAIRS = parse_signature(
+    "|- ob type\nx y : ob |- mor(x, y) type\n"
+    "x y z : ob, f : mor(x, y), g : mor(y, z), h : mor(x, z) |- pair type"
+)
+
+
+def _nerve2(C: FinDirectCat) -> tuple[FinPresheafC, dict[str, str]]:
+    """C's objects, its morphisms and its composable pairs of non-identity
+    morphisms, bound in that order to o0, ..., m0, ..., p<k> in a context
+    of _PAIRS, realized; with the object or morphism each o<i> or m<j> is."""
+    ob = {a: Term(f"o{i}") for i, a in enumerate(C.objects)}
+    mor = {f: Term(f"m{j}") for j, f in enumerate(C.morphisms)}
+    bindings = [(x.head, SortExpr("ob")) for x in ob.values()]
+    for f, (a, b) in C.morphisms.items():
+        bindings.append((mor[f].head, SortExpr("mor", (ob[a], ob[b]))))
+    arrows = [f for f in C.morphisms if not C.is_identity(f)]
+    for g, f in ((g, f) for f in arrows for g in arrows if C.src(g) == C.tgt(f)):
+        args = (ob[C.src(f)], ob[C.src(g)], ob[C.tgt(g)])
+        args += (mor[f], mor[g], mor[C.compose(g, f)])
+        bindings.append((f"p{len(bindings)}", SortExpr("pair", args)))
+    names = {x.head: a for a, x in [*ob.items(), *mor.items()]}
+    return realize_bindings(_PAIRS, tuple(bindings)), names
+
+
 def cat_isomorphic(C1: FinDirectCat, C2: FinDirectCat) -> dict[str, str] | None:
-    """An isomorphism of categories as a map on objects and morphisms,
-    or None.  Found by backtracking over dimension-compatible bijections."""
-    d1, d2 = object_dimensions(C1), object_dimensions(C2)
-    if sorted(d1.values()) != sorted(d2.values()) or len(C1.morphisms) != len(C2.morphisms):
+    """An isomorphism of finite categories as a map on objects and
+    morphisms, or None: the first isomorphism of 2-truncated nerves that
+    natural_maps finds, choosing pairs first, so that each choice fixes
+    three morphisms.  It keeps identities, since they alone lie in no
+    pair, while every other endomorphism e lies in (e, e)."""
+    (N1, names1), (N2, names2) = _nerve2(C1), _nerve2(C2)
+    if any(len(N1.of_obj(k)) != len(N2.of_obj(k)) for k in _PAIRS.names):
         return None
-    ms1 = sorted(C1.morphisms)
-    candidates = {
-        a: [b for b in C2.objects if d1[a] == d2[b]] for a in C1.objects
-    }
-
-    def try_objects(i: int, omap: dict[str, str]) -> dict[str, str] | None:
-        if i == len(C1.objects):
-            return try_morphisms(0, dict(omap), {})
-        a = C1.objects[i]
-        for b in candidates[a]:
-            if b in omap.values():
-                continue
-            omap[a] = b
-            got = try_objects(i + 1, omap)
-            if got is not None:
-                return got
-            del omap[a]
-        return None
-
-    def try_morphisms(
-        i: int, omap: dict[str, str], mmap: dict[str, str]
-    ) -> dict[str, str] | None:
-        if i == len(ms1):
-            for (g, f), h in C1.composition.items():
-                if C2.compose(mmap[g], mmap[f]) != mmap[h]:
-                    return None
-            return {**omap, **mmap}
-        f = ms1[i]
-        a, b = C1.morphisms[f]
-        for f2, (a2, b2) in C2.morphisms.items():
-            if f2 in mmap.values() or (a2, b2) != (omap[a], omap[b]):
-                continue
-            if C1.is_identity(f) != C2.is_identity(f2):
-                continue
-            mmap[f] = f2
-            got = try_morphisms(i + 1, omap, mmap)
-            if got is not None:
-                return got
-            del mmap[f]
-        return None
-
-    return try_objects(0, {})
+    order = [*N1.of_obj("pair"), *N1.of_obj("mor"), *N1.of_obj("ob")]
+    for comp in natural_maps(order, N1, N2, injective=True):
+        return {a: names2[comp[x]] for x, a in names1.items()}
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -1439,10 +1393,10 @@ def check_model(
     theory: tuple[Signature, TermSignature, EquationSet], M: Model
 ) -> ModelReport:
     """Exhaustively check a finite model: carriers form a consistent
-    family of sort instances, each operation table is total and lands in
-    the declared instance, and every equation holds in every environment.
-    The first counterexample per equation, in the canonical environment
-    order, is reported."""
+    family of sort instances, every table is of a declared operation, is
+    total and lands in the declared instance, and every equation holds in
+    every environment.  The first counterexample per equation, in the
+    canonical environment order, is reported."""
     sig, terms, eqns = theory
     ops = {d.name: d for d in terms.declarations}
     problems: list[str] = []
@@ -1470,6 +1424,7 @@ def check_model(
             if e in elem_instance:
                 problems.append(f"element {e} appears in two carriers")
             elem_instance[e] = key
+    problems.extend(f"table for unknown operation {op}" for op in M.ops if op not in ops)
 
     for name, decl in ops.items():
         table = M.ops.get(name, {})

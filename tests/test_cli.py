@@ -424,6 +424,16 @@ def test_check_model_failure_exits_one(capsys, tmp_path):
     assert "missing" in out
 
 
+def test_table_for_unknown_operation_fails(capsys, tmp_path):
+    th, mod = tmp_path / "tcat.th", tmp_path / "extra.mod"
+    th.write_text(TCAT)
+    mod.write_text(C3_MODEL + "op d table:\nd(a) = b\n")
+    code, out = run(capsys, "theory", "check-model", "--theory", str(th),
+                    "--model", str(mod))
+    assert code == 1
+    assert out.splitlines()[0] == "problem: table for unknown operation d"
+
+
 # ---------------------------------------------------------------- exit codes
 
 

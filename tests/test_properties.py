@@ -13,6 +13,14 @@ with the faces the arrows read off by hand (arrow i of I_m at [*^(m-1-i)]),
 each 3-cell's target is the 2-cell of its own chain, and the nerve cut at
 the node bound 0, 1 or 2 passes the nerve checks at that bound.
 
+Type signatures are the signatures of generated posets, globular
+signatures up to dimension 4, bipartite signatures, and signatures whose
+types list their arguments in a drawn order and bind repeated sorts.
+Checked: their categories equal those of the search oracle
+`signature_oracle`, items in the same order; and every poset, monoid and
+signature category is found isomorphic, through its structure, to a copy
+renamed at random with its tables reordered.
+
 The presheaf kernel, on representables and boundaries over generated
 posets, on realized graph contexts, and on opetopic representables and
 boundaries of small shapes: every map the search finds passes the
@@ -31,7 +39,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opetopes.oalg import (
@@ -67,17 +75,23 @@ from opetopes.theory import (
     SortExpr,
     Term,
     boundary_c,
+    cat_isomorphic,
     check_psh_map,
+    lfd_to_signature,
     parse_signature,
     psh_isomorphism,
     psh_maps,
     realize_bindings,
     representable_psh,
+    signature_category,
+    signature_to_lfd,
     sub_presheaf,
     validate_lfd,
 )
 
 from peel_oracle import peel_target_readdress
+from signature_oracle import oracle_signature_category
+from test_theory import assert_isomorphism
 
 SETTINGS = settings(max_examples=25, deadline=None)
 
@@ -343,3 +357,110 @@ def test_split_then_multiply_is_the_identity(C, count):
                 assert check_natural(part.filling) == []
                 assert set(part.filling.comp) == set(part.filling.src.sort)
     assert fillings == count
+
+
+def globular_signature(n: int):
+    """G0, ..., Gn, each Gk over two variables of every earlier Gi."""
+    lines, ctx, args = [], [], []
+    for k in range(n + 1):
+        head = f"G{k}({', '.join(args)})" if args else f"G{k}"
+        lines.append(f"{', '.join(ctx)} |- {head} type")
+        ctx.append(f"x{k} y{k} : {head}")
+        args += [f"x{k}", f"y{k}"]
+    return parse_signature("\n".join(lines))
+
+
+def sort_text(head: str, args) -> str:
+    return f"{head}({', '.join(args)})" if args else head
+
+
+@st.composite
+def bipartite_signatures(draw):
+    """Closed types U0, ..., and edge types, each over one to three
+    variables of closed types."""
+    closed = draw(st.integers(1, 3))
+    lines = [f"|- U{i} type" for i in range(closed)]
+    for j in range(draw(st.integers(1, 3))):
+        heads = draw(st.lists(st.integers(0, closed - 1), min_size=1, max_size=3))
+        ctx = ", ".join(f"v{k} : U{i}" for k, i in enumerate(heads))
+        lines.append(f"{ctx} |- E{j} type")
+    return parse_signature("\n".join(lines))
+
+
+@st.composite
+def permuted_signatures(draw):
+    """Types T0, T1, ...: each context binds variables of earlier types,
+    instantiating that type's context with fresh variables or with ones
+    already bound to the right sort, so that sorts repeat and arguments
+    cross; each type lists its arguments in a drawn order."""
+    types: list = []  # (name, [(variable, head, arguments)], argument order)
+    for k in range(draw(st.integers(1, 3))):
+        ctx: list = []
+        for _ in range(draw(st.integers(0, 3)) if types else 0):
+            name, dctx, dorder = draw(st.sampled_from(types))
+            rename: dict = {}
+            for v, head, args in dctx:
+                sort = [head, [rename[a] for a in args]]
+                bound = [u for u, *s in ctx if s == sort]
+                rename[v] = draw(st.sampled_from(bound + [f"v{len(ctx)}"]))
+                if rename[v] not in bound:
+                    ctx.append((rename[v], *sort))
+            ctx.append((f"v{len(ctx)}", name, [rename[a] for a in dorder]))
+        types.append((f"T{k}", ctx, draw(st.permutations([v for v, _, _ in ctx]))))
+    return parse_signature("\n".join(
+        ", ".join(f"{v} : {sort_text(head, args)}" for v, head, args in ctx)
+        + f" |- {sort_text(name, order)} type"
+        for name, ctx, order in types
+    ))
+
+
+signatures = st.one_of(
+    st.builds(lfd_to_signature, posets()),
+    st.builds(globular_signature, st.integers(0, 4)),
+    bipartite_signatures(),
+    permuted_signatures(),
+)
+
+
+# f's arguments come after g's in the search's order, and f before g in F's context
+CROSSED = parse_signature(
+    "|- V type\nx y : V |- E(x, y) type\n"
+    "x y : V, f : E(y, x), g : E(x, y) |- F(x, y, f, g) type\n"
+)
+
+
+@SETTINGS
+@given(signatures)
+@example(CROSSED)
+def test_signature_category_matches_the_search_oracle(sig):
+    (C, assign), (D, searched) = signature_category(sig), oracle_signature_category(sig)
+    assert C.objects == D.objects
+    assert list(C.morphisms.items()) == list(D.morphisms.items())
+    assert list(C.composition.items()) == list(D.composition.items())
+    assert C.identities == D.identities
+    assert assign == searched
+
+
+@st.composite
+def renamed(draw, C: FiniteCategory) -> FiniteCategory:
+    """C with fresh object and morphism names, its tuple and dicts in drawn orders."""
+    ob = {a: f"o{i}" for i, a in enumerate(draw(st.permutations(C.objects)))}
+    mor = {f: f"m{i}" for i, f in enumerate(draw(st.permutations(list(C.morphisms))))}
+
+    def reordered(d: dict) -> dict:
+        return dict(draw(st.permutations(list(d.items()))))
+
+    return FiniteCategory(
+        tuple(draw(st.permutations([ob[a] for a in C.objects]))),
+        reordered({mor[f]: (ob[a], ob[b]) for f, (a, b) in C.morphisms.items()}),
+        reordered({(mor[g], mor[f]): mor[h] for (g, f), h in C.composition.items()}),
+        reordered({ob[a]: mor[i] for a, i in C.identities.items()}),
+    )
+
+
+@SETTINGS
+@given(st.one_of(categories, st.builds(signature_to_lfd, signatures)), st.data())
+def test_isomorphism_found_to_a_renamed_copy(C, data):
+    D = data.draw(renamed(C))
+    assert_isomorphism(C, D, cat_isomorphic(C, D))
+    assert_isomorphism(D, C, cat_isomorphic(D, C))

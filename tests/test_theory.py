@@ -727,3 +727,28 @@ def test_isomorphism_search_can_say_no():
     assert validate_lfd(one).dims == validate_lfd(two).dims
     assert cat_isomorphic(one, two) is None
     assert cat_isomorphic(two, one) is None
+
+
+def test_isomorphism_keeps_identities():
+    """The monoid {1, e} with e.e = e against a copy that lists 1 first:
+    the first bijection of the underlying graphs sends e to 1, which the
+    composite e.e refuses."""
+    law = {("e", "e"): "e"}
+    one = FinDirectCat(("o",), {"e": ("o", "o"), "1": ("o", "o")}, law, {"o": "1"})
+    first = FinDirectCat(("o",), {"1": ("o", "o"), "e": ("o", "o")}, law, {"o": "1"})
+    assert_isomorphism(one, first, cat_isomorphic(one, first))
+
+
+def test_two_cycle_is_reported_along_its_arrows():
+    arrows = {"ia": ("a", "a"), "ib": ("b", "b"), "f": ("a", "b"), "g": ("b", "a")}
+    cyclic = FinDirectCat(("a", "b"), arrows, {}, {"a": "ia", "b": "ib"})
+    report = validate_lfd(cyclic)
+    assert not report.ok
+    assert report.dims == {}
+    assert report.cycle[0] == report.cycle[-1] and set(report.cycle) == {"a", "b"}
+    for x, y in zip(report.cycle, report.cycle[1:]):
+        assert any(
+            ends == (x, y) and not cyclic.is_identity(m) for m, ends in arrows.items()
+        )
+    with pytest.raises(ValueError, match="not direct"):
+        object_dimensions(cyclic)

@@ -12,6 +12,8 @@ in-process `opetopes.cli.main` calls inside the job's input directory.
 
 Prints every job whose stdout, stderr or exit code differs between the two
 trees, then a summary line.  Exits 1 if any job differs, 0 otherwise.
+Before building any job, exits 2 with `error: PATH has no src/opetopes`
+if either tree lacks `src/opetopes/__init__.py`.
 """
 
 from __future__ import annotations
@@ -60,6 +62,10 @@ def differences(a: dict, b: dict) -> list[str]:
 
 
 def main(src_a: str, src_b: str) -> int:
+    for src in (src_a, src_b):
+        if not os.path.isfile(os.path.join(src, "src", "opetopes", "__init__.py")):
+            print(f"error: {src} has no src/opetopes", file=sys.stderr)
+            return 2
     sys.path.insert(0, PERFBENCH)
     import workloads
 
