@@ -1200,44 +1200,45 @@ def lfd_to_signature(C: FinDirectCat) -> Signature:
     return Signature(tuple(decls))
 
 
-# The shape of the 2-truncated nerve: a pair is two composable morphisms
-# f, g together with their composite h.
-_PAIRS = parse_signature(
-    "|- ob type\nx y : ob |- mor(x, y) type\n"
-    "x y z : ob, f : mor(x, y), g : mor(y, z), h : mor(x, z) |- pair type"
-)
-
-
-def _nerve2(C: FinDirectCat) -> tuple[FinPresheafC, dict[str, str]]:
-    """C's objects, its morphisms and its composable pairs of non-identity
-    morphisms, bound in that order to o0, ..., m0, ..., p<k> in a context
-    of _PAIRS, realized; with the object or morphism each o<i> or m<j> is."""
-    ob = {a: Term(f"o{i}") for i, a in enumerate(C.objects)}
-    mor = {f: Term(f"m{j}") for j, f in enumerate(C.morphisms)}
-    bindings = [(x.head, SortExpr("ob")) for x in ob.values()]
+def _graph(C: FinDirectCat) -> FinPresheafC:
+    """C's objects and non-identity morphisms, cells o<name> and m<name>, as a
+    presheaf on the category with objects o<d> and m<d>.<e> and morphisms
+    s<d>.<e>: o<d> -> m<d>.<e> and t<d>.<e>: o<e> -> m<d>.<e>, d and e the
+    dimensions of the ends of a morphism (empty when C is not direct)."""
+    dims = _dimensions(C)[0] or dict.fromkeys(C.objects, "")
+    at = {f"o{a}": f"o{dims[a]}" for a in C.objects}
+    ends: dict[str, tuple[str, str]] = {}
+    restriction: dict[tuple[str, str], str] = {}
     for f, (a, b) in C.morphisms.items():
-        bindings.append((mor[f].head, SortExpr("mor", (ob[a], ob[b]))))
-    arrows = [f for f in C.morphisms if not C.is_identity(f)]
-    for g, f in ((g, f) for f in arrows for g in arrows if C.src(g) == C.tgt(f)):
-        args = (ob[C.src(f)], ob[C.src(g)], ob[C.tgt(g)])
-        args += (mor[f], mor[g], mor[C.compose(g, f)])
-        bindings.append((f"p{len(bindings)}", SortExpr("pair", args)))
-    names = {x.head: a for a, x in [*ob.items(), *mor.items()]}
-    return realize_bindings(_PAIRS, tuple(bindings)), names
+        if not C.is_identity(f):
+            k = f"{dims[a]}.{dims[b]}"
+            at[f"m{f}"] = f"m{k}"
+            for g, c in (("s", a), ("t", b)):
+                ends[g + k] = (f"o{dims[c]}", f"m{k}")
+                restriction[f"m{f}", g + k] = f"o{c}"
+    cells: dict[str, tuple[str, ...]] = {}
+    for x, k in at.items():
+        cells[k] = cells.get(k, ()) + (x,)
+    ids = {k: f"1{k}" for k in cells}
+    ends.update((i, (k, k)) for k, i in ids.items())
+    return FinPresheafC(FinDirectCat(tuple(cells), ends, {}, ids), cells, restriction)
 
 
 def cat_isomorphic(C1: FinDirectCat, C2: FinDirectCat) -> dict[str, str] | None:
-    """An isomorphism of finite categories as a map on objects and
-    morphisms, or None: the first isomorphism of 2-truncated nerves that
-    natural_maps finds, choosing pairs first, so that each choice fixes
-    three morphisms.  It keeps identities, since they alone lie in no
-    pair, while every other endomorphism e lies in (e, e)."""
-    (N1, names1), (N2, names2) = _nerve2(C1), _nerve2(C2)
-    if any(len(N1.of_obj(k)) != len(N2.of_obj(k)) for k in _PAIRS.names):
+    """An isomorphism of finite categories as a map on objects and morphisms,
+    or None.  natural_maps searches the bijections of their graphs that keep
+    dimensions, objects in turn and then morphisms by name; identities follow
+    their objects, and the first map that keeps every composite is returned."""
+    G1, G2 = _graph(C1), _graph(C2)
+    if sorted(G1.sort.values()) != sorted(G2.sort.values()):
         return None
-    order = [*N1.of_obj("pair"), *N1.of_obj("mor"), *N1.of_obj("ob")]
-    for comp in natural_maps(order, N1, N2, injective=True):
-        return {a: names2[comp[x]] for x, a in names1.items()}
+    order = [f"o{a}" for a in C1.objects] + sorted(x for x in G1.sort if x[0] == "m")
+    for comp in natural_maps(order, G1, G2, injective=True):
+        iso = {x[1:]: y[1:] for x, y in comp.items()}
+        iso.update((i, C2.identities[comp[f"o{a}"][1:]]) for a, i in C1.identities.items())
+        composition = C1.composition.items()
+        if all(C2.compose(iso[g], iso[f]) == iso[h] for (g, f), h in composition):
+            return iso
     return None
 
 

@@ -399,6 +399,30 @@ def test_theory_roundtrip(capsys, tmp_path):
     assert out == "PASS\n"
 
 
+def tower(n: int, width: int) -> str:
+    """Types T0, ..., Tn, each over `width` variables of every earlier type:
+    a chain of n + 1 types at width 1, the globular signature of dimension n
+    at width 2."""
+    lines, ctx, args = [], [], []
+    for k in range(n + 1):
+        head = f"T{k}({', '.join(args)})" if args else f"T{k}"
+        lines.append(f"{', '.join(ctx)} |- {head} type")
+        xs = [f"x{k}_{i}" for i in range(width)]
+        ctx.append(f"{' '.join(xs)} : {head}")
+        args += xs
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n, width", [(19, 1), (12, 2)])
+def test_theory_roundtrip_of_a_deep_signature(capsys, tmp_path, n, width):
+    """Over a thousand composable pairs of non-identity morphisms: the
+    isomorphism search recurses once per object and morphism, not per pair."""
+    th = tmp_path / "tower.th"
+    th.write_text(tower(n, width))
+    code, out = run(capsys, "theory", "roundtrip", "--file", str(th))
+    assert (code, out) == (0, "PASS\n")
+
+
 def test_theory_context(capsys, tmp_path):
     th = tmp_path / "tcat.th"
     th.write_text(TCAT)

@@ -731,8 +731,7 @@ def test_isomorphism_search_can_say_no():
 
 def test_isomorphism_keeps_identities():
     """The monoid {1, e} with e.e = e against a copy that lists 1 first:
-    the first bijection of the underlying graphs sends e to 1, which the
-    composite e.e refuses."""
+    the identity 1 is still sent to the identity, and e to e."""
     law = {("e", "e"): "e"}
     one = FinDirectCat(("o",), {"e": ("o", "o"), "1": ("o", "o")}, law, {"o": "1"})
     first = FinDirectCat(("o",), {"1": ("o", "o"), "e": ("o", "o")}, law, {"o": "1"})
