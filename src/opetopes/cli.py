@@ -11,11 +11,17 @@ sorted keys), and `dot` for the shapes of `opetope validate` and
 `opetope target`; the other commands print their text under `dot`.  Each
 command computes its exit code, json payload and text lines, and
 `_result` prints the requested one.
+
+The parser is built once per process, on the first `main` call, and
+never at import.  `main` looks the command up by name at call time, as
+the module's `cmd_<group>_<command>` function (dashes read as
+underscores), so tests can monkeypatch a command after import.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -402,6 +408,7 @@ def cmd_theory_context(args) -> int:
 # --- wiring -------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -415,39 +422,37 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     groups = parser.add_subparsers(dest="group", required=True)
 
-    def leaf(group, name, fn, **flags):
+    def leaf(group, name, **flags):
         sub = group.add_parser(name, parents=[common])
         for flag, kw in flags.items():
             sub.add_argument(f"--{flag.replace('_', '-')}", **kw)
-        sub.set_defaults(fn=fn)
-        return sub
 
     g1 = groups.add_parser("opetope").add_subparsers(dest="cmd", required=True)
     expr = {"expr": {"action": "append", "help": "shape expression"}}
     exprfile = expr | {"file": {"help": "file holding a shape expression"}}
-    leaf(g1, "validate", cmd_opetope_validate, **exprfile)
-    leaf(g1, "target", cmd_opetope_target, **exprfile)
-    leaf(g1, "source", cmd_opetope_source, **exprfile)
-    leaf(g1, "faces", cmd_opetope_faces, **exprfile)
+    leaf(g1, "validate", **exprfile)
+    leaf(g1, "target", **exprfile)
+    leaf(g1, "source", **exprfile)
+    leaf(g1, "faces", **exprfile)
     leaf(
-        g1, "enumerate", cmd_opetope_enumerate,
+        g1, "enumerate",
         dim={"type": int, "required": True},
         max_nodes={"type": int, "default": 6},
     )
-    leaf(g1, "hom", cmd_opetope_hom, **exprfile)
-    leaf(g1, "identities", cmd_opetope_identities, **exprfile)
+    leaf(g1, "hom", **exprfile)
+    leaf(g1, "identities", **exprfile)
 
     g2 = groups.add_parser("opset").add_subparsers(dest="cmd", required=True)
     window = {"window": {"type": _window, "default": None, "help": "dimension window m:n"}}
-    leaf(g2, "spine", cmd_opset_spine, **exprfile, **window)
-    leaf(g2, "boundary", cmd_opset_boundary, **exprfile, **window)
+    leaf(g2, "spine", **exprfile, **window)
+    leaf(g2, "boundary", **exprfile, **window)
     leaf(
-        g2, "orthogonal", cmd_opset_orthogonal,
+        g2, "orthogonal",
         expr={"required": True, "help": "shape expression"},
         file={"required": True, "help": "opetopic set file"},
     )
     leaf(
-        g2, "hlift", cmd_opset_hlift,
+        g2, "hlift",
         file={"required": True, "help": "opetopic set file"},
         n={"type": int, "required": True, "help": "dimension to test around"},
         max_nodes={"type": int, "default": 4},
@@ -456,36 +461,33 @@ def _build_parser() -> argparse.ArgumentParser:
     g3 = groups.add_parser("oalg").add_subparsers(dest="cmd", required=True)
     catfile = {"file": {"required": True, "help": "finite category file"}}
     leaf(
-        g3, "free", cmd_oalg_free,
+        g3, "free",
         **catfile,
         expr={"help": "pasting shape (default: the arrow)"},
         max_nodes={"type": int, "default": 4},
     )
-    leaf(g3, "laws", cmd_oalg_laws, **catfile, max_nodes={"type": int, "default": 6})
+    leaf(g3, "laws", **catfile, max_nodes={"type": int, "default": 6})
     leaf(
-        g3, "h", cmd_oalg_h,
+        g3, "h",
         **exprfile,
         k={"type": int, "default": 1},
         n={"type": int, "default": 1},
     )
-    leaf(g3, "nerve", cmd_oalg_nerve, **catfile, max_nodes={"type": int, "default": 3})
-    leaf(
-        g3, "nerve-check", cmd_oalg_nerve_check,
-        **catfile, max_nodes={"type": int, "default": 3},
-    )
+    leaf(g3, "nerve", **catfile, max_nodes={"type": int, "default": 3})
+    leaf(g3, "nerve-check", **catfile, max_nodes={"type": int, "default": 3})
 
     g4 = groups.add_parser("theory").add_subparsers(dest="cmd", required=True)
     thfile = {"file": {"required": True, "help": "theory or signature file"}}
-    leaf(g4, "parse", cmd_theory_parse, **thfile)
-    leaf(g4, "lfd", cmd_theory_lfd, **thfile)
-    leaf(g4, "roundtrip", cmd_theory_roundtrip, **thfile)
+    leaf(g4, "parse", **thfile)
+    leaf(g4, "lfd", **thfile)
+    leaf(g4, "roundtrip", **thfile)
     leaf(
-        g4, "check-model", cmd_theory_check_model,
+        g4, "check-model",
         theory={"required": True, "help": "theory file"},
         model={"required": True, "help": "model file"},
     )
     leaf(
-        g4, "context", cmd_theory_context,
+        g4, "context",
         **thfile,
         expr={"help": "context to realize, e.g. 'x y : V, f : E(x, y)'"},
     )
@@ -493,10 +495,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    cmd = globals()[f"cmd_{args.group}_{args.cmd}".replace("-", "_")]
     try:
-        return args.fn(args)
+        return cmd(args)
     except BrokenPipeError:
         # the reader went away mid-output; silence the shutdown flush too
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

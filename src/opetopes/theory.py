@@ -248,16 +248,11 @@ def validate_lfd(C: FinDirectCat) -> LfdReport:
     dims, cycle = _dimensions(C)
     if cycle is not None:
         return LfdReport({}, {}, cycle, ())
-    problems = list(_law_problems(C))
-    # with sound tables and no cycle, a composite of two non-identity
-    # morphisms into c can only fail to be listed, never leave the cover
+    # with sound tables and no cycle, a listed composite of two non-identity
+    # morphisms into c is again one, so the totality check of the laws also
+    # checks that each cover is closed under precomposition
     covers = {c: C.into(c) for c in C.objects}
-    for c, cover in covers.items():
-        for j in cover:
-            for e in C.into(C.src(j)):
-                if (j, e) not in C.composition:
-                    problems.append(f"missing composite {j}.{e} under {c}")
-    return LfdReport(dims, covers, None, tuple(problems))
+    return LfdReport(dims, covers, None, tuple(_law_problems(C)))
 
 
 # ---------------------------------------------------------------------------

@@ -189,7 +189,7 @@ def test_validate_reports_table_defects():
     )
     report = validate_lfd(missing)
     assert not report.ok
-    assert any("missing composite g.f" in p for p in report.problems)
+    assert report.problems == ("no composite for g.f",)
 
     bad_id = FinDirectCat(
         ("a", "b"),

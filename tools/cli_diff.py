@@ -9,6 +9,11 @@ every workload runs in text, json and dot, appended as `--format F`, once
 against each tree: each tree runs its jobs in its own subprocess, one per
 workload and seed, through `perfbench/worker.py`'s `run_jobs`, as
 in-process `opetopes.cli.main` calls inside the job's input directory.
+After the workload's jobs the same worker runs every argv of
+`tests/golden/cli-help.txt` (`-h` at every level and usage errors), so a
+parser that carries state from one call to the next shows as a diff.
+Workers run with COLUMNS=80, since argparse wraps help to the terminal
+width.  That makes 2406 runs: 2100 workload runs and 306 usage runs.
 
 Prints every job whose stdout, stderr or exit code differs between the two
 trees, then a summary line.  Exits 1 if any job differs, 0 otherwise.
@@ -20,12 +25,14 @@ from __future__ import annotations
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 PERFBENCH = os.path.join(os.path.dirname(HERE), "perfbench")
+USAGE = os.path.join(os.path.dirname(HERE), "tests", "golden", "cli-help.txt")
 FORMATS = ("text", "json", "dot")
 SEEDS = (11, 12)
 COMPARED = ("code", "raised", "out", "err")
@@ -43,6 +50,12 @@ def worker(src: str) -> int:
     return 0
 
 
+def usage_argvs() -> list[list[str]]:
+    """The argvs of the usage golden, read off its `$ opetopes ARGV` lines."""
+    with open(USAGE, encoding="utf-8") as handle:
+        return [shlex.split(line[2:])[1:] for line in handle if line.startswith("$ ")]
+
+
 def run_tree(src: str, inputs: str, jobs: list[dict]) -> list[dict]:
     proc = subprocess.run(
         [sys.executable, os.path.abspath(__file__), "--worker", os.path.abspath(src)],
@@ -50,6 +63,7 @@ def run_tree(src: str, inputs: str, jobs: list[dict]) -> list[dict]:
         capture_output=True,
         text=True,
         cwd=inputs,
+        env=dict(os.environ, COLUMNS="80"),
         check=False,
     )
     if proc.returncode != 0:
@@ -69,6 +83,7 @@ def main(src_a: str, src_b: str) -> int:
     sys.path.insert(0, PERFBENCH)
     import workloads
 
+    usage = usage_argvs()
     runs = differing = 0
     for name in workloads.WORKLOADS:
         for seed in SEEDS:
@@ -80,6 +95,9 @@ def main(src_a: str, src_b: str) -> int:
                 }
                 for j in J.jobs
                 for f in FORMATS
+            ] + [
+                {"id": f"{name} seed {seed}: opetopes {shlex.join(argv)}", "argv": argv}
+                for argv in usage
             ]
             with tempfile.TemporaryDirectory() as inputs:
                 for fname, text in J.files.items():
