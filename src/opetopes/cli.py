@@ -61,8 +61,7 @@ def _dot(omega: opetope.Opetope) -> str:
         lines.append(f'  "{addr}" [label="{opetope.render(deco)}"];')
     for addr, _ in sorted(nodes, key=lambda kv: str(kv[0])):
         if addr.entries:
-            parent = opetope.Addr(addr.depth, addr.entries[:-1])
-            lines.append(f'  "{parent}" -> "{addr}" [label="{addr.entries[-1]}"];')
+            lines.append(f'  "{addr.parent()}" -> "{addr}" [label="{addr.last()}"];')
     lines.append("}")
     return "\n".join(lines)
 
@@ -128,7 +127,7 @@ def cmd_opetope_faces(args) -> int:
     fs = opetope.faces(opetope.parse(_one_expr(args)))
     rows = [
         {
-            "word": opetope.render_word(fs.word_of(cid)),
+            "word": fs.names[cid],
             "shape": opetope.render(fs.shape_of(cid)),
         }
         for cid in fs.cells()

@@ -58,8 +58,6 @@ from .opset import (
     OpSetMap,
     Window,
     WindowMismatch,
-    cell_name,
-    cell_words,
     empty_opset,
     lifting_failures,
     maps,
@@ -175,10 +173,6 @@ def _natural_fill(
     return comp
 
 
-def _node_cell(a: Addr) -> CellId:
-    return f"s{a}"
-
-
 def _shell_cell(S: FinOpSet, shell: Opetope) -> CellId:
     """The unique shell-shaped cell in the spine of a degenerate shape."""
     cells = S.of_shape(shell)
@@ -213,7 +207,7 @@ def monad_unit(X: SortedFamily, x: CellId) -> PastingCell:
     nu = corolla(omega)
     S = _spine_of(nu, X.family.window)
     root = node_addrs(nu)[0]
-    comp = _natural_fill(S, X.family, [(_node_cell(root), x)], "unit")
+    comp = _natural_fill(S, X.family, [(faces(nu).name((("s", root),)), x)], "unit")
     return PastingCell(nu, OpSetMap(S, X.family, comp))
 
 
@@ -249,8 +243,8 @@ def _gluing(
 
     def spine_cells(nu: Opetope, head: Gen) -> dict[CellId, CellId]:
         """Each spine cell of the face nu of xi at head, named as a cell of xi."""
-        words = cell_words(nu)
-        return {x: cell_name(xi, (head,) + words[x]) for x in _spine_of(nu, window).sort}
+        names = faces(xi).along(head)
+        return {x: names[x] for x in _spine_of(nu, window).sort}
 
     on_flat = {c: x for x, c in spine_cells(target(xi), T_GEN).items()}
     root = epsilon(xi.dim - 1)
@@ -336,7 +330,7 @@ def split_pasting(X: SortedFamily, xi: Opetope, cell: PastingCell) -> dict[Addr,
 def pasting_face(X: SortedFamily, cell: PastingCell, gen: Gen) -> CellId:
     """The boundary value of a pasting cell along a generating face of its
     output sort: the value at the face word (t, gen) of its shape."""
-    return cell.filling(cell_name(cell.shape, (T_GEN, gen)))
+    return cell.filling(faces(cell.shape).name((T_GEN, gen)))
 
 
 # ---------------------------------------------------------------------------
@@ -440,12 +434,13 @@ def check_algebra_laws(A: OAlgebra, max_nodes: int) -> AlgebraLawReport:
         S = _spine_of(flat, X.family.window)
         alpha, parts = _height_two_parts(xi)
         glue = _gluing(xi, parts, X.family.window)
+        name = faces(alpha).name
         for f in maps(S, X.family):
             squares += 1
             lhs = A.compose(PastingCell(flat, f))
             try:
                 seeds = {
-                    _node_cell(p): A.compose(_slice(X, nu, glue[p], f))
+                    name((("s", p),)): A.compose(_slice(X, nu, glue[p], f))
                     for p, nu in parts.items()
                 }
                 SA = _spine_of(alpha, X.family.window)
@@ -484,27 +479,31 @@ def parse_category(text: str) -> FiniteCategory:
             raise ValueError(f"{what} declared twice")
         table[key] = value
 
+    def cut(text: str, sep: str, form: str, maxsplit: int = -1) -> list[str]:
+        """text split at sep into two stripped parts, or an error naming form."""
+        parts = [p.strip() for p in text.split(sep, maxsplit)]
+        if len(parts) != 2:
+            raise ValueError(f"expected {form!r}")
+        return parts
+
     try:
         for lineno, line in numbered_lines(text):
             parts = line.split()
+            body = line[len(parts[0]) :]
             if parts[0] == "obj":
                 for a in parts[1:]:
                     declare(objects, a, None, f"object {a}")
             elif parts[0] == "mor":
-                body = line[len("mor") :].strip()
-                name, arrow = body.split(":", 1)
-                a, b = arrow.split("->")
-                declare(morphisms, name.strip(), (a.strip(), b.strip()), f"morphism {name.strip()}")
+                form = "mor NAME: SRC -> DST"
+                name, arrow = cut(body, ":", form, 1)
+                declare(morphisms, name, tuple(cut(arrow, "->", form)), f"morphism {name}")
             elif parts[0] == "id":
-                body = line[len("id") :].strip()
-                a, i = body.split("=")
-                declare(identities, a.strip(), i.strip(), f"identity of {a.strip()}")
+                a, i = cut(body, "=", "id OBJ = NAME")
+                declare(identities, a, i, f"identity of {a}")
             elif parts[0] == "comp":
-                body = line[len("comp") :].strip()
-                pair, h = body.split("=")
-                g, f = pair.split(".")
-                g, f = g.strip(), f.strip()
-                declare(composition, (g, f), h.strip(), f"composite {g}.{f}")
+                pair, h = cut(body, "=", "comp G.F = H")
+                g, f = cut(pair, ".", "comp G.F = H")
+                declare(composition, (g, f), h, f"composite {g}.{f}")
             else:
                 raise ValueError(f"unknown directive {parts[0]!r}")
     except ValueError as err:
@@ -529,8 +528,9 @@ def category_family(C: FiniteCategory) -> SortedFamily:
 def pasting_chain(cell: PastingCell) -> tuple[str, tuple[str, ...]]:
     """Read off the path a pasting over a graph traces out, as the start
     vertex followed by the edges in diagram order."""
-    edges = tuple(cell.filling(_node_cell(a)) for a in _arrows(cell.shape))
-    return cell.filling(cell_name(cell.shape, (T_GEN, ("s", STAR)))), edges
+    name = faces(cell.shape).name
+    edges = tuple(cell.filling(name((("s", a),))) for a in _arrows(cell.shape))
+    return cell.filling(name((T_GEN, ("s", STAR)))), edges
 
 
 def category_algebra(C: FiniteCategory, max_nodes: int) -> OAlgebra:

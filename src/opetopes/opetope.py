@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from typing import Iterator
 
 from opetopes.theory import ParseError
@@ -707,11 +707,13 @@ def word_key(word: tuple[Gen, ...]):
     return (len(word), tuple(_gen_key(g) for g in word))
 
 
+def render_gen(g: Gen) -> str:
+    return "t" if g == T_GEN else f"s{g[1]}"
+
+
 def render_word(word: tuple[Gen, ...]) -> str:
     """Canonical name of a face word; injective for words out of one shape."""
-    if not word:
-        return "id"
-    return ".".join("t" if g == T_GEN else f"s{g[1]}" for g in word)
+    return ".".join(map(render_gen, word)) if word else "id"
 
 
 def relation_squares(omega: Opetope) -> tuple[tuple[tuple[Gen, Gen], tuple[Gen, Gen]], ...]:
@@ -743,6 +745,11 @@ class FaceStructure:
 
     Cells are numbered; cell 0 is the identity.  The action table sends
     (cell, generator of the cell's shape) to a cell one dimension down.
+    The cells are those of the representable of the shape, and only this
+    class names them: names, built on first use, gives each cell its least
+    face word rendered (id, t, s[*], s[*].t, ...); name(word) names the cell
+    a face word reaches; along(gen) is the map into this representable from
+    that of the face psi at gen, on names: x -> name((gen,) + word of x).
     """
 
     def __init__(self, top: Opetope):
@@ -810,6 +817,17 @@ class FaceStructure:
 
     def target_cell(self) -> int:
         return self.get(0, T_GEN)
+
+    @cached_property
+    def names(self) -> dict[int, str]:
+        return {c: render_word(self.words[c]) for c in self.cells()}
+
+    def name(self, word: tuple[Gen, ...]) -> str:
+        return self.names[self.cell_of_word(word)]
+
+    def along(self, gen: Gen) -> dict[str, str]:
+        sub = faces(face(self.top, gen))
+        return {x: self.name((gen,) + sub.words[c]) for c, x in sub.names.items()}
 
     def closure(self, seeds: set[int]) -> set[int]:
         """Downward closure of a set of cells under the action."""

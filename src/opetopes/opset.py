@@ -6,7 +6,9 @@ globally unique cell identifiers, and an action table on generating faces
 only; restrictions along composite face words are folded through the
 table.  Windows are closed dimension intervals [lo, hi]; faces that would
 leave the window are not stored.  Maps, the naturality check, identities,
-composites and sub-presheaves are the shared ones of `theory`.
+composites and sub-presheaves are the shared ones of `theory`.  The cells
+of a representable, a boundary or a spine are named as `opetope.faces(omega)`
+names them; this module reads those names and renders no face word itself.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from opetopes.opetope import (
     parse_addr,
     relation_squares,
     render,
-    render_word,
+    render_gen,
     size,
     source,
     target,
@@ -148,34 +150,21 @@ def check_natural(f: PshMap) -> list[str]:
 # representables, boundaries, spines
 
 
-def cell_name(omega: Opetope, word: tuple[Gen, ...]) -> CellId:
-    """The name, in the representable of omega, of the cell a face word reaches."""
-    fs = face_structure(omega)
-    return render_word(fs.word_of(fs.cell_of_word(word)))
-
-
-def cell_words(omega: Opetope) -> dict[CellId, tuple[Gen, ...]]:
-    """Each cell of the representable of omega by name, with its face word."""
-    fs = face_structure(omega)
-    return {render_word(fs.word_of(c)): fs.word_of(c) for c in fs.cells()}
-
-
 def representable(omega: Opetope, window: Window | None = None) -> FinOpSet:
     """The presheaf of all face-map composites into omega, truncated."""
     if window is None:
         window = (0, omega.dim)
     lo, hi = window
     fs = face_structure(omega)
-    names = {fs.cell_of_word(w): name for name, w in cell_words(omega).items()}
     cells: dict[Opetope, list[CellId]] = {}
     faces: dict[tuple[CellId, Gen], CellId] = {}
-    for c, name in names.items():
+    for c, name in fs.names.items():
         shape = fs.shape_of(c)
         if lo <= shape.dim <= hi:
             cells.setdefault(shape, []).append(name)
         if lo < shape.dim <= hi:
             for g in generators(shape):
-                faces[(name, g)] = names[fs.get(c, g)]
+                faces[(name, g)] = fs.names[fs.get(c, g)]
     return FinOpSet(window, {s: tuple(ids) for s, ids in cells.items()}, faces)
 
 
@@ -184,8 +173,7 @@ def boundary(omega: Opetope, window: Window | None = None) -> Inclusion:
     if omega.dim < 1:
         raise ValueError("the boundary inclusion needs dimension >= 1")
     X = representable(omega, window)
-    keep = set(X.all_cells()) - {"id"}
-    return sub_opset(X, keep)
+    return sub_opset(X, X.sort.keys() - {face_structure(omega).name(())})
 
 
 def spine(omega: Opetope, window: Window | None = None) -> Inclusion:
@@ -193,11 +181,8 @@ def spine(omega: Opetope, window: Window | None = None) -> Inclusion:
     if omega.dim < 1:
         raise ValueError("the spine inclusion needs dimension >= 1")
     X = representable(omega, window)
-    drop = {"id"}
-    if X.window[0] <= omega.dim - 1 <= X.window[1]:
-        drop.add(render_word((T_GEN,)))
-    keep = set(X.all_cells()) - drop
-    return sub_opset(X, keep)
+    fs = face_structure(omega)
+    return sub_opset(X, X.sort.keys() - {fs.name(()), fs.name((T_GEN,))})
 
 
 def empty_opset(window: Window) -> FinOpSet:
@@ -340,19 +325,19 @@ def spine_cell_decomposition(xi: Opetope) -> tuple[SpineAttachment, ...]:
         raise ValueError("the decomposition needs dimension >= 2")
     window = (0, xi.dim - 1)
     big = representable(xi, window)
+    fs = face_structure(xi)
     # start from the spine of the target, embedded by t-precomposition
-    t_words = cell_words(target(xi))
-    t_spine = spine(target(xi))
-    current = {cell_name(xi, (T_GEN,) + t_words[x]) for x in t_spine.src.all_cells()}
+    on_t = fs.along(T_GEN)
+    current = {on_t[x] for x in spine(target(xi)).src.sort}
     complex_now = sub_opset(big, current).src
     steps: list[SpineAttachment] = []
     for p in sorted(node_addrs(xi), key=lex_key, reverse=True):
         nu = source(xi, p)
         nu_spine = spine(nu)
-        names = {x: cell_name(xi, (("s", p),) + w) for x, w in cell_words(nu).items()}
-        comp = {x: names[x] for x in nu_spine.src.all_cells()}
+        names = fs.along(("s", p))
+        comp = {x: names[x] for x in nu_spine.src.sort}
         attach = OpSetMap(nu_spine.src, complex_now, comp)
-        current |= {names[x] for x in nu_spine.dst.all_cells()}
+        current |= {names[x] for x in nu_spine.dst.sort}
         complex_now = sub_opset(big, current).src
         steps.append(SpineAttachment(p, nu, attach, complex_now))
     return tuple(steps)
@@ -404,10 +389,6 @@ def hlift_check(X: FinOpSet, n: int, max_nodes: int = 6) -> HLiftReport:
 
 # --------------------------------------------------------------------------
 # text form
-
-
-def render_gen(g: Gen) -> str:
-    return "t" if g == T_GEN else f"s{g[1]}"
 
 
 def parse_gen(text: str, shape: Opetope) -> Gen:
@@ -463,11 +444,15 @@ def load_opset(text: str) -> FinOpSet:
     if window is None:
         raise ValueError("missing window line")
     faces: dict[tuple[CellId, Gen], CellId] = {}
+    # the faces FinOpSet stores: none at the window's lowest dimension
+    stored = {s: generators(s) if s.dim > window[0] else () for s in cells}
     for lineno, x, gen, y in pending:
         try:
             if x not in shape_of:
                 raise ValueError(f"face of an undeclared cell {x!r}")
             key = (x, parse_gen(gen, shape_of[x]))
+            if key[1] not in stored[shape_of[x]]:
+                raise ValueError(f"{x} has no face along {gen}")
             if key in faces:
                 raise ValueError(f"face of {x} along {gen} declared twice")
             faces[key] = y

@@ -316,8 +316,10 @@ def natural_maps(order: list, src: FinPresheaf, dst: FinPresheaf, injective: boo
     """Yield every map from src to dst that commutes with faces.  The
     cells of order are chosen in turn, each value tried in dst's cell
     order and followed by propagate; cells already forced are skipped.
-    With injective set, distinct cells get distinct values."""
+    With injective set, distinct cells get distinct values: used holds
+    the values taken, and each choice tests only the values it adds."""
     comp: dict = {}
+    used: set = set()
 
     def extend(i: int):
         while i < len(order) and order[i] in comp:
@@ -328,10 +330,15 @@ def natural_maps(order: list, src: FinPresheaf, dst: FinPresheaf, injective: boo
         x = order[i]
         for y in dst.cells.get(src.sort[x], ()):
             trail: list = []
-            if propagate([(x, y)], comp, trail, src, dst) is None and (
-                not injective or len(set(comp.values())) == len(comp)
-            ):
-                yield from extend(i + 1)
+            if propagate([(x, y)], comp, trail, src, dst) is None:
+                if not injective:
+                    yield from extend(i + 1)
+                else:
+                    fresh = {comp[z] for z in trail}
+                    if len(fresh) == len(trail) and used.isdisjoint(fresh):
+                        used.update(fresh)
+                        yield from extend(i + 1)
+                        used.difference_update(fresh)
             for z in trail:
                 del comp[z]
 
@@ -1368,17 +1375,16 @@ def _eval(
     t: Term,
     env: dict[str, str],
     M: Model,
-    sig: Signature,
     ops: dict[str, TermDecl],
 ) -> str:
     if t.args is None:
         if t.head in env:
             return env[t.head]
         if t.head in ops and not ops[t.head].explicit:
-            return _eval(Term(t.head, ()), env, M, sig, ops)
+            return _eval(Term(t.head, ()), env, M, ops)
         raise _MissingEntry(f"unbound {t.head}")
     op = ops[t.head]
-    values = tuple(_eval(a, env, M, sig, ops) for a in t.args)
+    values = tuple(_eval(a, env, M, ops) for a in t.args)
     table = M.ops.get(t.head, {})
     if values not in table:
         raise _MissingEntry(f"no table entry for {t.head}({', '.join(values)})")
@@ -1434,7 +1440,7 @@ def check_model(
             try:
                 out_key = (
                     decl.output.head,
-                    tuple(_eval(a, env, M, sig, ops) for a in decl.output.args),
+                    tuple(_eval(a, env, M, ops) for a in decl.output.args),
                 )
             except _MissingEntry as err:
                 problems.append(f"table for {name}: {err}")
@@ -1457,8 +1463,8 @@ def check_model(
         for env in _environments(eq.context, M):
             checked += 1
             try:
-                lhs = _eval(eq.lhs, env, M, sig, ops)
-                rhs = _eval(eq.rhs, env, M, sig, ops)
+                lhs = _eval(eq.lhs, env, M, ops)
+                rhs = _eval(eq.rhs, env, M, ops)
             except _MissingEntry as err:
                 witness = f"{_render_env(eq.context, env)} ({err})"
                 break

@@ -624,6 +624,56 @@ def test_repeated_opset_declaration_exits_two(capsys, tmp_path, text, line, what
     assert captured.err == f"error: line {line}: {what}\n"
 
 
+I1_SET = (
+    "window 0 2\nshape point cells p\nshape arrow cells a\nshape I1 cells q\n"
+    "face a s* -> p\nface a t -> p\nface q s[] -> a\nface q t -> a\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text, line, what",
+    [
+        pytest.param(I1_SET + "face q s[*****] -> a\n", 9, "q has no face along s[*****]",
+                     id="source-the-shape-lacks"),
+        pytest.param(I1_SET + "face p t -> p\n", 9, "p has no face along t",
+                     id="face-of-a-point"),
+        pytest.param("window 1 2\nshape arrow cells a\nshape I1 cells q\n"
+                     "face q s[] -> a\nface q t -> a\nface a t -> a\n", 6,
+                     "a has no face along t", id="face-below-the-window"),
+    ],
+)
+def test_face_along_a_missing_generator_exits_two(capsys, tmp_path, text, line, what):
+    bad = tmp_path / "stray.opset"
+    bad.write_text(text)
+    assert main(["opset", "orthogonal", "--expr", "I1", "--file", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: line {line}: {what}\n"
+
+
+MOR_FORM, ID_FORM, COMP_FORM = "mor NAME: SRC -> DST", "id OBJ = NAME", "comp G.F = H"
+
+
+@pytest.mark.parametrize(
+    "text, form",
+    [
+        pytest.param("obj a b\nmor f: a b\n", MOR_FORM, id="mor-without-arrow"),
+        pytest.param("obj a\nmor f\n", MOR_FORM, id="mor-without-colon"),
+        pytest.param("obj a b\nmor f: a -> b -> a\n", MOR_FORM, id="mor-with-two-arrows"),
+        pytest.param("obj a\nid a\n", ID_FORM, id="id-without-name"),
+        pytest.param("obj a\ncomp i i = i\n", COMP_FORM, id="comp-without-dot"),
+        pytest.param("obj a\ncomp ia.ia.ia = ia\n", COMP_FORM, id="comp-of-three"),
+    ],
+)
+def test_malformed_category_directive_names_its_form(capsys, tmp_path, text, form):
+    cat = tmp_path / "malformed.cat"
+    cat.write_text(text)
+    assert main(["oalg", "laws", "--file", str(cat)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: line 2: expected '{form}'\n"
+
+
 # ---------------------------------------------------------------- comments
 
 TERMINAL_1 = ARROW_SET + "face a s* -> p\nface a t -> p\n"

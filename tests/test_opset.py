@@ -13,13 +13,16 @@ from opetopes.opetope import (
     T_GEN,
     corolla,
     enumerate_opetopes,
+    face,
     faces as face_structure,
+    generators,
     graft,
     opetopic_integer,
     parse,
     render,
     render_word,
     target,
+    word_key,
 )
 from opetopes.opset import (
     FinOpSet,
@@ -174,6 +177,64 @@ def test_spine_connected():
             for (x, _), y in X.faces.items():
                 parent[find(x)] = find(y)
             assert len({find(x) for x in cells}) == 1, render(w)
+
+
+# ---------------------------------------------------------------- face names
+
+
+def cell_name(omega, word):
+    """The name of the cell a face word reaches, rendered from its least
+    word on every call: the naming that faces(omega).names replaced."""
+    fs = face_structure(omega)
+    return render_word(fs.word_of(fs.cell_of_word(word)))
+
+
+def cell_words(omega):
+    fs = face_structure(omega)
+    return {render_word(fs.word_of(c)): fs.word_of(c) for c in fs.cells()}
+
+
+def short_words(omega):
+    """Every face word of length at most 2 out of omega."""
+    yield ()
+    for g in generators(omega):
+        yield (g,)
+        for h in generators(face(omega, g)):
+            yield (g, h)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_face_names_are_least_words_and_along_precomposes(dim):
+    for omega in enumerate_opetopes(dim, 4 if dim < 4 else 3):
+        fs = face_structure(omega)
+        assert list(fs.names) == fs.cells()
+        words = list(short_words(omega))
+        for word in words:
+            c = fs.cell_of_word(word)
+            least = min((w for w in words if fs.cell_of_word(w) == c), key=word_key)
+            assert fs.name(word) == render_word(least) == cell_name(omega, word)
+        for g in generators(omega):
+            words_of_face = cell_words(face(omega, g)).items()
+            old = [(x, cell_name(omega, (g,) + w)) for x, w in words_of_face]
+            assert list(fs.along(g).items()) == old
+
+
+def test_named_shape_renders_no_word_for_spine_or_boundary(monkeypatch):
+    from opetopes import opetope, opset
+
+    shapes = [I(3), XI_EX, corolla(I(2)), Degenerate(ARROW)]
+    first = [(spine(w), boundary(w), spine(w, (1, w.dim))) for w in shapes]
+    calls = []
+
+    def counted(word):
+        calls.append(word)
+        return render_word(word)
+
+    monkeypatch.setattr(opetope, "render_word", counted)
+    monkeypatch.setattr(opset, "render_word", counted, raising=False)
+    again = [(spine(w), boundary(w), spine(w, (1, w.dim))) for w in shapes]
+    assert calls == []
+    assert again == first
 
 
 # ------------------------------------------------------------------- mapping

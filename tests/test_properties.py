@@ -26,7 +26,9 @@ posets, on realized graph contexts, and on opetopic representables and
 boundaries of small shapes: every map the search finds passes the
 naturality check, every map that re-points one cell against its faces
 fails it at that cell, and a set of cells that drops a face of a kept
-cell is refused as a sub-presheaf.
+cell is refused as a sub-presheaf.  On posets' presheaves and realized
+graph contexts, the injective map search yields exactly the injective
+maps of the plain search, in the same order.
 
 The free pasting monad, over the graphs of the 3-object chain and of Z/2:
 on every filling of every uniform-height-2 shape of at most 7 nodes,
@@ -78,6 +80,7 @@ from opetopes.theory import (
     cat_isomorphic,
     check_psh_map,
     lfd_to_signature,
+    natural_maps,
     parse_signature,
     psh_isomorphism,
     psh_maps,
@@ -267,6 +270,31 @@ def graph_contexts(draw):
 def test_isomorphism_search_on_realized_contexts(X, Y):
     assert psh_isomorphism(X, Y) == first_bijection(X, Y)
     assert psh_isomorphism(X, X) == first_bijection(X, X) is not None
+
+
+def assert_injective_search_filters_the_plain_one(X, Y, data):
+    order = data.draw(st.permutations(list(X.sort)))
+    plain = [m for m in natural_maps(order, X, Y) if len(set(m.values())) == len(m)]
+    assert list(natural_maps(order, X, Y, injective=True)) == plain
+
+
+@SETTINGS
+@given(posets(), graph_contexts(), graph_contexts(), st.data())
+def test_injective_search_yields_the_injective_maps_in_order(P, G, H, data):
+    X, Y = poset_presheaf(P, data), poset_presheaf(P, data)
+    for src, dst in ((X, Y), (Y, X), (G, H), (G, G)):
+        assert_injective_search_filters_the_plain_one(src, dst, data)
+
+
+def test_injective_search_refuses_a_step_that_merges_two_cells():
+    # choosing f first assigns f, x and y at once, and x, y both land on v
+    edge = realize_bindings(GRAPHS, (("x", SortExpr("V")), ("y", SortExpr("V")),
+                                     ("f", SortExpr("E", (Term("x"), Term("y"))))))
+    loop = realize_bindings(GRAPHS, (("v", SortExpr("V")),
+                                     ("l", SortExpr("E", (Term("v"), Term("v"))))))
+    order = list(reversed(edge.sort))
+    assert len(list(natural_maps(order, edge, loop))) == 1
+    assert list(natural_maps(order, edge, loop, injective=True)) == []
 
 
 def poset_presheaf(P, data):
