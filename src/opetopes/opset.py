@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable
 
 from opetopes.opetope import (
     Addr,
@@ -57,6 +58,17 @@ class WindowMismatch(ValueError):
     pass
 
 
+def _check_window(window: Window, shapes: Iterable[Opetope]) -> None:
+    """Raise ValueError unless window is a closed interval [lo, hi] with
+    lo >= 0 and every shape's dimension lies in it."""
+    lo, hi = window
+    if not (0 <= lo <= hi):
+        raise ValueError("window must be a closed interval [lo, hi] with lo >= 0")
+    for shape in shapes:
+        if not lo <= shape.dim <= hi:
+            raise ValueError(f"shape {render(shape)} lies outside the window")
+
+
 @dataclass(frozen=True)
 class FinOpSet(FinPresheaf):
     window: Window
@@ -64,13 +76,9 @@ class FinOpSet(FinPresheaf):
     faces: dict[tuple[CellId, Gen], CellId]
 
     def __post_init__(self) -> None:
-        lo, hi = self.window
-        if not (0 <= lo <= hi):
-            raise ValueError("window must be a closed interval [lo, hi] with lo >= 0")
-        for shape in self.cells:
-            if not lo <= shape.dim <= hi:
-                raise ValueError(f"shape {render(shape)} lies outside the window")
+        _check_window(self.window, self.cells)
         # faces that would leave the window are not stored
+        lo = self.window[0]
         self._index(self.faces, {s: generators(s) if s.dim > lo else () for s in self.cells})
 
     def _like(self, cells: dict, face: dict) -> FinOpSet:
@@ -415,7 +423,9 @@ def load_opset(text: str) -> FinOpSet:
     number, and so does a set that fails validate_opset, with the first
     problem."""
     window: Window | None = None
+    window_line = 0
     cells: dict[Opetope, tuple[CellId, ...]] = {}
+    shape_line: dict[Opetope, int] = {}
     shape_of: dict[CellId, Opetope] = {}
     pending: list[tuple[int, CellId, str, CellId]] = []
     for lineno, line in numbered_lines(text):
@@ -424,7 +434,7 @@ def load_opset(text: str) -> FinOpSet:
             if parts[0] == "window" and len(parts) == 3:
                 if window is not None:
                     raise ValueError("window declared twice")
-                window = (int(parts[1]), int(parts[2]))
+                window, window_line = (int(parts[1]), int(parts[2])), lineno
             elif parts[0] == "shape" and "cells" in parts:
                 k = parts.index("cells")
                 shape = parse_opetope(" ".join(parts[1:k]))
@@ -433,6 +443,7 @@ def load_opset(text: str) -> FinOpSet:
                         raise ValueError(f"cell {x} declared twice")
                     shape_of[x] = shape
                 cells[shape] = cells.get(shape, ()) + tuple(parts[k + 1 :])
+                shape_line.setdefault(shape, lineno)
             elif parts[0] == "face" and len(parts) == 5 and parts[3] == "->":
                 pending.append((lineno, parts[1], parts[2], parts[4]))
             else:
@@ -443,6 +454,12 @@ def load_opset(text: str) -> FinOpSet:
             raise line_error(lineno, ValueError(f"{err}: {line!r}")) from None
     if window is None:
         raise ValueError("missing window line")
+    # the window on its own line first, then each shape on its first line
+    for lineno, shapes in [(window_line, ())] + [(n, (s,)) for s, n in shape_line.items()]:
+        try:
+            _check_window(window, shapes)
+        except ValueError as err:
+            raise line_error(lineno, err) from None
     faces: dict[tuple[CellId, Gen], CellId] = {}
     # the faces FinOpSet stores: none at the window's lowest dimension
     stored = {s: generators(s) if s.dim > window[0] else () for s in cells}
@@ -450,9 +467,12 @@ def load_opset(text: str) -> FinOpSet:
         try:
             if x not in shape_of:
                 raise ValueError(f"face of an undeclared cell {x!r}")
-            key = (x, parse_gen(gen, shape_of[x]))
-            if key[1] not in stored[shape_of[x]]:
+            # a cell at the window's lowest dimension stores no faces; a point has no
+            # generator to parse against
+            g = parse_gen(gen, shape_of[x]) if stored[shape_of[x]] else None
+            if g not in stored[shape_of[x]]:
                 raise ValueError(f"{x} has no face along {gen}")
+            key = (x, g)
             if key in faces:
                 raise ValueError(f"face of {x} along {gen} declared twice")
             faces[key] = y

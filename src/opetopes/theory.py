@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator
 
 
@@ -1356,39 +1357,80 @@ def _instance_key(s: SortExpr, env: dict[str, str]) -> tuple[str, tuple[str, ...
 
 def _environments(bindings: tuple[Binding, ...], M: Model):
     """All environments for a context of the type signature, in the
-    canonical order: variables left to right, carrier order within each."""
+    canonical order: variables left to right, carrier order within each.
+    Each is yielded as one reused list, the value of the i-th variable in
+    slot i.  A variable's carrier is looked up once the arguments of its
+    sort are bound, and a prefix is dropped as soon as such a carrier is
+    empty (forward checking, as in Haralick & Elliott 1980)."""
+    n = len(bindings)
+    slots = _slots(bindings)
+    # fixed[i]: the variables whose sort is fixed once the first i are bound
+    fixed: list[list[tuple[int, str, list[int]]]] = [[] for _ in range(n + 1)]
+    for j, (_, s) in enumerate(bindings):
+        args = [slots[a.head] for a in s.args]
+        fixed[max(args, default=-1) + 1].append((j, s.head, args))
+    get = M.sorts.get
+    values: list[str] = [""] * n
+    carriers: list = [()] * n
 
-    def go(i: int, env: dict[str, str]):
-        if i == len(bindings):
-            yield dict(env)
-            return
-        v, s = bindings[i]
-        for e in M.carrier(_instance_key(s, env)):
-            env[v] = e
-            yield from go(i + 1, env)
-            del env[v]
+    def forward(i: int) -> bool:
+        for j, head, args in fixed[i]:
+            carriers[j] = get((head, tuple([values[a] for a in args])), ())
+            if not carriers[j]:
+                return False
+        return True
 
-    yield from go(0, {})
+    if not forward(0):
+        return
+    if n == 0:
+        yield values
+        return
+    choices = [iter(carriers[0])] + [iter(())] * (n - 1)
+    i = 0
+    while i >= 0:
+        for values[i] in choices[i]:
+            if forward(i + 1):
+                break
+        else:
+            i -= 1
+            continue
+        if i == n - 1:
+            yield values
+        else:
+            i += 1
+            choices[i] = iter(carriers[i])
 
 
-def _eval(
-    t: Term,
-    env: dict[str, str],
-    M: Model,
-    ops: dict[str, TermDecl],
-) -> str:
+def _slots(bindings: tuple[Binding, ...]) -> dict[str, int]:
+    return {v: i for i, (v, _) in enumerate(bindings)}
+
+
+def _compile(t: Term, slots: dict[str, int], M: Model, ops: dict[str, TermDecl]):
+    """t as a function of an environment's values (see `_environments`):
+    arguments are evaluated left to right, and a name that is no variable
+    but an operation without explicit arguments stands for its constant."""
     if t.args is None:
-        if t.head in env:
-            return env[t.head]
+        if t.head in slots:
+            return itemgetter(slots[t.head])
         if t.head in ops and not ops[t.head].explicit:
-            return _eval(Term(t.head, ()), env, M, ops)
-        raise _MissingEntry(f"unbound {t.head}")
-    op = ops[t.head]
-    values = tuple(_eval(a, env, M, ops) for a in t.args)
-    table = M.ops.get(t.head, {})
-    if values not in table:
-        raise _MissingEntry(f"no table entry for {t.head}({', '.join(values)})")
-    return table[values]
+            return _compile(Term(t.head, ()), slots, M, ops)
+        unbound = f"unbound {t.head}"
+
+        def fail(values):
+            raise _MissingEntry(unbound)
+
+        return fail
+    head, table = t.head, M.ops.get(t.head, {})
+    args = [_compile(a, slots, M, ops) for a in t.args]
+
+    def apply(values):
+        key = tuple([f(values) for f in args])
+        try:
+            return table[key]
+        except KeyError:
+            raise _MissingEntry(f"no table entry for {head}({', '.join(key)})") from None
+
+    return apply
 
 
 def check_model(
@@ -1430,18 +1472,18 @@ def check_model(
 
     for name, decl in ops.items():
         table = M.ops.get(name, {})
+        slots = _slots(decl.context)
+        explicit = [slots[v] for v in decl.explicit]
+        out_args = [_compile(a, slots, M, ops) for a in decl.output.args]
         seen: set[tuple[str, ...]] = set()
         for env in _environments(decl.context, M):
-            values = tuple(env[v] for v in decl.explicit)
+            values = tuple([env[i] for i in explicit])
             seen.add(values)
             if values not in table:
                 problems.append(f"table for {name} is missing {name}({', '.join(values)})")
                 continue
             try:
-                out_key = (
-                    decl.output.head,
-                    tuple(_eval(a, env, M, ops) for a in decl.output.args),
-                )
+                out_key = (decl.output.head, tuple([f(env) for f in out_args]))
             except _MissingEntry as err:
                 problems.append(f"table for {name}: {err}")
                 continue
@@ -1460,11 +1502,14 @@ def check_model(
     for eq in eqns.equations:
         witness: str | None = None
         checked = 0
+        slots = _slots(eq.context)
+        lhs_of = _compile(eq.lhs, slots, M, ops)
+        rhs_of = _compile(eq.rhs, slots, M, ops)
         for env in _environments(eq.context, M):
             checked += 1
             try:
-                lhs = _eval(eq.lhs, env, M, ops)
-                rhs = _eval(eq.rhs, env, M, ops)
+                lhs = lhs_of(env)
+                rhs = rhs_of(env)
             except _MissingEntry as err:
                 witness = f"{_render_env(eq.context, env)} ({err})"
                 break
@@ -1478,5 +1523,5 @@ def check_model(
     return ModelReport(tuple(problems), tuple(results))
 
 
-def _render_env(bindings: tuple[Binding, ...], env: dict[str, str]) -> str:
-    return ", ".join(f"{v} = {env[v]}" for v, _ in bindings)
+def _render_env(bindings: tuple[Binding, ...], values: list[str]) -> str:
+    return ", ".join(f"{v} = {e}" for (v, _), e in zip(bindings, values))

@@ -637,6 +637,10 @@ I1_SET = (
                      id="source-the-shape-lacks"),
         pytest.param(I1_SET + "face p t -> p\n", 9, "p has no face along t",
                      id="face-of-a-point"),
+        pytest.param(I1_SET + "face p s* -> p\n", 9, "p has no face along s*",
+                     id="source-of-a-point"),
+        pytest.param(I1_SET + "face p s[] -> p\n", 9, "p has no face along s[]",
+                     id="bracketed-source-of-a-point"),
         pytest.param("window 1 2\nshape arrow cells a\nshape I1 cells q\n"
                      "face q s[] -> a\nface q t -> a\nface a t -> a\n", 6,
                      "a has no face along t", id="face-below-the-window"),
@@ -646,6 +650,27 @@ def test_face_along_a_missing_generator_exits_two(capsys, tmp_path, text, line, 
     bad = tmp_path / "stray.opset"
     bad.write_text(text)
     assert main(["opset", "orthogonal", "--expr", "I1", "--file", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: line {line}: {what}\n"
+
+
+@pytest.mark.parametrize(
+    "text, line, what",
+    [
+        pytest.param("window 0 1\nshape point cells p\nshape I1 cells q\n", 3,
+                     "shape I1 lies outside the window", id="shape-above-the-window"),
+        pytest.param("shape arrow cells a\n# the window comes last\nwindow 0 0\n", 1,
+                     "shape arrow lies outside the window", id="shape-before-the-window"),
+        pytest.param("shape point cells p\nwindow 2 1\n", 2,
+                     "window must be a closed interval [lo, hi] with lo >= 0",
+                     id="reversed-window"),
+    ],
+)
+def test_opset_window_errors_name_their_line(capsys, tmp_path, text, line, what):
+    bad = tmp_path / "bad.opset"
+    bad.write_text(text)
+    assert main(["opset", "orthogonal", "--expr", "arrow", "--file", str(bad)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: line {line}: {what}\n"
