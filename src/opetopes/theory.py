@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterator
+from typing import Iterable, Iterator
 
 
 class EmptyContext(ValueError):
@@ -659,13 +659,41 @@ def ctx_pullback(
 # Syntax: terms, sorts, declarations
 
 
-@dataclass(frozen=True)
-class Term:
-    """A variable occurrence when args is None, an operation application
-    otherwise."""
+# Deeper terms would overflow the recursion of the reader and of the
+# functions that walk terms; substitution can build a sort deeper than
+# any term written, so every Term is checked as it is built.
+TERM_CAP = 200
 
-    head: str
-    args: tuple["Term", ...] | None = None
+
+def _nest(depth: int) -> int:
+    if depth > TERM_CAP:
+        raise ParseError(f"terms nest more than {TERM_CAP} levels deep")
+    return depth
+
+
+class Term(tuple):
+    """A variable occurrence when args is None, an operation application
+    otherwise: the tuple (head, args, depth), so that a sort memo hashes
+    and compares it in C.  depth counts nested argument lists."""
+
+    __slots__ = ()
+
+    def __new__(cls, head: str, args: tuple[Term, ...] | None = None) -> Term:
+        depth = 0
+        if args is not None:
+            depth = 1
+            for a in args:
+                if a.depth >= depth:
+                    depth = _nest(a.depth + 1)
+        return tuple.__new__(cls, (head, args, depth))
+
+    head = property(itemgetter(0))
+    args = property(itemgetter(1))
+    depth = property(itemgetter(2))
+
+    def __getnewargs__(self) -> tuple:
+        """What copy and pickle pass to __new__ to rebuild a Term."""
+        return self.head, self.args
 
     def __str__(self) -> str:
         if self.args is None:
@@ -810,24 +838,29 @@ def _names(tok: _Tokens, close: str) -> list[str]:
     return names
 
 
-def _parse_term(tok: _Tokens) -> Term:
-    head = _ident(tok)
+def _parse_term(tok: _Tokens, depth: int = 0) -> Term:
+    return Term(_ident(tok), _parse_args(tok, depth))
+
+
+def _parse_args(tok: _Tokens, depth: int) -> tuple[Term, ...] | None:
+    """An argument list nested one level below depth, if one follows."""
     if tok.peek() != "(":
-        return Term(head)
+        return None
+    depth = _nest(depth + 1)
     tok.next()
     args: list[Term] = []
     if tok.peek() != ")":
-        args.append(_parse_term(tok))
+        args.append(_parse_term(tok, depth))
         while tok.peek() == ",":
             tok.next()
-            args.append(_parse_term(tok))
+            args.append(_parse_term(tok, depth))
     tok.expect(")")
-    return Term(head, tuple(args))
+    return tuple(args)
 
 
 def _parse_sortexpr(tok: _Tokens) -> SortExpr:
-    t = _parse_term(tok)
-    return SortExpr(t.head, t.args or ())
+    """A sort: its arguments may nest as deep as any term."""
+    return SortExpr(_ident(tok), _parse_args(tok, -1) or ())
 
 
 def _parse_ctx(tok: _Tokens) -> tuple[Binding, ...]:
@@ -885,61 +918,69 @@ def _match_sort(pattern: SortExpr, actual: SortExpr, theta: dict[str, Term]) -> 
         _match_term(p, a, theta)
 
 
-def _sort_of(
-    t: Term,
-    ctx: dict[str, SortExpr],
-    sig: Signature,
-    ops: dict[str, TermDecl],
-) -> SortExpr:
-    if t.args is None:
-        if t.head in ctx:
-            return ctx[t.head]
-        if t.head in ops and not ops[t.head].explicit:
-            return _apply(ops[t.head], (), ctx, sig, ops)[1]
+def _sort_of(t: Term, known: dict[Term, SortExpr], ops: dict[str, TermDecl]) -> SortExpr:
+    """The sort of t: read from known, or inferred and recorded there."""
+    if t in known:
+        return known[t]
+    if t.args is None and (t.head not in ops or ops[t.head].explicit):
         raise ParseError(f"unbound variable {t.head}")
     if t.head not in ops:
         raise ParseError(f"unknown operation {t.head}")
-    return _apply(ops[t.head], t.args, ctx, sig, ops)[1]
+    known[t] = sort = _apply(ops[t.head], t.args or (), known, ops)
+    return sort
 
 
 def _apply(
     op: TermDecl,
     args: tuple[Term, ...],
-    ctx: dict[str, SortExpr],
-    sig: Signature,
+    known: dict[Term, SortExpr],
     ops: dict[str, TermDecl],
-) -> tuple[dict[str, Term], SortExpr]:
+) -> SortExpr:
     """Infer the full instantiation of op's context from its explicit
-    arguments, verify it, and return it with the instantiated output sort."""
+    arguments, verify it, and return the instantiated output sort."""
     if len(args) != len(op.explicit):
         raise ParseError(f"{op.name} takes {len(op.explicit)} arguments, got {len(args)}")
     opctx = dict(op.context)
     theta: dict[str, Term] = dict(zip(op.explicit, args))
     for name, actual in zip(op.explicit, args):
-        declared = opctx[name]
-        _match_sort(declared, _sort_of(actual, ctx, sig, ops), theta)
+        _match_sort(opctx[name], _sort_of(actual, known, ops), theta)
     for v, _ in op.context:
         if v not in theta:
             raise ParseError(f"cannot infer {v} in {op.name}")
-    for v, s in op.context:
-        want = _subst_sort(s, theta)
-        got = _sort_of(theta[v], ctx, sig, ops)
+    _check_instance(opctx, opctx, theta, known, ops)
+    return _subst_sort(op.output, theta)
+
+
+def _check_instance(
+    order: Iterable[str],
+    sorts: dict[str, SortExpr],
+    theta: dict[str, Term],
+    known: dict[Term, SortExpr],
+    ops: dict[str, TermDecl],
+    error: type[ValueError] = ParseError,
+) -> None:
+    """Check, for each variable in order, that theta sends it to a term of
+    its sort in sorts instantiated by theta, raising error otherwise."""
+    for v in order:
+        want = _subst_sort(sorts[v], theta)
+        got = _sort_of(theta[v], known, ops)
         if got != want:
-            raise ParseError(f"{theta[v]} has sort {got}, expected {want}")
-    return theta, _subst_sort(op.output, theta)
+            raise error(f"{theta[v]} has sort {got}, expected {want}")
 
 
 def _check_context(
     bindings: tuple[Binding, ...], sig: Signature, ops: dict[str, TermDecl]
-) -> None:
+) -> dict[Term, SortExpr]:
     """A context must be built from the type signature alone: sorts name
-    declared types and their arguments are previously bound variables."""
-    seen: dict[str, SortExpr] = {}
+    declared types and their arguments are previously bound variables.
+    Returns the memo of sorts that typing in the context extends."""
+    known: dict[Term, SortExpr] = {}
     declared = set(sig.names) | set(ops)
     for v, s in bindings:
+        var = Term(v)
         if v in declared:
             raise IllFormedContext(f"variable {v} shadows a declared symbol")
-        if v in seen:
+        if var in known:
             raise IllFormedContext(f"variable {v} bound twice")
         if s.head in ops:
             raise IllFormedContext(
@@ -954,10 +995,11 @@ def _check_context(
                     f"context argument {a} is not a variable; "
                     "contexts must be well-formed over the type signature alone"
                 )
-            if a.head not in seen:
+            if a not in known:
                 raise IllFormedContext(f"unbound variable {a.head} in {s}")
-        _check_sort_instance(s, seen, sig, {}, IllFormedContext)
-        seen[v] = s
+        _check_sort_instance(s, known, sig, {}, IllFormedContext)
+        known[var] = s
+    return known
 
 
 def _grade_of_context(bindings: tuple[Binding, ...], grades: dict[str, int]) -> int:
@@ -981,7 +1023,7 @@ def parse_theory(text: str) -> tuple[Signature, TermSignature, EquationSet]:
             tok.expect("|-")
             sig = Signature(tuple(types))
             opmap = {d.name: d for d in ops}
-            _check_context(ctx, sig, opmap)
+            known = _check_context(ctx, sig, opmap)
             lead = _parse_term(tok)
             nxt = tok.peek()
             if nxt == "type":
@@ -1013,14 +1055,13 @@ def parse_theory(text: str) -> tuple[Signature, TermSignature, EquationSet]:
                 if lead.args is None:
                     raise ParseError(f"operation {name} needs an argument list")
                 explicit = tuple(a.head for a in lead.args)
-                ctx_vars = {v for v, _ in ctx}
-                if any(a.args is not None or a.head not in ctx_vars for a in lead.args):
+                if any(a not in known for a in lead.args):
                     raise ParseError(f"arguments of {name} must be context variables")
                 if len(set(explicit)) != len(explicit):
                     raise ParseError(f"repeated argument in {name}")
                 if output.head not in grades:
                     raise ParseError(f"unknown type {output.head}")
-                _check_sort_instance(output, dict(ctx), sig, opmap)
+                _check_sort_instance(output, known, sig, opmap)
                 ops.append(TermDecl(name, ctx, explicit, output, grades[output.head]))
             elif nxt == "=":
                 tok.next()
@@ -1028,9 +1069,8 @@ def parse_theory(text: str) -> tuple[Signature, TermSignature, EquationSet]:
                 tok.expect(":")
                 sort = _parse_sortexpr(tok)
                 tok.done()
-                ctxmap = dict(ctx)
                 for side in (lead, rhs):
-                    got = _sort_of(side, ctxmap, sig, opmap)
+                    got = _sort_of(side, known, opmap)
                     if got != sort:
                         raise ParseError(f"{side} has sort {got}, expected {sort}")
                 if sort.head not in grades:
@@ -1045,7 +1085,7 @@ def parse_theory(text: str) -> tuple[Signature, TermSignature, EquationSet]:
 
 def _check_sort_instance(
     s: SortExpr,
-    ctx: dict[str, SortExpr],
+    known: dict[Term, SortExpr],
     sig: Signature,
     ops: dict[str, TermDecl],
     error: type[ValueError] = ParseError,
@@ -1056,12 +1096,7 @@ def _check_sort_instance(
     if len(s.args) != len(decl.arg_order):
         raise error(f"{s.head} takes {len(decl.arg_order)} arguments")
     theta = dict(zip(decl.arg_order, s.args))
-    opctx = dict(decl.context)
-    for w in decl.arg_order:
-        want = _subst_sort(opctx[w], theta)
-        got = _sort_of(theta[w], ctx, sig, ops)
-        if got != want:
-            raise error(f"{theta[w]} has sort {got}, expected {want}")
+    _check_instance(decl.arg_order, dict(decl.context), theta, known, ops, error)
 
 
 def parse_signature(text: str) -> Signature:
@@ -1263,7 +1298,8 @@ class Model:
 
 def parse_model(text: str) -> Model:
     """Read a model file: lines `sort V = {a, b}`, `sort E(a, b) = {f}`,
-    `op c(g, f) table:` followed by rows `c(g1, f1) = h1`."""
+    and `op c table:` or `op c(g, f) table:`, whose names are read but not
+    checked, followed by rows `c(g1, f1) = h1`."""
     sorts: dict[tuple[str, tuple[str, ...]], tuple[str, ...]] = {}
     ops: dict[str, dict[tuple[str, ...], str]] = {}
     current: str | None = None
@@ -1294,12 +1330,8 @@ def parse_model(text: str) -> Model:
             elif head == "op":
                 name = _ident(tok)
                 if tok.peek() == "(":
-                    depth = 0
-                    while True:
-                        t = tok.next()
-                        depth += {"(": 1, ")": -1}.get(t, 0)
-                        if depth == 0:
-                            break
+                    tok.next()
+                    _names(tok, ")")
                 tok.expect("table")
                 tok.expect(":")
                 tok.done()
