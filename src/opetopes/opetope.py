@@ -190,6 +190,7 @@ class Degenerate(Opetope):
     def __post_init__(self) -> None:
         object.__setattr__(self, "_dim", self.shell.dim + 2)
         object.__setattr__(self, "_hash", hash(("deg", self.shell)))
+        object.__setattr__(self, "_size", size(self.shell))
 
     @property
     def dim(self) -> int:
@@ -222,6 +223,7 @@ class Tree(Opetope):
         object.__setattr__(self, "_dim", depth + 1)
         object.__setattr__(self, "_hash", hash(("tree", ordered)))
         object.__setattr__(self, "_map", dict(ordered))
+        object.__setattr__(self, "_size", sum(1 + size(dec) for _, dec in ordered))
 
     @property
     def dim(self) -> int:
@@ -272,12 +274,13 @@ def opetopic_integer(m: int) -> Opetope:
 
 
 def size(omega: Opetope) -> int:
-    """Total node count, including the nodes inside every decoration."""
+    """Total node count, including the nodes inside every decoration.
+
+    A tree or degenerate shape counts its nodes once, when it is built from
+    its decorations, and keeps the count."""
     if isinstance(omega, (Point, Arrow)):
         return 0
-    if isinstance(omega, Degenerate):
-        return size(omega.shell)
-    return sum(1 + size(dec) for _, dec in omega.nodes)
+    return omega._size  # type: ignore[attr-defined]
 
 
 def node_addrs(omega: Opetope) -> tuple[Addr, ...]:

@@ -332,6 +332,20 @@ def test_laws_pass(capsys, tmp_path):
     assert out.rstrip().splitlines()[-1] == "ok"
 
 
+def test_laws_at_bound_zero_check_nothing(capsys, tmp_path):
+    # the unit pasting of an arrow has one node, so bound 0 keeps no unit
+    cat = tmp_path / "chain.cat"
+    cat.write_text(CHAIN_CAT)
+    args = ("oalg", "laws", "--file", str(cat), "--max-nodes", "0")
+    code, out = run(capsys, *args)
+    assert (code, out) == (0, "units checked: 0\nsquares checked: 0\nok\n")
+    code, out = run(capsys, *args, "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {
+        "units_checked": 0, "squares_checked": 0, "ok": True, "failures": [],
+    }
+
+
 def test_h_realization(capsys):
     code, out = run(capsys, "oalg", "h", "--expr", XI)
     assert code == 0

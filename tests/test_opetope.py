@@ -112,6 +112,32 @@ def test_size_counts_all_levels():
     assert size(corolla(I(2))) == 1 + 2
 
 
+def _node_count(omega) -> int:
+    """Nodes counted by walking every decoration, as size once did."""
+    if omega in (POINT, ARROW):
+        return 0
+    if isinstance(omega, Degenerate):
+        return _node_count(omega.shell)
+    return sum(1 + _node_count(dec) for _, dec in omega.nodes)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_size_is_the_recursive_node_count(dim):
+    shapes = enumerate_opetopes(dim, 6)
+    assert shapes
+    for omega in shapes + tuple(Degenerate(w) for w in shapes):
+        assert size(omega) == _node_count(omega)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["point", "arrow", "I0", "I5", "{{arrow}}", "{{I3}}", "{ [] <- I3 [[*]] <- I2 [[**]] <- I1 }"],
+)
+def test_size_of_parsed_shapes_is_the_recursive_node_count(text):
+    omega = parse(text)
+    assert size(omega) == _node_count(omega)
+
+
 # --------------------------------------------------------------- the target
 
 
