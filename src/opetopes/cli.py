@@ -385,7 +385,7 @@ def cmd_theory_context(args) -> int:
     X = theory.realize_bindings(sig, bindings)
     ctx = theory.presheaf_to_context(X)
     problems = theory.validate_context(ctx)
-    iso = theory.psh_isomorphism(X, ctx.realization())
+    iso = theory.context_isomorphism(X, ctx)
     ok = not problems and iso is not None
     lines = [str(s) for s in ctx.steps]
     if iso is not None:

@@ -99,11 +99,6 @@ class FinOpSet(FinPresheaf):
     def shapes(self) -> list[Opetope]:
         return sorted(self.cells.keys(), key=lambda w: (w.dim, render(w)))
 
-    def restrict(self, x: CellId, word: tuple[Gen, ...]) -> CellId:
-        for g in word:
-            x = self.faces[(x, g)]
-        return x
-
     def size(self) -> int:
         return len(self.sort)
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Iterator
 
 
 class EmptyContext(ValueError):
@@ -551,11 +551,10 @@ class Context:
     cat: FinDirectCat
     steps: tuple[AttachStep, ...]
 
-    def realization(self, upto: int | None = None) -> FinPresheafC:
-        n = len(self.steps) if upto is None else upto
+    def realization(self) -> FinPresheafC:
         cells: dict[str, list[str]] = {}
         restriction: dict[tuple[str, str], str] = {}
-        for step in self.steps[:n]:
+        for step in self.steps:
             cells.setdefault(step.obj, []).append(step.name)
             for m, y in step.attach:
                 restriction[(step.name, m)] = y
@@ -568,33 +567,38 @@ class Context:
 
 
 def validate_context(ctx: Context) -> list[str]:
+    """Check each step against the stage the steps before it build, kept
+    as the object of each cell and the face (cell, morphism) -> cell."""
+    C = ctx.cat
+    obj: dict[str, str] = {}
+    face: dict[tuple[str, str], str] = {}
     problems: list[str] = []
     for i, step in enumerate(ctx.steps):
         if step.name != f"x{i}":
             problems.append(f"step {i} is named {step.name}, expected x{i}")
-        if step.obj not in ctx.cat.objects:
-            problems.append(f"step {i} attaches at unknown object {step.obj}")
-            continue
-        prev = ctx.realization(i)
         attach = dict(step.attach)
-        want = set(ctx.cat.into(step.obj))
-        if set(attach) != want:
+        want = C.into(step.obj)
+        if step.obj not in C.objects:
+            problems.append(f"step {i} attaches at unknown object {step.obj}")
+        elif set(attach) != set(want):
             problems.append(f"step {i} must attach along exactly {sorted(want)}")
-            continue
-        for m, y in attach.items():
-            if y not in prev.of_obj(ctx.cat.src(m)):
-                problems.append(f"step {i} sends {m} to a missing cell {y}")
-        for m in want:
-            for e in ctx.cat.into(ctx.cat.src(m)):
-                if attach.get(ctx.cat.compose(m, e)) != prev.restrict(attach[m], e):
-                    problems.append(f"step {i} attaching map is not natural at {m}.{e}")
+        else:
+            for m, y in attach.items():
+                if obj.get(y) != C.src(m):
+                    problems.append(f"step {i} sends {m} to a missing cell {y}")
+            for m in want:
+                for e in C.into(C.src(m)):
+                    if attach.get(C.compose(m, e)) != face.get((attach[m], e)):
+                        problems.append(f"step {i} attaching map is not natural at {m}.{e}")
+        obj[step.name] = step.obj
+        face.update(((step.name, m), y) for m, y in step.attach)
     return problems
 
 
 def presheaf_to_context(X: FinPresheafC) -> Context:
     """Present a finite presheaf as a context, attaching its cells in
     dimension order and then in the deterministic cell order.  The
-    realization is isomorphic to X via the cell order."""
+    realization is isomorphic to X by context_isomorphism."""
     steps: list[AttachStep] = []
     name_of: dict[str, str] = {}
     for c, x in _cells_by_dimension(X):
@@ -605,6 +609,17 @@ def presheaf_to_context(X: FinPresheafC) -> Context:
         steps.append(AttachStep(c, attach, name))
         name_of[x] = name
     return Context(X.cat, tuple(steps))
+
+
+def context_isomorphism(X: FinPresheafC, ctx: Context) -> PshMap | None:
+    """The isomorphism presheaf_to_context names: each cell of X, in the
+    order its steps attach them, to its step.  None unless ctx has one
+    step per cell and the map is natural."""
+    cells = _cells_by_dimension(X)
+    f = PshMap(X, ctx.realization(), {x: s.name for (_, x), s in zip(cells, ctx.steps)})
+    if X.cat != ctx.cat or len(cells) != len(ctx.steps) or check_psh_map(f):
+        return None
+    return f
 
 
 def ctx_ft(ctx: Context) -> Context:
@@ -618,7 +633,7 @@ def ctx_pr(ctx: Context) -> PshMap:
     """The inclusion of the parent stage into the full realization."""
     if not ctx.steps:
         raise EmptyContext("the empty context has no projection")
-    prev = ctx.realization(len(ctx.steps) - 1)
+    prev = ctx_ft(ctx).realization()
     return Inclusion(prev, ctx.realization(), {x: x for x in prev.sort})
 
 
@@ -636,7 +651,7 @@ def ctx_pullback(
     if not ctx.steps:
         raise EmptyContext("cannot pull back the empty context")
     last = ctx.steps[-1]
-    parent = ctx.realization(len(ctx.steps) - 1)
+    parent = ctx_ft(ctx).realization()
     if f.src != parent:
         raise NotAMap("the map must start at the parent realization")
     if f.dst != base.realization():
@@ -937,7 +952,10 @@ def _apply(
     ops: dict[str, TermDecl],
 ) -> SortExpr:
     """Infer the full instantiation of op's context from its explicit
-    arguments, verify it, and return the instantiated output sort."""
+    arguments and return the instantiated output sort.  Matching is the
+    whole check: an explicit argument's sort is its pattern under theta,
+    and each implicit variable is an argument of such a sort, checked by
+    _check_sort_instance when that sort was declared or built."""
     if len(args) != len(op.explicit):
         raise ParseError(f"{op.name} takes {len(op.explicit)} arguments, got {len(args)}")
     opctx = dict(op.context)
@@ -947,25 +965,7 @@ def _apply(
     for v, _ in op.context:
         if v not in theta:
             raise ParseError(f"cannot infer {v} in {op.name}")
-    _check_instance(opctx, opctx, theta, known, ops)
     return _subst_sort(op.output, theta)
-
-
-def _check_instance(
-    order: Iterable[str],
-    sorts: dict[str, SortExpr],
-    theta: dict[str, Term],
-    known: dict[Term, SortExpr],
-    ops: dict[str, TermDecl],
-    error: type[ValueError] = ParseError,
-) -> None:
-    """Check, for each variable in order, that theta sends it to a term of
-    its sort in sorts instantiated by theta, raising error otherwise."""
-    for v in order:
-        want = _subst_sort(sorts[v], theta)
-        got = _sort_of(theta[v], known, ops)
-        if got != want:
-            raise error(f"{theta[v]} has sort {got}, expected {want}")
 
 
 def _check_context(
@@ -1096,7 +1096,12 @@ def _check_sort_instance(
     if len(s.args) != len(decl.arg_order):
         raise error(f"{s.head} takes {len(decl.arg_order)} arguments")
     theta = dict(zip(decl.arg_order, s.args))
-    _check_instance(decl.arg_order, dict(decl.context), theta, known, ops, error)
+    sorts = dict(decl.context)
+    for v in decl.arg_order:
+        want = _subst_sort(sorts[v], theta)
+        got = _sort_of(theta[v], known, ops)
+        if got != want:
+            raise error(f"{theta[v]} has sort {got}, expected {want}")
 
 
 def parse_signature(text: str) -> Signature:

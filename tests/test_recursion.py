@@ -41,7 +41,6 @@ RECURSIVE = {
     "theory._match_term": TERM,
     "theory._sort_of": TERM,
     "theory._apply": TERM,
-    "theory._check_instance": TERM,
     "theory._compile": TERM,
     "theory.natural_maps.extend": (
         "unbounded: one frame per choice point "
