@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 from typing import Iterator
 
@@ -84,7 +85,9 @@ class FiniteCategory:
     composition lists g after f for composable pairs, and composites with
     an identity may be left implicit.  A direct category is one whose
     non-identity morphisms form no cycle; validate_lfd checks that in the
-    one pass that also computes the dimensions.
+    one pass that also computes the dimensions.  The tables are never
+    changed once built, so into and is_identity read indexes built on
+    first use, in one pass over the tables.
     """
 
     objects: tuple[str, ...]
@@ -98,8 +101,12 @@ class FiniteCategory:
     def tgt(self, f: str) -> str:
         return self.morphisms[f][1]
 
+    @cached_property
+    def _identity_set(self) -> frozenset[str]:
+        return frozenset(self.identities.values())
+
     def is_identity(self, f: str) -> bool:
-        return f in self.identities.values()
+        return f in self._identity_set
 
     def compose(self, g: str, f: str) -> str:
         """g after f."""
@@ -121,15 +128,19 @@ class FiniteCategory:
             c = self.compose(e, c)
         return c
 
+    @cached_property
+    def _into(self) -> dict[str, tuple[str, ...]]:
+        """into of every target, built in one pass over the morphisms on
+        first use."""
+        found: dict[str, list[str]] = {}
+        for f, (_, b) in self.morphisms.items():
+            if not self.is_identity(f):
+                found.setdefault(b, []).append(f)
+        return {b: tuple(sorted(fs)) for b, fs in found.items()}
+
     def into(self, c: str) -> tuple[str, ...]:
         """Non-identity morphisms with target c, sorted by name."""
-        return tuple(
-            sorted(
-                f
-                for f, (_, b) in self.morphisms.items()
-                if b == c and not self.is_identity(f)
-            )
-        )
+        return self._into.get(c, ())
 
 
 FinDirectCat = FiniteCategory  # the name the direct-category side uses
@@ -260,31 +271,43 @@ def validate_lfd(C: FinDirectCat) -> LfdReport:
 # Finite presheaves and the map search
 
 
+# sort -> sort id, shared by every presheaf of the process: one small int
+# per distinct sort, equal sorts sharing one; it keeps one entry per
+# distinct sort any presheaf has had and nothing else
+_SORT_IDS: dict = {}
+
+
 class FinPresheaf:
     """A finite presheaf on a direct category, the one type that opetopic
     sets and presheaves on a category table share.
 
     Plain attributes, read directly by the map search: cells lists the
-    cells of each sort, sort gives the sort of each cell, gens lists the
-    generators stored for each sort that has cells, and face maps
-    (cell, generator) to a cell.  Cell ids are globally unique.
-    Subclasses fix what sorts and generators are; _like builds a
-    presheaf of the same kind on other cells and faces.
+    cells of each sort, sort gives the sort of each cell, sid its sort
+    id (equal sorts have equal ids, in every presheaf, through the
+    module's intern table _SORT_IDS), gens lists the generators stored
+    for each sort that has cells, and face maps (cell, generator) to a
+    cell.  Cell ids are globally unique.  Subclasses fix what sorts and
+    generators are; _like builds a presheaf of the same kind on other
+    cells and faces.
     """
 
     cells: dict
     sort: dict
+    sid: dict
     gens: dict
     face: dict
 
     def _index(self, face: dict, gens: dict) -> None:
         sort: dict = {}
+        sid: dict = {}
         for s, xs in self.cells.items():
+            i = _SORT_IDS.setdefault(s, len(_SORT_IDS))
             for x in xs:
                 if x in sort:
                     raise ValueError(f"cell id {x!r} is not unique")
                 sort[x] = s
-        for name, value in (("sort", sort), ("gens", gens), ("face", face)):
+                sid[x] = i
+        for name, value in (("sort", sort), ("sid", sid), ("gens", gens), ("face", face)):
             object.__setattr__(self, name, value)
 
     def _like(self, cells: dict, face: dict) -> FinPresheaf:
@@ -295,12 +318,14 @@ def propagate(pairs, comp: dict, trail: list, src: FinPresheaf, dst: FinPresheaf
     """Extend the partial map comp by the (cell, value) pairs and by every
     pair their faces force, last in first out, appending each newly
     assigned cell to trail.  Returns None when all agree, otherwise the
-    first pair whose sorts or earlier value disagree."""
+    first pair whose sorts or earlier value disagree.  Sorts are compared
+    by their ids (sid), an int comparison, never by walking two equal
+    sorts; the intern table _SORT_IDS behind the ids holds one entry per
+    distinct sort that any presheaf of the process has had."""
     stack = list(pairs)
     while stack:
         x, y = stack.pop()
-        sort = src.sort[x]
-        if sort != dst.sort[y]:
+        if src.sid[x] != dst.sid[y]:
             return x, y
         if x in comp:
             if comp[x] != y:
@@ -308,7 +333,7 @@ def propagate(pairs, comp: dict, trail: list, src: FinPresheaf, dst: FinPresheaf
             continue
         comp[x] = y
         trail.append(x)
-        for g in src.gens[sort]:
+        for g in src.gens[src.sort[x]]:
             stack.append((src.face[x, g], dst.face[y, g]))
     return None
 
@@ -317,10 +342,44 @@ def natural_maps(order: list, src: FinPresheaf, dst: FinPresheaf, injective: boo
     """Yield every map from src to dst that commutes with faces.  The
     cells of order are chosen in turn, each value tried in dst's cell
     order and followed by propagate; cells already forced are skipped.
-    With injective set, distinct cells get distinct values: used holds
-    the values taken, and each choice tests only the values it adds."""
+
+    A chosen cell x with a generator g whose face src.face[x, g] is
+    already assigned takes its values from a face index, built on first
+    use once per search: for x's sort id and g, the cells of dst of that
+    sort with each face at g, in dst's cell order.  Only the values
+    propagate would accept at that face are tried, so the maps and their
+    order are those of a scan of the whole sort, which runs when no face
+    of x is assigned, or when some cell of the sort in dst lacks one of
+    its faces.  With injective set, distinct cells get distinct values:
+    used holds the values taken, and each choice tests only the values
+    it adds."""
     comp: dict = {}
     used: set = set()
+    index: dict = {}  # sort id -> {g: {face: values}}, or None: scan the sort
+
+    def faces_of(s):
+        gens = src.gens[s]
+        by_gen: dict = {g: {} for g in gens}
+        for y in dst.cells.get(s, ()):
+            for g in gens:
+                f = dst.face.get((y, g))
+                if f is None:
+                    return None  # propagate raises at y: keep the scan
+                by_gen[g].setdefault(f, []).append(y)
+        return by_gen
+
+    def values(x):
+        s = src.sort[x]
+        for g in src.gens[s]:
+            f = src.face.get((x, g))
+            if f in comp:
+                i = src.sid[x]
+                if i not in index:
+                    index[i] = faces_of(s)
+                if index[i] is not None:
+                    return index[i][g].get(comp[f], ())
+                break
+        return dst.cells.get(s, ())
 
     def extend(i: int):
         while i < len(order) and order[i] in comp:
@@ -329,7 +388,7 @@ def natural_maps(order: list, src: FinPresheaf, dst: FinPresheaf, injective: boo
             yield dict(comp)
             return
         x = order[i]
-        for y in dst.cells.get(src.sort[x], ()):
+        for y in values(x):
             trail: list = []
             if propagate([(x, y)], comp, trail, src, dst) is None:
                 if not injective:

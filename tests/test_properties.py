@@ -5,13 +5,15 @@ decorations.  Checked: the face identities hold, and the readdressing is a
 bijection onto the target's nodes that agrees with the peeling oracle.
 
 Categories are random posets of up to four objects, cyclic monoids and
-left-zero monoids.  Checked: the category axioms hold, posets are finite
-direct categories, maps out of a representable into a nerve are its cells
-at that shape (Yoneda), the isomorphism search agrees with the first
-bijective map of the full map search, the nerve's 2-cells are the chains
-with the faces the arrows read off by hand (arrow i of I_m at [*^(m-1-i)]),
-each 3-cell's target is the 2-cell of its own chain, and the nerve cut at
-the node bound 0, 1 or 2 passes the nerve checks at that bound.
+left-zero monoids.  Checked: the category axioms hold, into and
+is_identity agree with a scan of the tables (on these and on tables that
+form no category), posets are finite direct categories, maps out of a
+representable into a nerve are its cells at that shape (Yoneda), the
+isomorphism search agrees with the first bijective map of the full map
+search, the nerve's 2-cells are the chains with the faces the arrows
+read off by hand (arrow i of I_m at [*^(m-1-i)]), each 3-cell's target
+is the 2-cell of its own chain, and the nerve cut at the node bound 0, 1
+or 2 passes the nerve checks at that bound.
 
 Type signatures are the signatures of generated posets, globular
 signatures up to dimension 4, bipartite signatures, and signatures whose
@@ -183,6 +185,34 @@ categories = st.one_of(posets(), monoids)
 @given(categories)
 def test_generated_categories_satisfy_the_axioms(C):
     ensure_category(C)
+
+
+@st.composite
+def raw_tables(draw) -> FiniteCategory:
+    """Morphism and identity tables that need not form a category: ends
+    may lie outside the objects, and an identity may be any morphism."""
+    objects = tuple(f"p{i}" for i in range(draw(st.integers(0, 3))))
+    ends = st.sampled_from(objects + ("q",))
+    morphisms = draw(st.dictionaries(st.sampled_from("abcdefgh"), st.tuples(ends, ends)))
+    names = sorted(morphisms)
+    identities = {a: draw(st.sampled_from(names)) for a in objects if names and draw(st.booleans())}
+    return FiniteCategory(objects, morphisms, {}, identities)
+
+
+def scanned_into(C: FiniteCategory, c: str) -> tuple[str, ...]:
+    """into as a scan of the whole morphism table."""
+    return tuple(
+        sorted(f for f, (_, b) in C.morphisms.items() if b == c and f not in C.identities.values())
+    )
+
+
+@SETTINGS
+@given(st.one_of(categories, raw_tables()))
+def test_into_and_is_identity_agree_with_a_scan_of_the_tables(C):
+    for c in C.objects + ("q", "r"):
+        assert C.into(c) == scanned_into(C, c)
+    for f in C.morphisms:
+        assert C.is_identity(f) == (f in C.identities.values())
 
 
 @SETTINGS
