@@ -3,15 +3,9 @@ and algebras, and a checker for dependently sorted algebraic theories over
 direct categories."""
 
 from opetopes.opetope import Addr, Opetope, POINT, ARROW, OMorphism
-from opetopes.opset import FinOpSet, OpSetMap
-from opetopes.oalg import (
-    FiniteCategory,
-    LambdaMorphism,
-    OAlgebra,
-    PastingCell,
-    SortedFamily,
-)
-from opetopes.theory import FinDirectCat
+from opetopes.kernel import FinDirectCat, FiniteCategory, PshMap
+from opetopes.opset import FinOpSet
+from opetopes.oalg import LambdaMorphism, OAlgebra, PastingCell, SortedFamily
 
 __all__ = [
     "Addr",
@@ -20,7 +14,7 @@ __all__ = [
     "ARROW",
     "OMorphism",
     "FinOpSet",
-    "OpSetMap",
+    "PshMap",
     "SortedFamily",
     "PastingCell",
     "OAlgebra",

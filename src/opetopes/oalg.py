@@ -17,7 +17,7 @@ equals in faces(omega).  The nerve of a category is read off the
 realization: its cells at a shape omega are the chains of length h(omega),
 the faces of a cell are its restrictions along the realization of omega's
 faces, and one shape rule cuts it off at a node bound.  The finite-category
-type and its axiom checks come from `theory`.
+type and its axiom checks come from `kernel`.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from .opetope import (
 from .opset import (
     CellId,
     FinOpSet,
-    OpSetMap,
     Window,
     WindowMismatch,
     empty_opset,
@@ -63,9 +62,10 @@ from .opset import (
     maps,
     spine,
 )
-from .theory import (
+from .kernel import (
     FiniteCategory,
     NotACategory,
+    PshMap,
     line_error,
     ensure_category,
     numbered_lines,
@@ -127,7 +127,7 @@ class PastingCell:
     """
 
     shape: Opetope
-    filling: OpSetMap
+    filling: PshMap
 
     @property
     def output(self) -> Opetope:
@@ -208,7 +208,7 @@ def monad_unit(X: SortedFamily, x: CellId) -> PastingCell:
     S = _spine_of(nu, X.family.window)
     root = node_addrs(nu)[0]
     comp = _natural_fill(S, X.family, [(faces(nu).name((("s", root),)), x)], "unit")
-    return PastingCell(nu, OpSetMap(S, X.family, comp))
+    return PastingCell(nu, PshMap(S, X.family, comp))
 
 
 def _height_two_parts(xi: Opetope) -> tuple[Opetope, dict[Addr, Opetope]]:
@@ -255,11 +255,11 @@ def _gluing(
 
 
 def _slice(
-    X: SortedFamily, nu: Opetope, glue: dict[CellId, CellId], f: OpSetMap
+    X: SortedFamily, nu: Opetope, glue: dict[CellId, CellId], f: PshMap
 ) -> PastingCell:
     """The pasting of shape nu that reads the filling f through glue."""
     S = _spine_of(nu, X.family.window)
-    return PastingCell(nu, OpSetMap(S, X.family, {y: f(x) for y, x in glue.items()}))
+    return PastingCell(nu, PshMap(S, X.family, {y: f(x) for y, x in glue.items()}))
 
 
 def monad_mult(
@@ -293,7 +293,7 @@ def monad_mult(
         comp = _natural_fill(
             S, X.family, [(_shell_cell(S, alpha.shell), shell)], "multiplication"
         )
-        return PastingCell(alpha, OpSetMap(S, X.family, comp))
+        return PastingCell(alpha, PshMap(S, X.family, comp))
 
     alpha, parts = _height_two_parts(xi)
     if set(inner) != set(parts):
@@ -312,7 +312,7 @@ def monad_mult(
     seeds = [(x, inner[p].filling(y)) for p in parts for y, x in glue[p].items()]
     S = _spine_of(flat, X.family.window)
     comp = _natural_fill(S, X.family, seeds, "multiplication")
-    return PastingCell(flat, OpSetMap(S, X.family, comp))
+    return PastingCell(flat, PshMap(S, X.family, comp))
 
 
 def split_pasting(X: SortedFamily, xi: Opetope, cell: PastingCell) -> dict[Addr, PastingCell]:
@@ -429,7 +429,7 @@ def check_algebra_laws(A: OAlgebra, max_nodes: int) -> AlgebraLawReport:
 
     squares = 0
     # each flattened shape's fillings and their composites, searched once
-    flattened: dict[Opetope, list[tuple[OpSetMap, CellId]]] = {}
+    flattened: dict[Opetope, list[tuple[PshMap, CellId]]] = {}
     for xi in _height_two_shapes(X.n, max_nodes):
         flat = target(xi)
         if size(flat) > A.max_nodes:
@@ -454,7 +454,7 @@ def check_algebra_laws(A: OAlgebra, max_nodes: int) -> AlgebraLawReport:
             except ShapeMismatch as err:
                 problem = str(err)
             else:
-                rhs = A.compose(PastingCell(alpha, OpSetMap(SA, X.family, comp)))
+                rhs = A.compose(PastingCell(alpha, PshMap(SA, X.family, comp)))
                 if lhs == rhs:
                     continue
                 problem = f"flattened {lhs} != staged {rhs}"
@@ -595,18 +595,6 @@ class LambdaMorphism:
 
     def __str__(self) -> str:
         return f"[{self.src}]->[{self.dst}] {self.values}"
-
-
-def lambda_identity(m: int) -> LambdaMorphism:
-    return LambdaMorphism(m, m, tuple(range(m + 1)))
-
-
-def monotone_maps(m: int, mp: int) -> list[LambdaMorphism]:
-    """Direct enumeration of all monotone maps [m] -> [mp]."""
-    return [
-        LambdaMorphism(m, mp, vals)
-        for vals in itertools.combinations_with_replacement(range(mp + 1), m + 1)
-    ]
 
 
 def _arrows(omega: Opetope) -> list[Addr]:

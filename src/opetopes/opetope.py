@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Iterator
 
-from opetopes.theory import ParseError
+from opetopes.kernel import ParseError
 
 DIM_CAP = 6
 NODE_CAP = 8

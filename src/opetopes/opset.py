@@ -1,12 +1,12 @@
 """Finite opetopic sets over a window of shape dimensions.
 
-An opetopic set is a `theory.FinPresheaf` whose sorts are shapes and whose
+An opetopic set is a `kernel.FinPresheaf` whose sorts are shapes and whose
 generators are the generating faces: it stores, per shape, a tuple of
 globally unique cell identifiers, and an action table on generating faces
 only; restrictions along composite face words are folded through the
 table.  Windows are closed dimension intervals [lo, hi]; faces that would
 leave the window are not stored.  Maps, the naturality check, identities,
-composites and sub-presheaves are the shared ones of `theory`.  The cells
+composites and sub-presheaves are the shared ones of `kernel`.  The cells
 of a representable, a boundary or a spine are named as `opetope.faces(omega)`
 names them; this module reads those names and renders no face word itself.
 """
@@ -33,11 +33,10 @@ from opetopes.opetope import (
     relation_squares,
     render,
     render_gen,
-    size,
     source,
     target,
 )
-from opetopes.theory import (
+from opetopes.kernel import (
     FinPresheaf,
     Inclusion,
     PshMap,
@@ -45,8 +44,6 @@ from opetopes.theory import (
     check_psh_map,
     natural_maps,
     numbered_lines,
-    psh_compose,
-    psh_identity,
     sub_presheaf,
 )
 
@@ -137,12 +134,6 @@ def validate_opset(X: FinOpSet) -> list[str]:
 # maps and inclusions
 
 
-OpSetMap = PshMap
-identity_map = psh_identity
-compose_maps = psh_compose  # compose_maps(f, g) is f after g
-sub_opset = sub_presheaf
-
-
 def check_natural(f: PshMap) -> list[str]:
     if f.src.window != f.dst.window:
         return ["windows differ"]
@@ -176,7 +167,7 @@ def boundary(omega: Opetope, window: Window | None = None) -> Inclusion:
     if omega.dim < 1:
         raise ValueError("the boundary inclusion needs dimension >= 1")
     X = representable(omega, window)
-    return sub_opset(X, X.sort.keys() - {face_structure(omega).name(())})
+    return sub_presheaf(X, X.sort.keys() - {face_structure(omega).name(())})
 
 
 def spine(omega: Opetope, window: Window | None = None) -> Inclusion:
@@ -185,40 +176,11 @@ def spine(omega: Opetope, window: Window | None = None) -> Inclusion:
         raise ValueError("the spine inclusion needs dimension >= 1")
     X = representable(omega, window)
     fs = face_structure(omega)
-    return sub_opset(X, X.sort.keys() - {fs.name(()), fs.name((T_GEN,))})
+    return sub_presheaf(X, X.sort.keys() - {fs.name(()), fs.name((T_GEN,))})
 
 
 def empty_opset(window: Window) -> FinOpSet:
     return FinOpSet(window, {}, {})
-
-
-def terminal_opset(window: Window, max_nodes: int) -> FinOpSet:
-    """One cell per shape whose whole face closure fits under the size cap.
-
-    The size cap alone is not closed under faces (targets of degenerate
-    shapes grow by one node), so shapes are kept only when every face of
-    theirs also fits.
-    """
-    lo, hi = window
-    cells: dict[Opetope, tuple[CellId, ...]] = {}
-    faces: dict[tuple[CellId, Gen], CellId] = {}
-    name: dict[Opetope, CellId] = {}
-    for n in range(lo, hi + 1):
-        for w in enumerate_opetopes(n, max_nodes):
-            fs = face_structure(w)
-            if all(size(fs.shape_of(c)) <= max_nodes for c in fs.cells()):
-                name[w] = f"c{len(name)}"
-                cells[w] = (name[w],)
-    for w, x in name.items():
-        if w.dim - 1 < lo:
-            continue
-        for g in generators(w):
-            f = face(w, g)
-            if f in name:
-                faces[(x, g)] = name[f]
-            else:
-                raise ValueError("size cap is not face-closed; raise max_nodes")
-    return FinOpSet(window, cells, faces)
 
 
 # --------------------------------------------------------------------------
@@ -231,11 +193,11 @@ def _search_order(X: FinOpSet) -> list[CellId]:
     return [x for w in shapes for x in X.cells[w]]
 
 
-def maps(X: FinOpSet, Y: FinOpSet) -> tuple[OpSetMap, ...]:
+def maps(X: FinOpSet, Y: FinOpSet) -> tuple[PshMap, ...]:
     """All natural maps, by backtracking from the top dimension down."""
     if X.window != Y.window:
         raise WindowMismatch("maps need equal windows")
-    return tuple(OpSetMap(X, Y, comp) for comp in natural_maps(_search_order(X), X, Y))
+    return tuple(PshMap(X, Y, comp) for comp in natural_maps(_search_order(X), X, Y))
 
 
 def orthogonal_witness(incl: Inclusion, X: FinOpSet):
@@ -252,7 +214,7 @@ def orthogonal_witness(incl: Inclusion, X: FinOpSet):
     for f in natural_maps(order, incl.src, X):
         n = counts[tuple(f[x] for x in order)]
         if n != 1:
-            return OpSetMap(incl.src, X, f), n
+            return PshMap(incl.src, X, f), n
     return None
 
 
@@ -275,7 +237,7 @@ def lifting_failures(
 # pushouts and the spine cell decomposition
 
 
-def pushout(incl: Inclusion, f: OpSetMap, tag: str = "+"):
+def pushout(incl: Inclusion, f: PshMap, tag: str = "+"):
     """Push an inclusion A >-> B out along a map A -> X.
 
     Returns (Y, leg from X, leg from B); fresh cells of B are renamed with
@@ -304,7 +266,7 @@ def pushout(incl: Inclusion, f: OpSetMap, tag: str = "+"):
         if b not in image:
             faces[(b_to_y[b], g)] = b_to_y[b2]
     Y = FinOpSet(X.window, cells, faces)
-    return Y, OpSetMap(X, Y, {x: x for x in X.all_cells()}), OpSetMap(B, Y, b_to_y)
+    return Y, PshMap(X, Y, {x: x for x in X.all_cells()}), PshMap(B, Y, b_to_y)
 
 
 @dataclass(frozen=True)
@@ -313,7 +275,7 @@ class SpineAttachment:
 
     node: Addr
     shape: Opetope
-    attach: OpSetMap  # spine of the shape into the complex built so far
+    attach: PshMap  # spine of the shape into the complex built so far
     complex_after: FinOpSet
 
 
@@ -332,16 +294,16 @@ def spine_cell_decomposition(xi: Opetope) -> tuple[SpineAttachment, ...]:
     # start from the spine of the target, embedded by t-precomposition
     on_t = fs.along(T_GEN)
     current = {on_t[x] for x in spine(target(xi)).src.sort}
-    complex_now = sub_opset(big, current).src
+    complex_now = sub_presheaf(big, current).src
     steps: list[SpineAttachment] = []
     for p in sorted(node_addrs(xi), key=lex_key, reverse=True):
         nu = source(xi, p)
         nu_spine = spine(nu)
         names = fs.along(("s", p))
         comp = {x: names[x] for x in nu_spine.src.sort}
-        attach = OpSetMap(nu_spine.src, complex_now, comp)
+        attach = PshMap(nu_spine.src, complex_now, comp)
         current |= {names[x] for x in nu_spine.dst.sort}
-        complex_now = sub_opset(big, current).src
+        complex_now = sub_presheaf(big, current).src
         steps.append(SpineAttachment(p, nu, attach, complex_now))
     return tuple(steps)
 

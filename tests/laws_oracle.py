@@ -27,7 +27,8 @@ from opetopes.oalg import (
     monad_unit,
 )
 from opetopes.opetope import STAR, T_GEN, faces, render, size, target
-from opetopes.opset import OpSetMap, maps
+from opetopes.kernel import PshMap as OpSetMap
+from opetopes.opset import maps
 
 
 def pasting_chain(cell: PastingCell) -> tuple[str, tuple[str, ...]]:

@@ -5,7 +5,7 @@ compares sorts as objects: an independent oracle.
 cell order, and `propagate` compares the sorts of each pair with `==` on
 the sorts themselves.  It reads only the presheaves' plain attributes
 `cells`, `sort`, `gens` and `face`, no face index and no sort ids.  The
-tests compare `theory.natural_maps` and `theory.propagate` against these:
+tests compare `kernel.natural_maps` and `kernel.propagate` against these:
 the same maps in the same order, and the same first disagreeing pair.
 """
 

@@ -45,15 +45,14 @@ from opetopes.oalg import (
     h_object,
     monad_mult,
     monad_unit,
-    monotone_maps,
     nerve_axioms_check,
     nerve_category,
     parse_category,
     pasting_chain,
 )
+from opetopes.kernel import PshMap as OpSetMap
 from opetopes.opset import (
     FinOpSet,
-    OpSetMap,
     pushout,
     spine,
     spine_cell_decomposition,
@@ -75,6 +74,8 @@ from opetopes.theory import (
     validate_presheaf,
 )
 from opetopes.theory import FinPresheafC
+
+from scaffold import monotone_maps
 
 I = opetopic_integer
 E1 = Addr(1)

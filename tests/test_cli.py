@@ -12,7 +12,9 @@ import pytest
 
 from opetopes import cli
 from opetopes.cli import main
-from opetopes.opset import dump_opset, load_opset, terminal_opset
+from opetopes.opset import dump_opset, load_opset
+
+from scaffold import terminal_opset
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 

@@ -1,9 +1,11 @@
 """The import order of the package, read from the sources with `ast`.
 
-The layers are opetope <- opset <- oalg <- cli: a module imports only
-from layers before it.  `theory` holds the shared kernel
-and imports nothing from the package; opset, oalg and cli may use it,
-and opetope takes at most `ParseError` from it.  The Baez-Dolan oracle
+The layers are kernel <- opetope <- opset <- oalg <- cli, and
+kernel <- theory <- cli: a module imports only from layers before it.
+`kernel` holds what they share and imports nothing from the package;
+opetope takes at most `ParseError` from it.  Only cli imports `theory`
+(the package's `__init__` does not), so a fresh interpreter that imports
+opetope, opset or oalg leaves it unloaded.  The Baez-Dolan oracle
 in `tests/polytree_oracle.py` imports nothing from the package, so that
 it checks `opetope` independently.
 """
@@ -11,15 +13,19 @@ it checks `opetope` independently.
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "opetopes"
-LAYERS = ("opetope", "opset", "oalg", "cli")
-ALLOWED = {name: set(LAYERS[:i]) | {"theory"} for i, name in enumerate(LAYERS)}
-ALLOWED["theory"] = set()
+LAYERS = ("kernel", "opetope", "opset", "oalg", "cli")
+ALLOWED = {name: set(LAYERS[:i]) for i, name in enumerate(LAYERS)}
+ALLOWED["theory"] = {"kernel"}
+ALLOWED["cli"].add("theory")
 
 
 def package_imports(module: str, directory: Path = PACKAGE) -> dict[str, set[str]]:
@@ -54,6 +60,10 @@ def test_opetope_takes_at_most_parse_error_from_theory():
     assert package_imports("opetope").get("theory", set()) <= {"ParseError"}
 
 
+def test_opetope_takes_at_most_parse_error_from_kernel():
+    assert package_imports("opetope").get("kernel", set()) <= {"ParseError"}
+
+
 def test_every_module_has_a_layer():
     modules = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
     assert modules == set(ALLOWED)
@@ -63,7 +73,25 @@ def test_oracle_imports_nothing_from_the_package():
     assert package_imports("polytree_oracle", TESTS) == {}
 
 
-def test_one_parse_error():
-    from opetopes import opetope, theory
+def loaded_modules(module: str) -> set[str]:
+    """The package modules a fresh interpreter holds after `import module`."""
+    code = f"import sys, {module}; print(*(m for m in sys.modules if m.startswith('opetopes')))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return set(run.stdout.split())
 
-    assert opetope.ParseError is theory.ParseError
+
+@pytest.mark.parametrize("module", ["opetopes.opetope", "opetopes.opset", "opetopes.oalg"])
+def test_importing_a_layer_leaves_theory_unloaded(module):
+    loaded = loaded_modules(module)
+    assert module in loaded and "opetopes.theory" not in loaded
+
+
+def test_importing_theory_loads_it():
+    assert "opetopes.theory" in loaded_modules("opetopes.theory")
+
+
+def test_one_parse_error():
+    from opetopes import kernel, opetope, theory
+
+    assert opetope.ParseError is theory.ParseError is kernel.ParseError

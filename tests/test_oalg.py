@@ -36,7 +36,6 @@ from opetopes.opset import (
     maps,
     render_gen,
     representable,
-    terminal_opset,
     validate_opset,
 )
 from opetopes.oalg import (
@@ -61,10 +60,8 @@ from opetopes.oalg import (
     free_cells,
     h_morphism,
     h_object,
-    lambda_identity,
     monad_mult,
     monad_unit,
-    monotone_maps,
     nerve_axioms_check,
     nerve_category,
     parse_category,
@@ -72,6 +69,8 @@ from opetopes.oalg import (
     pasting_face,
     split_pasting,
 )
+
+from scaffold import lambda_identity, monotone_maps, terminal_opset
 
 I = opetopic_integer
 E1 = Addr(1)

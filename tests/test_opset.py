@@ -24,18 +24,21 @@ from opetopes.opetope import (
     target,
     word_key,
 )
+from opetopes.kernel import (
+    PshMap as OpSetMap,
+    psh_compose as compose_maps,
+    psh_identity as identity_map,
+    sub_presheaf as sub_opset,
+)
 from opetopes.opset import (
     FinOpSet,
     Inclusion,
-    OpSetMap,
     WindowMismatch,
     boundary,
     check_natural,
-    compose_maps,
     dump_opset,
     empty_opset,
     hlift_check,
-    identity_map,
     load_opset,
     maps,
     orthogonal,
@@ -44,10 +47,10 @@ from opetopes.opset import (
     representable,
     spine,
     spine_cell_decomposition,
-    sub_opset,
-    terminal_opset,
     validate_opset,
 )
+
+from scaffold import terminal_opset
 
 I = opetopic_integer
 E1 = Addr(1)

@@ -73,7 +73,8 @@ from opetopes.opetope import (
     target,
     tree,
 )
-from opetopes.opset import boundary, check_natural, maps, representable, spine, sub_opset
+from opetopes.kernel import sub_presheaf as sub_opset
+from opetopes.opset import boundary, check_natural, maps, representable, spine
 from opetopes.theory import (
     PshMap,
     SortExpr,

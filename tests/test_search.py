@@ -1,7 +1,7 @@
 """The natural-map search against the oracle that scans every sort.
 
-`theory.natural_maps` takes a chosen cell's values from a face index when
-one of its faces is assigned, and `theory.propagate` compares sorts by
+`kernel.natural_maps` takes a chosen cell's values from a face index when
+one of its faces is assigned, and `kernel.propagate` compares sorts by
 their interned ids.  `search_oracle` keeps the search without either.
 Over representables and boundaries of generated posets, realized graph
 contexts, and nerves of small posets and monoids read back through
@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import search_oracle
-from opetopes import theory
+from opetopes import kernel
 from opetopes.oalg import nerve_category
 from opetopes.opetope import parse
 from opetopes.opset import (
@@ -35,7 +35,7 @@ from opetopes.opset import (
     representable,
     spine,
 )
-from opetopes.theory import natural_maps, propagate
+from opetopes.kernel import natural_maps, propagate
 
 from test_properties import categories, graph_contexts, poset_category, poset_presheaf, posets
 
@@ -116,6 +116,6 @@ def test_boundary_search_against_a_chain_nerve_is_cut_by_the_index(monkeypatch):
         calls.append(args)
         return propagate(*args)
 
-    monkeypatch.setattr(theory, "propagate", counting)
+    monkeypatch.setattr(kernel, "propagate", counting)
     assert orthogonal_witness(boundary(parse("I3"), X.window), X) is None
-    assert len(calls) <= 4000
+    assert 0 < len(calls) <= 4000

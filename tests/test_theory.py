@@ -38,8 +38,6 @@ from opetopes.theory import (
     parse_signature,
     parse_theory,
     presheaf_to_context,
-    psh_compose,
-    psh_identity,
     psh_isomorphism,
     psh_maps,
     realize_bindings,
@@ -50,6 +48,7 @@ from opetopes.theory import (
     validate_lfd,
     validate_presheaf,
 )
+from opetopes.kernel import psh_compose, psh_identity
 
 GG1 = FinDirectCat(
     ("D0", "D1"),
