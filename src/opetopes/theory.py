@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 
 from .kernel import (
@@ -479,19 +480,21 @@ class Equation:
 
 @dataclass(frozen=True)
 class _Declarations:
-    """Declarations in order, looked up by name."""
+    """Declarations in order, looked up by name through an index built on
+    first use."""
 
     declarations: tuple
 
+    @cached_property
+    def _index(self) -> dict:
+        return {d.name: d for d in self.declarations}
+
     def decl(self, name: str):
-        for d in self.declarations:
-            if d.name == name:
-                return d
-        raise KeyError(name)
+        return self._index[name]
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(d.name for d in self.declarations)
+        return tuple(self._index)
 
 
 @dataclass(frozen=True)
@@ -591,7 +594,7 @@ def _parse_ctx(tok: _Tokens) -> tuple[Binding, ...]:
     bindings: list[Binding] = []
     while True:
         names = [_ident(tok)]
-        while tok.peek() not in (":",) and tok.peek() is not None and _IDENT.match(tok.peek() or ""):
+        while _IDENT.match(tok.peek() or ""):
             names.append(_ident(tok))
         tok.expect(":")
         sort = _parse_sortexpr(tok)
@@ -676,16 +679,15 @@ def _apply(
 
 
 def _check_context(
-    bindings: tuple[Binding, ...], sig: Signature, ops: dict[str, TermDecl]
+    bindings: tuple[Binding, ...], types: dict[str, TypeDecl], ops: dict[str, TermDecl]
 ) -> dict[Term, SortExpr]:
     """A context must be built from the type signature alone: sorts name
     declared types and their arguments are previously bound variables.
     Returns the memo of sorts that typing in the context extends."""
     known: dict[Term, SortExpr] = {}
-    declared = set(sig.names) | set(ops)
     for v, s in bindings:
         var = Term(v)
-        if v in declared:
+        if v in types or v in ops:
             raise IllFormedContext(f"variable {v} shadows a declared symbol")
         if var in known:
             raise IllFormedContext(f"variable {v} bound twice")
@@ -694,7 +696,7 @@ def _check_context(
                 f"context mentions the term symbol {s.head}; "
                 "contexts must be well-formed over the type signature alone"
             )
-        if s.head not in sig.names:
+        if s.head not in types:
             raise IllFormedContext(f"unknown type {s.head}")
         for a in s.args:
             if a.args is not None:
@@ -704,40 +706,37 @@ def _check_context(
                 )
             if a not in known:
                 raise IllFormedContext(f"unbound variable {a.head} in {s}")
-        _check_sort_instance(s, known, sig, {}, IllFormedContext)
+        _check_sort_instance(s, known, types, {}, IllFormedContext)
         known[var] = s
     return known
 
 
-def _grade_of_context(bindings: tuple[Binding, ...], grades: dict[str, int]) -> int:
+def _grade_of_context(bindings: tuple[Binding, ...], types: dict[str, TypeDecl]) -> int:
     if not bindings:
         return 0
-    return 1 + max(grades[s.head] for _, s in bindings)
+    return 1 + max(types[s.head].grade for _, s in bindings)
 
 
 def parse_theory(text: str) -> tuple[Signature, TermSignature, EquationSet]:
     """Parse a theory file: type declarations (ctx |- A(vars) type), term
     declarations (ctx |- t(args) : sort), and equations
     (ctx |- t = u : sort), in dependency order."""
-    types: list[TypeDecl] = []
-    ops: list[TermDecl] = []
+    types: dict[str, TypeDecl] = {}
+    ops: dict[str, TermDecl] = {}
     eqns: list[Equation] = []
-    grades: dict[str, int] = {}
     try:
         for lineno, line in numbered_lines(text):
             tok = _Tokens(line)
             ctx = _parse_ctx(tok)
             tok.expect("|-")
-            sig = Signature(tuple(types))
-            opmap = {d.name: d for d in ops}
-            known = _check_context(ctx, sig, opmap)
+            known = _check_context(ctx, types, ops)
             lead = _parse_term(tok)
             nxt = tok.peek()
             if nxt == "type":
                 tok.next()
                 tok.done()
                 name = lead.head
-                if name in grades or name in opmap:
+                if name in types or name in ops:
                     raise FreshnessViolation(f"{name} is already declared")
                 ctx_vars = tuple(v for v, _ in ctx)
                 if lead.args is None:
@@ -749,15 +748,13 @@ def parse_theory(text: str) -> tuple[Signature, TermSignature, EquationSet]:
                     # _check_context has made ctx_vars distinct
                     if sorted(arg_order) != sorted(ctx_vars):
                         raise ParseError(f"{name} must list each context variable once")
-                grade = _grade_of_context(ctx, grades)
-                types.append(TypeDecl(name, ctx, arg_order, grade))
-                grades[name] = grade
+                types[name] = TypeDecl(name, ctx, arg_order, _grade_of_context(ctx, types))
             elif nxt == ":":
                 tok.next()
                 output = _parse_sortexpr(tok)
                 tok.done()
                 name = lead.head
-                if name in grades or name in opmap:
+                if name in types or name in ops:
                     raise FreshnessViolation(f"{name} is already declared")
                 if lead.args is None:
                     raise ParseError(f"operation {name} needs an argument list")
@@ -766,10 +763,10 @@ def parse_theory(text: str) -> tuple[Signature, TermSignature, EquationSet]:
                     raise ParseError(f"arguments of {name} must be context variables")
                 if len(set(explicit)) != len(explicit):
                     raise ParseError(f"repeated argument in {name}")
-                if output.head not in grades:
+                if output.head not in types:
                     raise ParseError(f"unknown type {output.head}")
-                _check_sort_instance(output, known, sig, opmap)
-                ops.append(TermDecl(name, ctx, explicit, output, grades[output.head]))
+                _check_sort_instance(output, known, types, ops)
+                ops[name] = TermDecl(name, ctx, explicit, output, types[output.head].grade)
             elif nxt == "=":
                 tok.next()
                 rhs = _parse_term(tok)
@@ -777,29 +774,33 @@ def parse_theory(text: str) -> tuple[Signature, TermSignature, EquationSet]:
                 sort = _parse_sortexpr(tok)
                 tok.done()
                 for side in (lead, rhs):
-                    got = _sort_of(side, known, opmap)
+                    got = _sort_of(side, known, ops)
                     if got != sort:
                         raise ParseError(f"{side} has sort {got}, expected {sort}")
-                if sort.head not in grades:
+                if sort.head not in types:
                     raise ParseError(f"unknown type {sort.head}")
-                eqns.append(Equation(ctx, lead, rhs, sort, grades[sort.head]))
+                eqns.append(Equation(ctx, lead, rhs, sort, types[sort.head].grade))
             else:
                 raise ParseError("expected 'type', ':' or '=' after the head")
     except ValueError as err:
         raise line_error(lineno, err) from None
-    return Signature(tuple(types)), TermSignature(tuple(ops)), EquationSet(tuple(eqns))
+    return (
+        Signature(tuple(types.values())),
+        TermSignature(tuple(ops.values())),
+        EquationSet(tuple(eqns)),
+    )
 
 
 def _check_sort_instance(
     s: SortExpr,
     known: dict[Term, SortExpr],
-    sig: Signature,
+    types: dict[str, TypeDecl],
     ops: dict[str, TermDecl],
     error: type[ValueError] = ParseError,
 ) -> None:
     """Check that the arguments of s have the sorts its declaration asks
     for, raising error otherwise."""
-    decl = sig.decl(s.head)
+    decl = types[s.head]
     if len(s.args) != len(decl.arg_order):
         raise error(f"{s.head} takes {len(decl.arg_order)} arguments")
     theta = dict(zip(decl.arg_order, s.args))
@@ -828,7 +829,7 @@ def parse_context(sig: Signature, text: str) -> tuple[Binding, ...]:
             return ()
         bindings = _parse_ctx(tok)
         tok.done()
-        _check_context(bindings, sig, {})
+        _check_context(bindings, sig._index, {})
     except ValueError as err:
         raise line_error(1, err) from None
     return bindings
@@ -863,34 +864,36 @@ def signature_category(
     composite of f: a -> b and g: b -> c is the morphism at g's image of
     f's `@` image."""
     decls = sig.declarations
+    index = {d.name: i for i, d in enumerate(decls)}
     sorts = {d.name: _decl_sorts(d) for d in decls}
-    pos = {d.name: {v: i for i, v in enumerate(sorts[d.name])} for d in decls}
+    pos = {b: {v: i for i, v in enumerate(vs)} for b, vs in sorts.items()}
+    found = []
+    for b, vs in sorts.items():
+        for w, s in vs.items():
+            a = sig.decl(s.head)
+            theta = dict(zip(a.arg_order, s.args))
+            t = tuple(theta[v].head for v, _ in a.context) + (w,)
+            # ordered by source, target, then the images of a's variables in turn
+            found.append(((index[a.name], index[b], [pos[b][v] for v in t]), a.name, b, t))
     at: dict[tuple[str, str], str] = {}
     morphisms: dict[str, tuple[str, str]] = {}
     assign: dict[str, tuple[str, ...]] = {}
     identities: dict[str, str] = {}
-    for a in decls:
-        for b in decls:
-            found = []
-            for w, s in sorts[b.name].items():
-                if s.head == a.name:
-                    theta = dict(zip(a.arg_order, s.args))
-                    found.append(tuple(theta[v].head for v, _ in a.context) + (w,))
-            # ordered by the images of a's variables in turn, as b lists them
-            for t in sorted(found, key=lambda t: [pos[b.name][v] for v in t]):
-                if a.name == b.name and t[-1] == _SELF:
-                    mname = identities[a.name] = f"1_{a.name}"
-                else:
-                    mname = f"{a.name}>{b.name}:{','.join(t)}"
-                at[b.name, t[-1]] = mname
-                morphisms[mname] = (a.name, b.name)
-                assign[mname] = t
-    ids = set(identities.values())
+    out: dict[str, list[str]] = {}
+    for _, a, b, t in sorted(found, key=itemgetter(0)):
+        if t[-1] == _SELF:  # b's `@` has sort b(...), so a is b
+            mname = identities[a] = f"1_{a}"
+        else:
+            mname = f"{a}>{b}:{','.join(t)}"
+            out.setdefault(a, []).append(mname)
+        at[b, t[-1]] = mname
+        morphisms[mname] = (a, b)
+        assign[mname] = t
     composition: dict[tuple[str, str], str] = {}
     for f, (_, b) in morphisms.items():
-        for g, (b2, c) in morphisms.items():
-            if b2 == b and f not in ids and g not in ids:
-                composition[g, f] = at[c, assign[g][pos[b][assign[f][-1]]]]
+        if assign[f][-1] != _SELF:
+            for g in out.get(b, ()):
+                composition[g, f] = at[morphisms[g][1], assign[g][pos[b][assign[f][-1]]]]
     cat = FinDirectCat(tuple(d.name for d in decls), morphisms, composition, identities)
     return cat, assign
 
@@ -933,8 +936,7 @@ def lfd_to_signature(C: FinDirectCat) -> Signature:
     def boundary_order(c: str) -> list[str]:
         return sorted(C.into(c), key=lambda m: (dims[C.src(m)], order[C.src(m)], m))
 
-    decls: list[TypeDecl] = []
-    grades: dict[str, int] = {}
+    types: dict[str, TypeDecl] = {}
     for c in sorted(C.objects, key=lambda c: (dims[c], order[c])):
         cover = boundary_order(c)
         var_of = {m: f"x{i}" for i, m in enumerate(cover)}
@@ -944,10 +946,8 @@ def lfd_to_signature(C: FinDirectCat) -> Signature:
             args = tuple(Term(var_of[C.compose(m, e)]) for e in boundary_order(b))
             bindings.append((var_of[m], SortExpr(b, args)))
         ctx = tuple(bindings)
-        grade = _grade_of_context(ctx, grades)
-        decls.append(TypeDecl(c, ctx, tuple(v for v, _ in ctx), grade))
-        grades[c] = grade
-    return Signature(tuple(decls))
+        types[c] = TypeDecl(c, ctx, tuple(v for v, _ in ctx), _grade_of_context(ctx, types))
+    return Signature(tuple(types.values()))
 
 
 def _graph(C: FinDirectCat) -> FinPresheafC:

@@ -538,7 +538,7 @@ def test_negative_node_bound_exits_two(capsys, tmp_path, argv):
 @pytest.mark.xfail(
     raises=RecursionError,
     strict=True,
-    reason="theory.natural_maps recurses once per choice point",
+    reason="kernel.natural_maps recurses once per choice point",
 )
 def test_orthogonal_on_a_long_integer(capsys, tmp_path):
     terminal = tmp_path / "terminal.opset"
@@ -550,6 +550,19 @@ def test_orthogonal_on_a_long_integer(capsys, tmp_path):
         "spine: not orthogonal (a map extends 0 times)",
         "boundary: not orthogonal (a map extends 0 times)",
     ]
+
+
+@pytest.mark.xfail(
+    raises=RecursionError,
+    strict=True,
+    reason="kernel.natural_maps recurses once per choice point",
+)
+def test_roundtrip_of_many_edge_types(capsys, tmp_path):
+    th = tmp_path / "edges.th"
+    edges = "".join(f"x y : V |- E{k}(x, y) type\n" for k in range(400))
+    th.write_text("|- V type\n" + edges)
+    code, out = run(capsys, "theory", "roundtrip", "--file", str(th))
+    assert (code, out) == (0, "PASS\n")
 
 
 def test_identities_of_long_integer(capsys):

@@ -4,6 +4,7 @@ signature/category correspondence, and the finite model checker."""
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -540,6 +541,29 @@ def test_round_trip_grades_match_dimensions():
         dims = validate_lfd(signature_to_lfd(sig)).dims
         for d in sig.declarations:
             assert dims[d.name] == d.grade
+
+
+def edge_types(n: int) -> str:
+    """One point type V and n edge types over two points."""
+    return "|- V type\n" + "".join(f"x y : V |- E{k}(x, y) type\n" for k in range(n))
+
+
+def test_signature_category_is_built_in_linear_time():
+    """Eight times the edge types cost about ten times the time when each
+    declaration is read once and the category off each declaration's own
+    context, and about sixty times when every pair of declarations and of
+    morphisms is scanned.  The bound of 24 sits between the two, with room
+    for timing noise on the small input."""
+    def best(n: int) -> float:
+        text = edge_types(n)
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            signature_to_lfd(parse_signature(text))
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    assert best(2000) / best(250) < 24
 
 
 def test_hom_sets_agree_with_presheaf_maps():
