@@ -129,8 +129,9 @@ FinDirectCat = FiniteCategory  # the name the direct-category side uses
 def _table_problems(C: FiniteCategory) -> Iterator[str]:
     """Defects of the tables themselves: endpoints, identities and
     composition entries."""
+    objects = set(C.objects)
     for f, (a, b) in C.morphisms.items():
-        if a not in C.objects or b not in C.objects:
+        if a not in objects or b not in objects:
             yield f"morphism {f} has unknown endpoints"
     for a in C.objects:
         i = C.identities.get(a)

@@ -923,31 +923,48 @@ def realize_bindings(sig: Signature, bindings: tuple[Binding, ...]) -> FinPreshe
     return FinPresheafC(cat, cells, restriction)
 
 
+def _cover_variables(C: FinDirectCat, rank: dict[str, int]) -> dict[str, dict[str, str]]:
+    """Each object's variables x0, x1, ..., one per non-identity morphism
+    into it, bound in order of the morphism's source rank, then name."""
+    covers = {c: sorted(C.into(c), key=lambda m: (rank[C.src(m)], m)) for c in C.objects}
+    return {c: {m: f"x{i}" for i, m in enumerate(ms)} for c, ms in covers.items()}
+
+
 def lfd_to_signature(C: FinDirectCat) -> Signature:
     """A type signature presenting a validated direct category: one
-    declaration per object, whose context attaches the cells of its
-    boundary in the deterministic order."""
+    declaration per object, by dimension and then in C's order, whose
+    context binds one variable per cell of its boundary (_cover_variables)."""
     report = validate_lfd(C)
     if not report.ok:
         raise ValueError("the category is not a valid finite direct category")
-    dims = report.dims
-    order = {c: i for i, c in enumerate(C.objects)}
-
-    def boundary_order(c: str) -> list[str]:
-        return sorted(C.into(c), key=lambda m: (dims[C.src(m)], order[C.src(m)], m))
-
+    ranked = sorted(C.objects, key=report.dims.__getitem__)
+    var = _cover_variables(C, {c: i for i, c in enumerate(ranked)})
     types: dict[str, TypeDecl] = {}
-    for c in sorted(C.objects, key=lambda c: (dims[c], order[c])):
-        cover = boundary_order(c)
-        var_of = {m: f"x{i}" for i, m in enumerate(cover)}
+    for c in ranked:
         bindings: list[Binding] = []
-        for m in cover:
+        for m, v in var[c].items():
             b = C.src(m)
-            args = tuple(Term(var_of[C.compose(m, e)]) for e in boundary_order(b))
-            bindings.append((var_of[m], SortExpr(b, args)))
+            args = tuple(Term(var[c][C.compose(m, e)]) for e in var[b])
+            bindings.append((v, SortExpr(b, args)))
         ctx = tuple(bindings)
         types[c] = TypeDecl(c, ctx, tuple(v for v, _ in ctx), _grade_of_context(ctx, types))
     return Signature(tuple(types.values()))
+
+
+def roundtrip_isomorphism(
+    C: FinDirectCat, back: FinDirectCat, assign: dict[str, tuple[str, ...]]
+) -> dict[str, str] | None:
+    """The isomorphism from C to back that lfd_to_signature names, for
+    (back, assign) = signature_category(lfd_to_signature(C)): objects and
+    identities to themselves, a morphism m into c to the morphism of back
+    at m's variable in c's context.  None unless it keeps C's composites."""
+    at = {(back.tgt(m), t[-1]): m for m, t in assign.items()}
+    iso = {a: a for a in C.objects}
+    iso.update((i, back.identities[a]) for a, i in C.identities.items())
+    for c, var in _cover_variables(C, {c: i for i, c in enumerate(back.objects)}).items():
+        iso.update((m, at[c, v]) for m, v in var.items())
+    kept = all(back.compose(iso[g], iso[f]) == iso[h] for (g, f), h in C.composition.items())
+    return iso if kept else None
 
 
 def _graph(C: FinDirectCat) -> FinPresheafC:

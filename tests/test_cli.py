@@ -6,12 +6,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from opetopes import cli
+from opetopes import cli, theory
 from opetopes.cli import main
+from opetopes.kernel import FinDirectCat
 from opetopes.opset import dump_opset, load_opset
 
 from scaffold import terminal_opset
@@ -552,17 +554,75 @@ def test_orthogonal_on_a_long_integer(capsys, tmp_path):
     ]
 
 
-@pytest.mark.xfail(
-    raises=RecursionError,
-    strict=True,
-    reason="kernel.natural_maps recurses once per choice point",
-)
 def test_roundtrip_of_many_edge_types(capsys, tmp_path):
     th = tmp_path / "edges.th"
     edges = "".join(f"x y : V |- E{k}(x, y) type\n" for k in range(400))
     th.write_text("|- V type\n" + edges)
     code, out = run(capsys, "theory", "roundtrip", "--file", str(th))
     assert (code, out) == (0, "PASS\n")
+
+
+def test_roundtrip_runs_in_linear_time(capsys, tmp_path):
+    """Eight times the edge types cost about nine times the time when the
+    round trip is checked along the map its construction names.  The
+    isomorphism search it replaced was quadratic here, and crashed past
+    300 edge types."""
+    def best(n: int) -> float:
+        th = tmp_path / f"edges{n}.th"
+        th.write_text("|- V type\n" + "".join(f"x y : V |- E{k}(x, y) type\n" for k in range(n)))
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            code, out = run(capsys, "theory", "roundtrip", "--file", str(th))
+            times.append(time.perf_counter() - start)
+            assert (code, out) == (0, "PASS\n")
+        return min(times)
+
+    assert best(2000) / best(250) < 24
+
+
+def test_roundtrip_searches_no_isomorphism(monkeypatch, capsys, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("natural_maps was called")
+
+    monkeypatch.setattr(theory, "natural_maps", refuse)
+    th = tmp_path / "tcat.th"
+    th.write_text(TCAT)
+    code, out = run(capsys, "theory", "roundtrip", "--file", str(th))
+    assert (code, out) == (0, "PASS\n")
+
+
+def swap_one_composite(C: FinDirectCat) -> FinDirectCat:
+    """C with the values of g.f and g.f2 exchanged, for the first g listed
+    with two composites of parallel morphisms that differ."""
+    first: dict[str, tuple[str, str]] = {}
+    for (g, f), h in C.composition.items():
+        f2, h2 = first.setdefault(g, (f, h))
+        if h2 != h and C.src(f2) == C.src(f):
+            composition = {**C.composition, (g, f2): h, (g, f): h2}
+            return FinDirectCat(C.objects, C.morphisms, composition, C.identities)
+    raise AssertionError("no two composites to swap")
+
+
+def test_roundtrip_fails_on_a_swapped_composite(monkeypatch, capsys, tmp_path):
+    """The category built back from the globe signature has the source and
+    target of one of F's edges exchanged: still a direct category, but the
+    named map no longer keeps every composite, so the round trip fails."""
+    signature_category, built = theory.signature_category, []
+
+    def swapped(sig):
+        cat, assign = signature_category(sig)
+        built.append(swap_one_composite(cat) if built else cat)
+        return built[-1], assign
+
+    monkeypatch.setattr(theory, "signature_category", swapped)
+    th = tmp_path / "globe.th"
+    th.write_text(
+        "|- V type\nx y : V |- E(x, y) type\nx y : V, f g : E(x, y) |- F(x, y, f, g) type\n"
+    )
+    code, out = run(capsys, "theory", "roundtrip", "--file", str(th))
+    assert (code, out) == (1, "FAIL\n")
+    assert len(built) == 2 and theory.validate_lfd(built[1]).ok
 
 
 def test_identities_of_long_integer(capsys):

@@ -89,6 +89,7 @@ from opetopes.theory import (
     psh_maps,
     realize_bindings,
     representable_psh,
+    roundtrip_isomorphism,
     signature_category,
     signature_to_lfd,
     sub_presheaf,
@@ -523,3 +524,14 @@ def test_isomorphism_found_to_a_renamed_copy(C, data):
     D = data.draw(renamed(C))
     assert_isomorphism(C, D, cat_isomorphic(C, D))
     assert_isomorphism(D, C, cat_isomorphic(D, C))
+
+
+@SETTINGS
+@given(st.one_of(posets(), st.builds(signature_to_lfd, signatures)), st.data())
+def test_the_named_roundtrip_map_is_an_isomorphism(C, data):
+    """The map roundtrip_isomorphism names is one, and the search finds one
+    too, on C and on a copy of C with arbitrary names and orders."""
+    for D in (C, data.draw(renamed(C))):
+        back, assign = signature_category(lfd_to_signature(D))
+        assert_isomorphism(D, back, roundtrip_isomorphism(D, back, assign))
+        assert cat_isomorphic(D, back) is not None

@@ -566,6 +566,24 @@ def test_signature_category_is_built_in_linear_time():
     assert best(2000) / best(250) < 24
 
 
+def test_validate_lfd_runs_in_linear_time():
+    """Sixteen times the edge types cost ten to sixteen times the time when
+    the table check tests endpoints against a set of the objects, and sixty
+    to a hundred times when against their tuple.  Between 250 and 2,000 edge
+    types the linear law check hides the quadratic one (a ratio of 21 to 28
+    against 8), so the sizes are 250 and 4,000 and the bound 32."""
+    def best(n: int) -> float:
+        cat = signature_to_lfd(parse_signature(edge_types(n)))
+        times = []
+        for _ in range(5):
+            start = time.perf_counter()
+            assert validate_lfd(cat).ok
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    assert best(4000) / best(250) < 32
+
+
 def test_hom_sets_agree_with_presheaf_maps():
     for text in (GG1_SIG, TRI_SIG):
         sig = parse_signature(text)
