@@ -923,9 +923,11 @@ def realize_bindings(sig: Signature, bindings: tuple[Binding, ...]) -> FinPreshe
     return FinPresheafC(cat, cells, restriction)
 
 
-def _cover_variables(C: FinDirectCat, rank: dict[str, int]) -> dict[str, dict[str, str]]:
-    """Each object's variables x0, x1, ..., one per non-identity morphism
-    into it, bound in order of the morphism's source rank, then name."""
+def _cover_variables(C: FinDirectCat, ranked: tuple[str, ...]) -> dict[str, dict[str, str]]:
+    """Each object's variables x0, x1, ..., one per non-identity morphism into
+    it, by the place of its source in ranked, then name; ranked is the order of
+    lfd_to_signature's declarations, which signature_category keeps."""
+    rank = {c: i for i, c in enumerate(ranked)}
     covers = {c: sorted(C.into(c), key=lambda m: (rank[C.src(m)], m)) for c in C.objects}
     return {c: {m: f"x{i}" for i, m in enumerate(ms)} for c, ms in covers.items()}
 
@@ -937,32 +939,33 @@ def lfd_to_signature(C: FinDirectCat) -> Signature:
     report = validate_lfd(C)
     if not report.ok:
         raise ValueError("the category is not a valid finite direct category")
-    ranked = sorted(C.objects, key=report.dims.__getitem__)
-    var = _cover_variables(C, {c: i for i, c in enumerate(ranked)})
+    ranked = tuple(sorted(C.objects, key=report.dims.__getitem__))
+    var = _cover_variables(C, ranked)
     types: dict[str, TypeDecl] = {}
     for c in ranked:
-        bindings: list[Binding] = []
-        for m, v in var[c].items():
-            b = C.src(m)
-            args = tuple(Term(var[c][C.compose(m, e)]) for e in var[b])
-            bindings.append((v, SortExpr(b, args)))
-        ctx = tuple(bindings)
+        ctx = tuple(
+            (v, SortExpr(C.src(m), tuple(Term(var[c][C.compose(m, e)]) for e in var[C.src(m)])))
+            for m, v in var[c].items()
+        )
         types[c] = TypeDecl(c, ctx, tuple(v for v, _ in ctx), _grade_of_context(ctx, types))
     return Signature(tuple(types.values()))
 
 
-def roundtrip_isomorphism(
-    C: FinDirectCat, back: FinDirectCat, assign: dict[str, tuple[str, ...]]
-) -> dict[str, str] | None:
-    """The isomorphism from C to back that lfd_to_signature names, for
-    (back, assign) = signature_category(lfd_to_signature(C)): objects and
-    identities to themselves, a morphism m into c to the morphism of back
-    at m's variable in c's context.  None unless it keeps C's composites."""
-    at = {(back.tgt(m), t[-1]): m for m, t in assign.items()}
-    iso = {a: a for a in C.objects}
-    iso.update((i, back.identities[a]) for a, i in C.identities.items())
-    for c, var in _cover_variables(C, {c: i for i, c in enumerate(back.objects)}).items():
-        iso.update((m, at[c, v]) for m, v in var.items())
+def roundtrip_isomorphism(C: FinDirectCat, sig: Signature) -> dict[str, str] | None:
+    """The isomorphism sig = lfd_to_signature(C) names from C to the category
+    signature_category(sig): objects and identities to themselves, a morphism m
+    into c to the morphism at m's variable in c's context.  None unless that is
+    a valid direct category and the map a bijection keeping ends and composites."""
+    back, assign = signature_category(sig)
+    if not validate_lfd(back).ok or set(back.objects) != set(C.objects):
+        return None
+    at = {(back.tgt(m), t[-1]): m for m, t in assign.items() if m in back.morphisms}
+    iso = {a: a for a in C.objects} | {i: back.identities[a] for a, i in C.identities.items()}
+    for c, var in _cover_variables(C, back.objects).items():
+        iso.update((m, at.get((c, v))) for m, v in var.items())
+    onto = len(C.morphisms) == len({iso[f] for f in C.morphisms}) == len(back.morphisms)
+    if not onto or any(back.morphisms.get(iso[f]) != e for f, e in C.morphisms.items()):
+        return None
     kept = all(back.compose(iso[g], iso[f]) == iso[h] for (g, f), h in C.composition.items())
     return iso if kept else None
 

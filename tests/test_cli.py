@@ -604,22 +604,61 @@ def swap_one_composite(C: FinDirectCat) -> FinDirectCat:
     raise AssertionError("no two composites to swap")
 
 
+def mutate_back(monkeypatch, mutate) -> list[FinDirectCat]:
+    """Make theory.signature_category mutate every category it builds after
+    the first, the one the round trip builds back; return the categories."""
+    signature_category, built = theory.signature_category, []
+
+    def mutated(sig):
+        cat, assign = signature_category(sig)
+        built.append(mutate(cat) if built else cat)
+        return built[-1], assign
+
+    monkeypatch.setattr(theory, "signature_category", mutated)
+    return built
+
+
 def test_roundtrip_fails_on_a_swapped_composite(monkeypatch, capsys, tmp_path):
     """The category built back from the globe signature has the source and
     target of one of F's edges exchanged: still a direct category, but the
     named map no longer keeps every composite, so the round trip fails."""
-    signature_category, built = theory.signature_category, []
-
-    def swapped(sig):
-        cat, assign = signature_category(sig)
-        built.append(swap_one_composite(cat) if built else cat)
-        return built[-1], assign
-
-    monkeypatch.setattr(theory, "signature_category", swapped)
+    built = mutate_back(monkeypatch, swap_one_composite)
     th = tmp_path / "globe.th"
     th.write_text(
         "|- V type\nx y : V |- E(x, y) type\nx y : V, f g : E(x, y) |- F(x, y, f, g) type\n"
     )
+    code, out = run(capsys, "theory", "roundtrip", "--file", str(th))
+    assert (code, out) == (1, "FAIL\n")
+    assert len(built) == 2 and theory.validate_lfd(built[1]).ok
+
+
+def edge(C: FinDirectCat) -> str:
+    return next(m for m in C.morphisms if not C.is_identity(m))
+
+
+def move_edge_source(C: FinDirectCat) -> FinDirectCat:
+    morphisms = {**C.morphisms, edge(C): ("W", "E")}
+    return FinDirectCat(C.objects, morphisms, C.composition, C.identities)
+
+
+def add_edge(C: FinDirectCat) -> FinDirectCat:
+    morphisms = {**C.morphisms, "extra": ("V", "E")}
+    return FinDirectCat(C.objects, morphisms, C.composition, C.identities)
+
+
+def drop_edge(C: FinDirectCat) -> FinDirectCat:
+    morphisms = {m: e for m, e in C.morphisms.items() if m != edge(C)}
+    return FinDirectCat(C.objects, morphisms, C.composition, C.identities)
+
+
+@pytest.mark.parametrize("mutate", [move_edge_source, add_edge, drop_edge])
+def test_roundtrip_fails_on_a_changed_edge(monkeypatch, capsys, tmp_path, mutate):
+    """An edge type has no composites of non-identity morphisms, so only the
+    endpoints and the number of the morphisms built back tell the named map
+    from an isomorphism.  Each change leaves a valid direct category."""
+    built = mutate_back(monkeypatch, mutate)
+    th = tmp_path / "edge.th"
+    th.write_text("|- V type\n|- W type\nx y : V |- E(x, y) type\n")
     code, out = run(capsys, "theory", "roundtrip", "--file", str(th))
     assert (code, out) == (1, "FAIL\n")
     assert len(built) == 2 and theory.validate_lfd(built[1]).ok

@@ -532,6 +532,7 @@ def test_the_named_roundtrip_map_is_an_isomorphism(C, data):
     """The map roundtrip_isomorphism names is one, and the search finds one
     too, on C and on a copy of C with arbitrary names and orders."""
     for D in (C, data.draw(renamed(C))):
-        back, assign = signature_category(lfd_to_signature(D))
-        assert_isomorphism(D, back, roundtrip_isomorphism(D, back, assign))
+        sig = lfd_to_signature(D)
+        back = signature_to_lfd(sig)
+        assert_isomorphism(D, back, roundtrip_isomorphism(D, sig))
         assert cat_isomorphic(D, back) is not None
