@@ -273,7 +273,7 @@ def cmd_oalg_h(args) -> int:
     rows = []
     for gen in opetope.generators(omega):
         m = oalg.h_morphism(omega, gen)
-        face = opset.render_gen(gen)
+        face = opetope.render_gen(gen)
         rows.append({"face": face, "src": m.src, "dst": m.dst, "values": list(m.values)})
     lines = [f"object: {value}"] + [
         f"{row['face']}: ({', '.join(map(str, row['values']))}) : "

@@ -29,7 +29,6 @@ from opetopes.opetope import (
     lex_key,
     node_addrs,
     parse as parse_opetope,
-    parse_addr,
     relation_squares,
     render,
     render_gen,
@@ -356,14 +355,6 @@ def hlift_check(X: FinOpSet, n: int, max_nodes: int = 6) -> HLiftReport:
 # text form
 
 
-def parse_gen(text: str, shape: Opetope) -> Gen:
-    if text == "t":
-        return T_GEN
-    if text[:1] == "s":
-        return ("s", parse_addr(text[1:], shape.dim - 1))
-    raise ValueError(f"not a face generator: {text!r}")
-
-
 def dump_opset(X: FinOpSet) -> str:
     lines = [f"window {X.window[0]} {X.window[1]}"]
     for shape in X.shapes():
@@ -376,9 +367,9 @@ def dump_opset(X: FinOpSet) -> str:
 
 def load_opset(text: str) -> FinOpSet:
     """Read the text form written by dump_opset; `#` starts a comment
-    anywhere on a line.  A malformed line raises ValueError naming its
-    number, and so does a set that fails validate_opset, with the first
-    problem."""
+    anywhere on a line, and a face line names its generator as dump_opset
+    does.  A malformed line raises ValueError naming its number, and so
+    does a set that fails validate_opset, with the first problem."""
     window: Window | None = None
     window_line = 0
     cells: dict[Opetope, tuple[CellId, ...]] = {}
@@ -418,17 +409,20 @@ def load_opset(text: str) -> FinOpSet:
         except ValueError as err:
             raise line_error(lineno, err) from None
     faces: dict[tuple[CellId, Gen], CellId] = {}
-    # the faces FinOpSet stores: none at the window's lowest dimension
-    stored = {s: generators(s) if s.dim > window[0] else () for s in cells}
+    # the faces FinOpSet stores, by the names dump_opset writes: none at the
+    # window's lowest dimension
+    named = {
+        s: {render_gen(g): g for g in generators(s)} if s.dim > window[0] else {} for s in cells
+    }
     for lineno, x, gen, y in pending:
         try:
             if x not in shape_of:
                 raise ValueError(f"face of an undeclared cell {x!r}")
-            # a cell at the window's lowest dimension stores no faces; a point has no
-            # generator to parse against
-            g = parse_gen(gen, shape_of[x]) if stored[shape_of[x]] else None
-            if g not in stored[shape_of[x]]:
+            g = named[shape_of[x]].get(gen)
+            if g is None:
                 raise ValueError(f"{x} has no face along {gen}")
+            if y not in shape_of:
+                raise ValueError(f"face of {x} along {gen} is an undeclared cell {y!r}")
             key = (x, g)
             if key in faces:
                 raise ValueError(f"face of {x} along {gen} declared twice")

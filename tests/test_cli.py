@@ -772,6 +772,11 @@ I1_SET = (
         pytest.param("window 1 2\nshape arrow cells a\nshape I1 cells q\n"
                      "face q s[] -> a\nface q t -> a\nface a t -> a\n", 6,
                      "a has no face along t", id="face-below-the-window"),
+        *(
+            pytest.param(I1_SET + f"face q {gen} -> a\n", 9, f"q has no face along {gen}",
+                         id=f"malformed-{gen}")
+            for gen in ["s[", "x", "s[*]]", "s[[]]"]
+        ),
     ],
 )
 def test_face_along_a_missing_generator_exits_two(capsys, tmp_path, text, line, what):
@@ -781,6 +786,15 @@ def test_face_along_a_missing_generator_exits_two(capsys, tmp_path, text, line, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: line {line}: {what}\n"
+
+
+def test_face_onto_an_undeclared_cell_names_its_line(capsys, tmp_path):
+    bad = tmp_path / "stray.opset"
+    bad.write_text(I1_SET.replace("face a t -> p", "face a t -> zz"))
+    assert main(["opset", "orthogonal", "--expr", "I1", "--file", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 6: face of a along t is an undeclared cell 'zz'\n"
 
 
 @pytest.mark.parametrize(

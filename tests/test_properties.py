@@ -3,6 +3,8 @@
 Shapes are random trees of dimension 3 and 4 whose nodes carry small
 decorations.  Checked: the face identities hold, and the readdressing is a
 bijection onto the target's nodes that agrees with the peeling oracle.
+On dimension-3 shapes, the text form of an opetopic set reads back its
+representable, boundary and spine in every window that holds the shape.
 
 Categories are random posets of up to four objects, cyclic monoids and
 left-zero monoids.  Checked: the category axioms hold, into and
@@ -74,7 +76,15 @@ from opetopes.opetope import (
     tree,
 )
 from opetopes.kernel import sub_presheaf as sub_opset
-from opetopes.opset import boundary, check_natural, maps, representable, spine
+from opetopes.opset import (
+    boundary,
+    check_natural,
+    dump_opset,
+    load_opset,
+    maps,
+    representable,
+    spine,
+)
 from opetopes.theory import (
     PshMap,
     SortExpr,
@@ -131,6 +141,15 @@ def test_identities_and_readdressing_on_generated_shapes(w):
     assert sorted(p, key=lambda a: a.key) == list(leaf_addrs(w))
     assert sorted(p.values(), key=lambda a: a.key) == list(node_addrs(target(w)))
     assert (target(w), p) == peel_target_readdress(w)
+
+
+@SETTINGS
+@given(shapes(3))
+def test_text_form_reads_back_representables_boundaries_and_spines(w):
+    for lo in range(w.dim + 1):
+        for X in (representable(w, (lo, w.dim)), boundary(w, (lo, w.dim)).src,
+                  spine(w, (lo, w.dim)).src):
+            assert load_opset(dump_opset(X)) == X
 
 
 def poset_category(n: int, less: set[tuple[int, int]]) -> FiniteCategory:

@@ -38,3 +38,23 @@ def test_search_series_times_every_command_on_small_chains():
     for row in rows:
         _, *ms = row.split()
         assert len(ms) == 2 and all(float(m) > 0 for m in ms)
+
+
+def test_ref_split_compares_a_checkout_with_itself():
+    proc = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "tools" / "ref_split.py"), str(REPO_ROOT), str(REPO_ROOT),
+         "--workload", "theory", "--pairs", "1"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    title, header, *rows = proc.stdout.splitlines()
+    assert title.startswith("theory seed 11: ") and title.endswith(" jobs, 1 pairs")
+    assert header.split() == ["figure", "A", "B", "B/A", "B", "lower"]
+    assert [row.split()[0] for row in rows] == ["wall", "ref-before", "ref-after", "cost"]
+    for row in rows:
+        _, a, b, ratio, wins = row.split()
+        assert float(a) > 0 and float(b) > 0 and float(ratio) > 0
+        assert wins in ("0/1", "1/1")
