@@ -16,6 +16,7 @@ extended context of sort a(...)), and an exhaustive finite-model checker.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -396,8 +397,10 @@ def _nest(depth: int) -> int:
 
 class Term(tuple):
     """A variable occurrence when args is None, an operation application
-    otherwise: the tuple (head, args, depth), so that a sort memo hashes
-    and compares it in C.  depth counts nested argument lists."""
+    otherwise: the tuple (head, args, depth, hash), so that a sort memo
+    compares it in C and hashes it in O(1) at any depth.  depth counts
+    nested argument lists; hash is computed once, from head and the
+    arguments' own stored hashes."""
 
     __slots__ = ()
 
@@ -408,11 +411,14 @@ class Term(tuple):
             for a in args:
                 if a.depth >= depth:
                     depth = _nest(a.depth + 1)
-        return tuple.__new__(cls, (head, args, depth))
+        return tuple.__new__(cls, (head, args, depth, hash((head, args))))
 
     head = property(itemgetter(0))
     args = property(itemgetter(1))
     depth = property(itemgetter(2))
+
+    def __hash__(self) -> int:
+        return self[3]
 
     def __getnewargs__(self) -> tuple:
         """What copy and pickle pass to __new__ to rebuild a Term."""
@@ -1028,6 +1034,11 @@ class Model:
         return self.sorts.get(key, ())
 
 
+def _written(head: str, args: tuple[str, ...]) -> str:
+    """A sort instance as a model file writes it: `V`, `E(a, b)`."""
+    return f"{head}({', '.join(args)})" if args else head
+
+
 def parse_model(text: str) -> Model:
     """Read a model file: lines `sort V = {a, b}`, `sort E(a, b) = {f}`,
     and `op c table:` or `op c(g, f) table:`, whose names are read but not
@@ -1051,11 +1062,11 @@ def parse_model(text: str) -> Model:
                 tok.done()
                 key = (name, tuple(args))
                 if key in sorts:
-                    raise ParseError(f"duplicate carrier for {name}{tuple(args)}")
+                    raise ParseError(f"duplicate carrier for {_written(*key)}")
                 seen: set[str] = set()
                 for e in elems:
                     if e in seen:
-                        raise ParseError(f"element {e} listed twice in {name}{tuple(args)}")
+                        raise ParseError(f"element {e} listed twice in {_written(*key)}")
                     seen.add(e)
                 sorts[key] = tuple(elems)
                 current = None
@@ -1079,7 +1090,7 @@ def parse_model(text: str) -> Model:
                 tok.done()
                 key2 = tuple(args)
                 if key2 in ops[current]:
-                    raise ParseError(f"duplicate row for {current}{key2}")
+                    raise ParseError(f"duplicate row for {current}({', '.join(key2)})")
                 ops[current][key2] = value
     except ValueError as err:
         raise line_error(lineno, err) from None
@@ -1115,6 +1126,20 @@ class _MissingEntry(Exception):
     pass
 
 
+class _Table(dict):
+    """An operation's table as compiled terms read it: a missing row
+    raises `_MissingEntry` naming it."""
+
+    __slots__ = ("head",)
+
+    def __init__(self, head: str, rows: dict[tuple[str, ...], str]):
+        super().__init__(rows)
+        self.head = head
+
+    def __missing__(self, key: tuple[str, ...]) -> str:
+        raise _MissingEntry(f"no table entry for {self.head}({', '.join(key)})")
+
+
 def _instance_key(s: SortExpr, env: dict[str, str]) -> tuple[str, tuple[str, ...]]:
     return (s.head, tuple(env[a.head] for a in s.args))
 
@@ -1129,17 +1154,18 @@ def _environments(bindings: tuple[Binding, ...], M: Model):
     n = len(bindings)
     slots = _slots(bindings)
     # fixed[i]: the variables whose sort is fixed once the first i are bound
-    fixed: list[list[tuple[int, str, list[int]]]] = [[] for _ in range(n + 1)]
+    # and the key of each one's carrier (a sort's arguments are variables)
+    fixed: list[list[tuple[int, str, Callable]]] = [[] for _ in range(n + 1)]
     for j, (_, s) in enumerate(bindings):
-        args = [slots[a.head] for a in s.args]
-        fixed[max(args, default=-1) + 1].append((j, s.head, args))
+        last = max((slots[a.head] for a in s.args), default=-1)
+        fixed[last + 1].append((j, s.head, _key(s.args, slots, {}, {})))
     get = M.sorts.get
     values: list[str] = [""] * n
     carriers: list = [()] * n
 
     def forward(i: int) -> bool:
-        for j, head, args in fixed[i]:
-            carriers[j] = get((head, tuple([values[a] for a in args])), ())
+        for j, head, key in fixed[i]:
+            carriers[j] = get((head, key(values)), ())
             if not carriers[j]:
                 return False
         return True
@@ -1153,7 +1179,7 @@ def _environments(bindings: tuple[Binding, ...], M: Model):
     i = 0
     while i >= 0:
         for values[i] in choices[i]:
-            if forward(i + 1):
+            if not fixed[i + 1] or forward(i + 1):
                 break
         else:
             i -= 1
@@ -1169,32 +1195,54 @@ def _slots(bindings: tuple[Binding, ...]) -> dict[str, int]:
     return {v: i for i, (v, _) in enumerate(bindings)}
 
 
-def _compile(t: Term, slots: dict[str, int], M: Model, ops: dict[str, TermDecl]):
+def _key(args: tuple[Term, ...], slots: dict[str, int], tables: dict[str, _Table],
+         ops: dict[str, TermDecl], look: Callable = tuple) -> Callable:
+    """A function of an environment's values (see `_environments`) that
+    evaluates args left to right and returns look of their tuple: an
+    operation's `_Table` lookup, or `tuple`, which returns the tuple as it
+    is.  Two or more variables are read by one itemgetter, anything else
+    by one closure for arity 0, 1, 2 or more, so a term costs one Python
+    call per application and none per variable."""
+    if len(args) >= 2 and all(a.args is None and a.head in slots for a in args):
+        get = itemgetter(*[slots[a.head] for a in args])
+        return get if look is tuple else lambda values: look(get(values))
+    fs = [_compile(a, slots, tables, ops) for a in args]
+    if not fs:
+        return lambda values: look(())
+    if len(fs) == 1:
+        (f,) = fs
+        return lambda values: look((f(values),))
+    if len(fs) == 2:
+        f, g = fs
+        return lambda values: look((f(values), g(values)))
+
+    def key(values):
+        out = []
+        for f in fs:
+            out.append(f(values))
+        return look(tuple(out))
+
+    return key
+
+
+def _compile(t: Term, slots: dict[str, int], tables: dict[str, _Table],
+             ops: dict[str, TermDecl]) -> Callable:
     """t as a function of an environment's values (see `_environments`):
-    arguments are evaluated left to right, and a name that is no variable
-    but an operation without explicit arguments stands for its constant."""
+    a name that is no variable but an operation without explicit arguments
+    stands for its constant."""
     if t.args is None:
         if t.head in slots:
             return itemgetter(slots[t.head])
         if t.head in ops and not ops[t.head].explicit:
-            return _compile(Term(t.head, ()), slots, M, ops)
+            return _compile(Term(t.head, ()), slots, tables, ops)
         unbound = f"unbound {t.head}"
 
         def fail(values):
             raise _MissingEntry(unbound)
 
         return fail
-    head, table = t.head, M.ops.get(t.head, {})
-    args = [_compile(a, slots, M, ops) for a in t.args]
-
-    def apply(values):
-        key = tuple([f(values) for f in args])
-        try:
-            return table[key]
-        except KeyError:
-            raise _MissingEntry(f"no table entry for {head}({', '.join(key)})") from None
-
-    return apply
+    table = tables.get(t.head) or _Table(t.head, {})
+    return _key(t.args, slots, tables, ops, table.__getitem__)
 
 
 def check_model(
@@ -1218,7 +1266,7 @@ def check_model(
             problems.append(f"carrier for unknown type {head}")
             continue
         if len(args) != len(decl.arg_order):
-            problems.append(f"instance {head}{args} has the wrong arity")
+            problems.append(f"instance {_written(*key)} has the wrong arity")
             continue
         env = dict(zip(decl.arg_order, args))
         opctx = dict(decl.context)
@@ -1226,7 +1274,7 @@ def check_model(
             want = _instance_key(opctx[w], env)
             if env[w] not in M.carrier(want):
                 problems.append(
-                    f"instance {head}{args}: {env[w]} is not in {want[0]}{want[1]}"
+                    f"instance {_written(*key)}: {env[w]} is not in {_written(*want)}"
                 )
         for e in elems:
             if e in elem_instance:
@@ -1234,27 +1282,28 @@ def check_model(
             elem_instance[e] = key
     problems.extend(f"table for unknown operation {op}" for op in M.ops if op not in ops)
 
+    tables = {name: _Table(name, rows) for name, rows in M.ops.items()}
     for name, decl in ops.items():
         table = M.ops.get(name, {})
         slots = _slots(decl.context)
-        explicit = [slots[v] for v in decl.explicit]
-        out_args = [_compile(a, slots, M, ops) for a in decl.output.args]
+        explicit = _key(tuple(map(Term, decl.explicit)), slots, tables, ops)
+        out_args = _key(decl.output.args, slots, tables, ops)
         seen: set[tuple[str, ...]] = set()
         for env in _environments(decl.context, M):
-            values = tuple([env[i] for i in explicit])
+            values = explicit(env)
             seen.add(values)
             if values not in table:
                 problems.append(f"table for {name} is missing {name}({', '.join(values)})")
                 continue
             try:
-                out_key = (decl.output.head, tuple([f(env) for f in out_args]))
+                out_key = (decl.output.head, out_args(env))
             except _MissingEntry as err:
                 problems.append(f"table for {name}: {err}")
                 continue
             if table[values] not in M.carrier(out_key):
                 problems.append(
                     f"{name}({', '.join(values)}) = {table[values]} "
-                    f"is not in {out_key[0]}{out_key[1]}"
+                    f"is not in {_written(*out_key)}"
                 )
         for values in table:
             if values not in seen:
@@ -1267,8 +1316,8 @@ def check_model(
         witness: str | None = None
         checked = 0
         slots = _slots(eq.context)
-        lhs_of = _compile(eq.lhs, slots, M, ops)
-        rhs_of = _compile(eq.rhs, slots, M, ops)
+        lhs_of = _compile(eq.lhs, slots, tables, ops)
+        rhs_of = _compile(eq.rhs, slots, tables, ops)
         for env in _environments(eq.context, M):
             checked += 1
             try:

@@ -34,6 +34,10 @@ def _instance_key(s: SortExpr, env: dict[str, str]) -> tuple[str, tuple[str, ...
     return (s.head, tuple(env[a.head] for a in s.args))
 
 
+def _written(head: str, args: tuple[str, ...]) -> str:
+    return head + (f"({', '.join(args)})" if args else "")
+
+
 def _environments(bindings: tuple[Binding, ...], M: Model):
     """All environments for a context of the type signature, in the
     canonical order: variables left to right, carrier order within each."""
@@ -89,7 +93,7 @@ def oracle_check_model(
             problems.append(f"carrier for unknown type {head}")
             continue
         if len(args) != len(decl.arg_order):
-            problems.append(f"instance {head}{args} has the wrong arity")
+            problems.append(f"instance {_written(head, args)} has the wrong arity")
             continue
         env = dict(zip(decl.arg_order, args))
         opctx = dict(decl.context)
@@ -97,7 +101,7 @@ def oracle_check_model(
             want = _instance_key(opctx[w], env)
             if env[w] not in M.carrier(want):
                 problems.append(
-                    f"instance {head}{args}: {env[w]} is not in {want[0]}{want[1]}"
+                    f"instance {_written(head, args)}: {env[w]} is not in {_written(*want)}"
                 )
         for e in elems:
             if e in elem_instance:
@@ -125,7 +129,7 @@ def oracle_check_model(
             if table[values] not in M.carrier(out_key):
                 problems.append(
                     f"{name}({', '.join(values)}) = {table[values]} "
-                    f"is not in {out_key[0]}{out_key[1]}"
+                    f"is not in {_written(*out_key)}"
                 )
         for values in table:
             if values not in seen:

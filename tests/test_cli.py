@@ -873,7 +873,19 @@ def test_repeated_carrier_element_exits_two(capsys, tmp_path):
     assert main(["theory", "check-model", "--theory", str(th), "--model", str(mod)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: line 2: element a listed twice in V()\n"
+    assert captured.err == "error: line 2: element a listed twice in V\n"
+
+
+def test_instance_problems_print_instances_as_the_model_writes_them(capsys, tmp_path):
+    th, mod = tmp_path / "tcat.th", tmp_path / "stray.mod"
+    th.write_text(TCAT)
+    mod.write_text("sort V = {a}\nsort E(a, b) = {f}\n")
+    code, out = run(capsys, "theory", "check-model", "--theory", str(th), "--model", str(mod))
+    assert code == 1
+    assert out.splitlines()[:2] == [
+        "problem: instance E(a, b): b is not in V",
+        "problem: table for i is missing i(a)",
+    ]
 
 
 # ------------------------------------------------------------ shape tokens

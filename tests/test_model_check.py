@@ -1,8 +1,10 @@
 """`theory.check_model` against the recursive oracle `model_oracle`.
 
 Models are category models of the theory of categories (posets times
-Z/k, one-object monoids and discrete categories) and monoid models of the
-theory of monoids, whose unit is a constant.  Each may be perturbed: a
+Z/k, one-object monoids and discrete categories), monoid models of the
+theory of monoids, whose unit is a constant, and models of a theory with
+operations of arity 0 to 3 applied to variables, constants and nested
+applications in every argument position.  Each may be perturbed: a
 table value swapped for another element, a table row deleted or added, a
 carrier deleted or emptied.  Checked: `check_model` returns the oracle's
 report, its problems in order and every count and first witness.  On a
@@ -39,6 +41,22 @@ TMON = parse_theory(
     "x y z : M |- m(m(x, y), z) = m(x, m(y, z)) : M\n"
 )
 THEORY_OF_CATEGORIES = parse_theory(TCAT)
+# operations of arity 0 to 3, whose arguments are variables, constants
+# (bare and applied) and nested applications in every position
+TARITY = parse_theory(
+    "|- M type\n"
+    "|- e() : M\n"
+    "x : M |- n(x) : M\n"
+    "x y : M |- m(x, y) : M\n"
+    "x y z : M |- t(x, y, z) : M\n"
+    "x : M |- n(n(x)) = x : M\n"
+    "|- n(e) = e() : M\n"
+    "x : M |- m(e, x) = m(x, e()) : M\n"
+    "x y z : M |- m(m(x, y), z) = m(x, m(y, z)) : M\n"
+    "x y z : M |- t(x, y, z) = m(x, m(y, z)) : M\n"
+    "x y : M |- t(m(x, y), n(y), e) = t(e, x, n(n(e))) : M\n"
+    "x y : M |- m(n(x), n(y)) = n(m(y, x)) : M\n"
+)
 
 
 def category_model(objects, morphisms: dict, identity: dict, compose) -> Model:
@@ -111,6 +129,35 @@ def monoid_model(draw, as_category: bool):
 
 
 @st.composite
+def arity_model(draw) -> Model:
+    """A model of TARITY on up to 3 elements: e any element, n negation
+    mod size or the identity, m one of MONOIDS, and t the product of its
+    three arguments in order or in reverse.  Only some of them satisfy
+    every equation."""
+    size, unit = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    elems = [f"e{i}" for i in range(size)]
+    mul = MONOIDS[draw(st.sampled_from(sorted(MONOIDS)))]
+    neg, reverse = draw(st.booleans()), draw(st.booleans())
+
+    def m(x: int, y: int) -> int:
+        return mul(x, y, size)
+
+    def t(x: int, y: int, z: int) -> int:
+        return m(z, m(y, x)) if reverse else m(x, m(y, z))
+
+    tables = {
+        "e": {(): elems[unit % size]},
+        "n": {(elems[x],): elems[-x % size if neg else x] for x in range(size)},
+        "m": {(elems[x], elems[y]): elems[m(x, y)] for x in range(size) for y in range(size)},
+        "t": {
+            (elems[x], elems[y], elems[z]): elems[t(x, y, z)]
+            for x in range(size) for y in range(size) for z in range(size)
+        },
+    }
+    return Model({("M", ()): tuple(elems)}, tables)
+
+
+@st.composite
 def perturbed(draw, M: Model) -> Model:
     """M with up to two perturbations, each on a copy of its tables."""
     sorts, ops = dict(M.sorts), {name: dict(t) for name, t in M.ops.items()}
@@ -145,6 +192,7 @@ cases = st.one_of(
               st.one_of(poset_times_cyclic(), monoid_model(True),
                         st.builds(discrete, st.integers(1, 6)))),
     st.tuples(st.just(TMON), monoid_model(False)),
+    st.tuples(st.just(TARITY), arity_model()),
 ).flatmap(lambda case: st.tuples(st.just(case[0]), perturbed(case[1])))
 
 

@@ -42,6 +42,7 @@ RECURSIVE = {
     "theory._sort_of": TERM,
     "theory._apply": TERM,
     "theory._compile": TERM,
+    "theory._key": TERM,
     "kernel.natural_maps.extend": (
         "unbounded: one frame per choice point "
         "(tests/test_cli.py::test_orthogonal_on_a_long_integer, strict xfail)"

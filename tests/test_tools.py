@@ -40,6 +40,22 @@ def test_search_series_times_every_command_on_small_chains():
         assert len(ms) == 2 and all(float(m) > 0 for m in ms)
 
 
+def test_model_series_times_check_model_on_small_chains():
+    proc = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "tools" / "model_series.py"), "3", "4", "--repeat", "1"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, row = proc.stdout.splitlines()
+    assert header.split() == ["objects", "3", "4"]
+    name, *ms = row.split()
+    assert name == "check-model"
+    assert len(ms) == 2 and all(float(m) > 0 for m in ms)
+
+
 def test_ref_split_compares_a_checkout_with_itself():
     proc = subprocess.run(
         [sys.executable, str(REPO_ROOT / "tools" / "ref_split.py"), str(REPO_ROOT), str(REPO_ROOT),
