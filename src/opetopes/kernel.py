@@ -44,12 +44,10 @@ def numbered_lines(text: str) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
-def line_error(
-    lineno: int, err: ValueError, error: type[ValueError] | None = None
-) -> ValueError:
-    """err with `line lineno: ` before its message, as error or, by default,
-    as the type it had: what a text parser raises for a bad line."""
-    return (error or type(err))(f"line {lineno}: {err}")
+def line_error(lineno: int, err: ValueError) -> ValueError:
+    """err, of its own type, with `line lineno: ` before its message: what
+    a text parser raises for a bad line."""
+    return type(err)(f"line {lineno}: {err}")
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ type and its axiom checks come from `kernel`.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Iterable
@@ -467,6 +468,15 @@ def check_algebra_laws(A: OAlgebra, max_nodes: int) -> AlgebraLawReport:
 # Finite categories
 
 
+_END = r"((?:[^\s-]|-(?!>))+)"  # an end of an arrow: a name that holds no `->`
+_CATEGORY_LINES = {  # a line's first word -> its form and regex; names hold no separator
+    "obj": ("obj NAME...", re.compile(r"obj(?:\s+\S+)*")),
+    "mor": ("mor NAME: SRC -> DST", re.compile(rf"mor\s+([^\s:]+)\s*:\s*{_END}\s*->\s*{_END}")),
+    "id": ("id OBJ = NAME", re.compile(r"id\s+([^\s=]+)\s*=\s*([^\s=]+)")),
+    "comp": ("comp G.F = H", re.compile(r"comp\s+([^\s.=]+)\s*\.\s*([^\s.=]+)\s*=\s*([^\s=]+)")),
+}
+
+
 def parse_category(text: str) -> FiniteCategory:
     """Read a finite category from lines of the form
 
@@ -474,7 +484,9 @@ def parse_category(text: str) -> FiniteCategory:
         mor f: a -> b
         id a = ida
         comp g.f = h
-    """
+
+    where each name is one run of non-space characters; a malformed line
+    is an error naming the form its first word names."""
     objects: dict[str, None] = {}
     morphisms: dict[str, tuple[str, str]] = {}
     composition: dict[tuple[str, str], str] = {}
@@ -482,38 +494,29 @@ def parse_category(text: str) -> FiniteCategory:
 
     def declare(table: dict, key, value, what: str) -> None:
         if key in table:
-            raise ValueError(f"{what} declared twice")
+            raise NotACategory(f"{what} declared twice")
         table[key] = value
-
-    def cut(text: str, sep: str, form: str, maxsplit: int = -1) -> list[str]:
-        """text split at sep into two stripped parts, or an error naming form."""
-        parts = [p.strip() for p in text.split(sep, maxsplit)]
-        if len(parts) != 2:
-            raise ValueError(f"expected {form!r}")
-        return parts
 
     try:
         for lineno, line in numbered_lines(text):
-            parts = line.split()
-            body = line[len(parts[0]) :]
-            if parts[0] == "obj":
-                for a in parts[1:]:
+            word = line.split(None, 1)[0]
+            if word not in _CATEGORY_LINES:
+                raise NotACategory(f"unknown directive {word!r}")
+            form, regex = _CATEGORY_LINES[word]
+            m = regex.fullmatch(line)
+            if m is None:
+                raise NotACategory(f"expected {form!r}")
+            if word == "obj":
+                for a in line.split()[1:]:
                     declare(objects, a, None, f"object {a}")
-            elif parts[0] == "mor":
-                form = "mor NAME: SRC -> DST"
-                name, arrow = cut(body, ":", form, 1)
-                declare(morphisms, name, tuple(cut(arrow, "->", form)), f"morphism {name}")
-            elif parts[0] == "id":
-                a, i = cut(body, "=", "id OBJ = NAME")
-                declare(identities, a, i, f"identity of {a}")
-            elif parts[0] == "comp":
-                pair, h = cut(body, "=", "comp G.F = H")
-                g, f = cut(pair, ".", "comp G.F = H")
-                declare(composition, (g, f), h, f"composite {g}.{f}")
+            elif word == "mor":
+                declare(morphisms, m[1], (m[2], m[3]), f"morphism {m[1]}")
+            elif word == "id":
+                declare(identities, m[1], m[2], f"identity of {m[1]}")
             else:
-                raise ValueError(f"unknown directive {parts[0]!r}")
+                declare(composition, (m[1], m[2]), m[3], f"composite {m[1]}.{m[2]}")
     except ValueError as err:
-        raise line_error(lineno, err, NotACategory) from None
+        raise line_error(lineno, err) from None
     C = FiniteCategory(tuple(objects), morphisms, composition, identities)
     ensure_category(C)
     return C

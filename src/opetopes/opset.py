@@ -13,6 +13,7 @@ names them; this module reads those names and renders no face word itself.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
@@ -48,6 +49,7 @@ from opetopes.kernel import (
 
 Window = tuple[int, int]
 CellId = str
+_INT = re.compile(r"[+-]?\d+").fullmatch  # what a window line holds: two integers
 
 
 class WindowMismatch(ValueError):
@@ -379,7 +381,7 @@ def load_opset(text: str) -> FinOpSet:
     for lineno, line in numbered_lines(text):
         parts = line.split()
         try:
-            if parts[0] == "window" and len(parts) == 3:
+            if parts[0] == "window" and len(parts) == 3 and all(map(_INT, parts[1:])):
                 if window is not None:
                     raise ValueError("window declared twice")
                 window, window_line = (int(parts[1]), int(parts[2])), lineno
@@ -428,7 +430,7 @@ def load_opset(text: str) -> FinOpSet:
                 raise ValueError(f"face of {x} along {gen} declared twice")
             faces[key] = y
         except ValueError as err:
-            raise line_error(lineno, err, ValueError) from None
+            raise line_error(lineno, err) from None
     X = FinOpSet(window, cells, faces)
     problems = validate_opset(X)
     if problems:

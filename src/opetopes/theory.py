@@ -518,7 +518,8 @@ class EquationSet:
     equations: tuple[Equation, ...]
 
 
-_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_']*|\|-|[(),:={}]|\S")
+_NAME = r"[A-Za-z_][A-Za-z0-9_']*(?![A-Za-z0-9_'])"  # never ends inside a longer name
+_TOKEN = re.compile(rf"{_NAME}|\|-|\S")
 
 
 class _Tokens:
@@ -547,7 +548,7 @@ class _Tokens:
             raise ParseError(f"trailing input {t!r}")
 
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_']*\Z")
+_IDENT = re.compile(_NAME + r"\Z")
 
 
 def _ident(tok: _Tokens) -> str:
@@ -555,18 +556,6 @@ def _ident(tok: _Tokens) -> str:
     if not _IDENT.match(t):
         raise ParseError(f"expected a name, found {t!r}")
     return t
-
-
-def _names(tok: _Tokens, close: str) -> list[str]:
-    """Names separated by commas, up to the closing token, which is consumed."""
-    names: list[str] = []
-    if tok.peek() != close:
-        names.append(_ident(tok))
-        while tok.peek() == ",":
-            tok.next()
-            names.append(_ident(tok))
-    tok.expect(close)
-    return names
 
 
 def _parse_term(tok: _Tokens, depth: int = 0) -> Term:
@@ -1039,59 +1028,51 @@ def _written(head: str, args: tuple[str, ...]) -> str:
     return f"{head}({', '.join(args)})" if args else head
 
 
+_LIST = rf"\s*((?:{_NAME}(?:\s*,\s*{_NAME})*)?)\s*"  # names separated by commas
+_ARGS = rf"(?:\s*\({_LIST}\))?"  # an argument list, if one follows
+_MODEL_LINES = {  # a line's first name, None for a table row -> its form, the rest's regex
+    "sort": ("sort NAME(ARGS) = {ELEMS}", re.compile(rf"\s+({_NAME}){_ARGS}\s*=\s*\{{{_LIST}\}}")),
+    "op": ("op NAME(ARGS) table:", re.compile(rf"\s+({_NAME}){_ARGS}\s*table\s*:")),
+    None: ("NAME(ARGS) = VALUE", re.compile(rf"\s*\({_LIST}\)\s*=\s*({_NAME})")),
+}
+_EACH_NAME = re.compile(_NAME).findall
+
+
 def parse_model(text: str) -> Model:
     """Read a model file: lines `sort V = {a, b}`, `sort E(a, b) = {f}`,
     and `op c table:` or `op c(g, f) table:`, whose names are read but not
-    checked, followed by rows `c(g1, f1) = h1`."""
+    checked, followed by rows `c(g1, f1) = h1`; a malformed line is an
+    error naming the form its first name selects."""
     sorts: dict[tuple[str, tuple[str, ...]], tuple[str, ...]] = {}
     ops: dict[str, dict[tuple[str, ...], str]] = {}
     current: str | None = None
     try:
         for lineno, line in numbered_lines(text):
-            tok = _Tokens(line)
-            head = tok.next()
+            head = _TOKEN.match(line).group()
+            if head not in _MODEL_LINES and head != current:
+                raise ParseError("expected a sort, op, or table row")
+            form, rest = _MODEL_LINES.get(head, _MODEL_LINES[None])
+            m = rest.fullmatch(line, len(head))
+            if m is None:
+                raise ParseError(f"expected {form!r}")
             if head == "sort":
-                name = _ident(tok)
-                args: list[str] = []
-                if tok.peek() == "(":
-                    tok.next()
-                    args = _names(tok, ")")
-                tok.expect("=")
-                tok.expect("{")
-                elems = _names(tok, "}")
-                tok.done()
-                key = (name, tuple(args))
+                key = (m[1], tuple(_EACH_NAME(m[2] or "")))
                 if key in sorts:
                     raise ParseError(f"duplicate carrier for {_written(*key)}")
-                seen: set[str] = set()
-                for e in elems:
-                    if e in seen:
-                        raise ParseError(f"element {e} listed twice in {_written(*key)}")
-                    seen.add(e)
+                elems = _EACH_NAME(m[3])
+                if len(set(elems)) < len(elems):
+                    e = next(e for i, e in enumerate(elems) if e in elems[:i])
+                    raise ParseError(f"element {e} listed twice in {_written(*key)}")
                 sorts[key] = tuple(elems)
                 current = None
             elif head == "op":
-                name = _ident(tok)
-                if tok.peek() == "(":
-                    tok.next()
-                    _names(tok, ")")
-                tok.expect("table")
-                tok.expect(":")
-                tok.done()
-                ops.setdefault(name, {})
-                current = name
+                current = m[1]
+                ops.setdefault(current, {})
             else:
-                if current is None or not _IDENT.match(head) or head != current:
-                    raise ParseError("expected a sort, op, or table row")
-                tok.expect("(")
-                args = _names(tok, ")")
-                tok.expect("=")
-                value = _ident(tok)
-                tok.done()
-                key2 = tuple(args)
+                key2 = tuple(_EACH_NAME(m[1]))
                 if key2 in ops[current]:
                     raise ParseError(f"duplicate row for {current}({', '.join(key2)})")
-                ops[current][key2] = value
+                ops[current][key2] = m[2]
     except ValueError as err:
         raise line_error(lineno, err) from None
     return Model(sorts, ops)

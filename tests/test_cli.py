@@ -752,6 +752,19 @@ def test_repeated_opset_declaration_exits_two(capsys, tmp_path, text, line, what
     assert captured.err == f"error: line {line}: {what}\n"
 
 
+@pytest.mark.parametrize("window", ["window a 1", "window 0 b", "window 0 1.5"])
+def test_window_that_is_not_two_integers_names_the_line_forms(capsys, tmp_path, window):
+    bad = tmp_path / "window.opset"
+    bad.write_text(ARROW_SET.replace("window 0 1", window))
+    assert main(["opset", "orthogonal", "--expr", "arrow", "--file", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: line 1: expected 'window LO HI', 'shape SHAPE cells ID...' or "
+        f"'face ID GEN -> ID': {window!r}\n"
+    )
+
+
 I1_SET = (
     "window 0 2\nshape point cells p\nshape arrow cells a\nshape I1 cells q\n"
     "face a s* -> p\nface a t -> p\nface q s[] -> a\nface q t -> a\n"
@@ -839,6 +852,25 @@ def test_malformed_category_directive_names_its_form(capsys, tmp_path, text, for
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: line 2: expected '{form}'\n"
+
+
+@pytest.mark.parametrize(
+    "text, line, form",
+    [
+        # an empty name, or one with a space, is no name: each line names its form
+        pytest.param("obj a\nmor i d: a -> a\nid a = i d\n", 2, MOR_FORM, id="name-with-space"),
+        pytest.param("obj a\nmor : a -> a\nid a = \n", 2, MOR_FORM, id="empty-name"),
+        pytest.param("obj a\nmor ia: a -> a\nid a = \n", 3, ID_FORM, id="empty-identity"),
+    ],
+)
+@pytest.mark.parametrize("command", ["nerve", "nerve-check"])
+def test_category_names_are_single_tokens(capsys, tmp_path, command, text, line, form):
+    cat = tmp_path / "spaced.cat"
+    cat.write_text(text)
+    assert main(["oalg", command, "--file", str(cat)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: line {line}: expected '{form}'\n"
 
 
 # ---------------------------------------------------------------- comments

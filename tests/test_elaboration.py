@@ -278,4 +278,4 @@ def test_junk_in_an_op_line_exits_two(capsys, tmp_path):
     th.write_text("|- V type\nx : V |- i(x) : V\n")
     mod.write_text("sort V = {a}\nop i(@@ !! = {) table:\ni(a) = a\n")
     assert cli(capsys, "theory", "check-model", "--theory", str(th), "--model", str(mod)) == (
-        2, "", "error: line 2: expected a name, found '@'\n")
+        2, "", "error: line 2: expected 'op NAME(ARGS) table:'\n")

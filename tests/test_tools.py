@@ -2,11 +2,38 @@
 
 from __future__ import annotations
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_tool(name: str):
+    spec = importlib.util.spec_from_file_location(name, REPO_ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_cli_diff_prints_both_stderr_texts_of_a_differing_job():
+    cli_diff = load_tool("cli_diff")
+    a = {"code": 2, "raised": None, "out": "", "err": "error: line 1: unexpected end of line\n"}
+    b = dict(a, err="error: line 1: expected 'sort NAME(ARGS) = {ELEMS}'\n")
+    assert cli_diff.report("model-unclosed seed 11", a, a) == []
+    assert cli_diff.report("model-unclosed seed 11", a, b) == [
+        "model-unclosed seed 11: err differ",
+        "  - error: line 1: unexpected end of line",
+        "  + error: line 1: expected 'sort NAME(ARGS) = {ELEMS}'",
+    ]
+    c = dict(a, code=1, out="ok\n", err="")
+    assert cli_diff.report("job", a, c) == [
+        "job: code, out, err differ",
+        "  - error: line 1: unexpected end of line",
+        "  + (empty)",
+    ]
+    assert cli_diff.report("job", a, dict(a, out="x\n")) == ["job: out differ"]
 
 
 def test_cli_diff_refuses_a_tree_without_the_package(tmp_path):

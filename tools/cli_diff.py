@@ -16,7 +16,8 @@ Workers run with COLUMNS=80, since argparse wraps help to the terminal
 width.  That makes 2406 runs: 2100 workload runs and 306 usage runs.
 
 Prints every job whose stdout, stderr or exit code differs between the two
-trees, then a summary line.  Exits 1 if any job differs, 0 otherwise.
+trees, with both stderr texts when they differ, then a summary line.
+Exits 1 if any job differs, 0 otherwise.
 Before building any job, exits 2 with `error: PATH has no src/opetopes`
 if either tree lacks `src/opetopes/__init__.py`.
 """
@@ -75,6 +76,20 @@ def differences(a: dict, b: dict) -> list[str]:
     return [key for key in COMPARED if a[key] != b[key]]
 
 
+def report(job_id: str, a: dict, b: dict) -> list[str]:
+    """The lines printed for one job: none if its results agree, else what
+    differs, and when stderr does, each tree's stderr line by line, `-` for
+    the first tree and `+` for the second."""
+    keys = differences(a, b)
+    if not keys:
+        return []
+    lines = [f"{job_id}: {', '.join(keys)} differ"]
+    if "err" in keys:
+        for mark, result in (("-", a), ("+", b)):
+            lines += [f"  {mark} {line}" for line in result["err"].splitlines() or ["(empty)"]]
+    return lines
+
+
 def main(src_a: str, src_b: str) -> int:
     for src in (src_a, src_b):
         if not os.path.isfile(os.path.join(src, "src", "opetopes", "__init__.py")):
@@ -107,10 +122,10 @@ def main(src_a: str, src_b: str) -> int:
                 got_b = run_tree(src_b, inputs, jobs)
             for job, a, b in zip(jobs, got_a, got_b):
                 runs += 1
-                keys = differences(a, b)
-                if keys:
+                lines = report(job["id"], a, b)
+                if lines:
                     differing += 1
-                    print(f"{job['id']}: {', '.join(keys)} differ")
+                    print("\n".join(lines))
     print(f"{runs} runs, {differing} differ")
     return 1 if differing else 0
 
