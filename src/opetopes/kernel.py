@@ -8,8 +8,8 @@ each sort and their faces along each generator.  Opetopic sets
 (`opset.FinOpSet`) and presheaves on a category table
 (`theory.FinPresheafC`) are its two kinds.  What works on any presheaf
 lives here too: maps (PshMap, Inclusion), the naturality check,
-identities, composites, face-closed sub-presheaves, and the natural-map
-search (natural_maps, with propagate filling in what a choice forces).
+face-closed sub-presheaves, and the natural-map search (natural_maps,
+with propagate filling in what a choice forces).
 
 numbered_lines and line_error read the lines of every text format of the
 package and name the line of an error; ParseError is the one parse
@@ -344,17 +344,6 @@ class Inclusion(PshMap):
         if len(set(comp.values())) != len(comp):
             raise ValueError("an inclusion must be injective")
         super().__init__(src, dst, comp)
-
-
-def psh_identity(X: FinPresheaf) -> Inclusion:
-    return Inclusion(X, X, {x: x for x in X.sort})
-
-
-def psh_compose(g: PshMap, f: PshMap) -> PshMap:
-    """g after f."""
-    if f.dst != g.src:
-        raise NotAMap("maps are not composable")
-    return PshMap(f.src, g.dst, {x: g.comp[y] for x, y in f.comp.items()})
 
 
 def check_psh_map(f: PshMap) -> list[str]:

@@ -1,19 +1,21 @@
 """Opetopic algebras over a window of dimensions.
 
 A sorted family is a finite opetopic set over the window [n-k, n].  Free
-pasting cells over such a family, the unit and multiplication of the free
-pasting monad, algebra structures given by a composition rule (a map
-from pastings to cells, checked up to a node bound), the ordinal
-realization for (k, n) = (1, 1) together with diagrammatic presentations
-of monotone maps, and nerves of finite categories all live here.
+pasting cells over such a family, the unit of the free pasting monad,
+algebra structures given by a composition rule (a map from pastings to
+cells, checked up to a node bound), the ordinal realization for
+(k, n) = (1, 1), and nerves of finite categories all live here.  The
+monad multiplication is the oracle of the law square in
+`tests/monad_oracle.py`, and diagrammatic presentations of monotone maps
+are stated in `tests/paper_results.py`.
 
-The monad and the realization read cells off the face structure of a
+The law check and the realization read cells off the face structure of a
 shape.  A pasting of pastings is a uniform-height-2 shape xi, and in
 faces(xi) each spine cell of an inner shape equals one spine cell of
-target(xi): multiplication glues the inner fillings along that map, and
-splitting reads them back through it.  The realization names the points
-of a shape by face words, and sends each point of a face to the point it
-equals in faces(omega).  The nerve of a category is read off the
+target(xi): the law check slices a filling of target(xi) back into inner
+fillings along that map.  The realization names the points of a shape
+by face words, and sends each point of a face to the point it equals in
+faces(omega).  The nerve of a category is read off the
 realization: its cells at a shape omega are the chains of length h(omega),
 the faces of a cell are its restrictions along the realization of omega's
 faces, and one shape rule cuts it off at a node bound.  The finite-category
@@ -49,7 +51,6 @@ from .opetope import (
     render,
     size,
     source,
-    substitute,
     target,
     tree,
 )
@@ -174,14 +175,6 @@ def _natural_fill(
     return comp
 
 
-def _shell_cell(S: FinOpSet, shell: Opetope) -> CellId:
-    """The unique shell-shaped cell in the spine of a degenerate shape."""
-    cells = S.of_shape(shell)
-    if len(cells) != 1:
-        raise ShapeMismatch(f"expected one {shell}-shaped cell, found {len(cells)}")
-    return cells[0]
-
-
 # ---------------------------------------------------------------------------
 # Free cells and the monad structure
 
@@ -263,77 +256,6 @@ def _slice(
     return PastingCell(nu, PshMap(S, X.family, {y: f(x) for y, x in glue.items()}))
 
 
-def monad_mult(
-    X: SortedFamily,
-    xi: Opetope,
-    inner: dict[Addr, PastingCell],
-    shell: CellId | None = None,
-) -> PastingCell:
-    """Flatten a pasting of pastings into a single pasting.
-
-    xi must be of uniform height 2: a root decorated by the outer shape
-    alpha, with exactly one node above it per node of alpha, decorated by
-    the inner shapes.  inner supplies the pasting cell for each node of
-    alpha.  When alpha is degenerate there are no inner cells; shell then
-    names the single colour of the result.  The result has shape
-    target(xi), and its filling merges the inner fillings along the gluing
-    of their spines into the spine of target(xi); a cell that two inner
-    fillings give different values is an error.
-    """
-    if xi.dim != X.n + 2:
-        raise ShapeMismatch(f"multiplication takes a shape of dimension {X.n + 2}")
-    if isinstance(xi, Tree) and isinstance(xi.decoration(epsilon(xi.dim - 1)), Degenerate):
-        if len(xi.node_map()) != 1:
-            raise ShapeMismatch(f"{render(xi)} is not of uniform height 2")
-        alpha = xi.decoration(epsilon(xi.dim - 1))
-        if inner:
-            raise ShapeMismatch("a degenerate outer shape admits no inner cells")
-        if shell is None:
-            raise ShapeMismatch("a degenerate outer shape needs its colour")
-        S = _spine_of(alpha, X.family.window)
-        comp = _natural_fill(
-            S, X.family, [(_shell_cell(S, alpha.shell), shell)], "multiplication"
-        )
-        return PastingCell(alpha, PshMap(S, X.family, comp))
-
-    alpha, parts = _height_two_parts(xi)
-    if set(inner) != set(parts):
-        raise ShapeMismatch("inner cells must be indexed by the outer nodes")
-    for p, cell in inner.items():
-        if cell.shape != parts[p]:
-            raise ShapeMismatch(
-                f"inner cell at {p} has shape {render(cell.shape)}, "
-                f"expected {render(parts[p])}"
-            )
-        if cell.filling.dst != X.family:
-            raise ShapeMismatch("inner cells must be pastings over the same family")
-
-    flat = target(xi)
-    glue = _gluing(xi, parts, X.family.window)
-    seeds = [(x, inner[p].filling(y)) for p in parts for y, x in glue[p].items()]
-    S = _spine_of(flat, X.family.window)
-    comp = _natural_fill(S, X.family, seeds, "multiplication")
-    return PastingCell(flat, PshMap(S, X.family, comp))
-
-
-def split_pasting(X: SortedFamily, xi: Opetope, cell: PastingCell) -> dict[Addr, PastingCell]:
-    """Invert monad_mult: slice a filling of the flattened tree back into
-    one pasting cell per outer node of the uniform-height-2 shape xi."""
-    _, parts = _height_two_parts(xi)
-    if cell.shape != target(xi):
-        raise ShapeMismatch(
-            f"filling has shape {render(cell.shape)}, expected {render(target(xi))}"
-        )
-    glue = _gluing(xi, parts, X.family.window)
-    return {p: _slice(X, nu, glue[p], cell.filling) for p, nu in parts.items()}
-
-
-def pasting_face(X: SortedFamily, cell: PastingCell, gen: Gen) -> CellId:
-    """The boundary value of a pasting cell along a generating face of its
-    output sort: the value at the face word (t, gen) of its shape."""
-    return cell.filling(faces(cell.shape).name((T_GEN, gen)))
-
-
 # ---------------------------------------------------------------------------
 # Algebras as composition rules
 
@@ -363,12 +285,6 @@ class OAlgebra:
                 f"(built up to {self.max_nodes} nodes)"
             )
         return self.rule(cell)
-
-
-def build_algebra(X: SortedFamily, rule, max_nodes: int) -> OAlgebra:
-    """The algebra over X that composes every pasting with at most
-    max_nodes nodes by rule."""
-    return OAlgebra(X, rule, max_nodes)
 
 
 @dataclass(frozen=True)
@@ -468,12 +384,14 @@ def check_algebra_laws(A: OAlgebra, max_nodes: int) -> AlgebraLawReport:
 # Finite categories
 
 
-_END = r"((?:[^\s-]|-(?!>))+)"  # an end of an arrow: a name that holds no `->`
-_CATEGORY_LINES = {  # a line's first word -> its form and regex; names hold no separator
-    "obj": ("obj NAME...", re.compile(r"obj(?:\s+\S+)*")),
-    "mor": ("mor NAME: SRC -> DST", re.compile(rf"mor\s+([^\s:]+)\s*:\s*{_END}\s*->\s*{_END}")),
-    "id": ("id OBJ = NAME", re.compile(r"id\s+([^\s=]+)\s*=\s*([^\s=]+)")),
-    "comp": ("comp G.F = H", re.compile(r"comp\s+([^\s.=]+)\s*\.\s*([^\s.=]+)\s*=\s*([^\s=]+)")),
+_END = r"((?:[^\s.-]|-(?!>))+)"  # an end of an arrow: a name that holds no `.` or `->`
+# a line's first word -> its form and regex; names hold no `.`, which joins
+# them in the nerve's cell ids, and no separator of their form
+_CATEGORY_LINES = {
+    "obj": ("obj NAME...", re.compile(r"obj(?:\s+[^\s.]+)*")),
+    "mor": ("mor NAME: SRC -> DST", re.compile(rf"mor\s+([^\s:.]+)\s*:\s*{_END}\s*->\s*{_END}")),
+    "id": ("id OBJ = NAME", re.compile(r"id\s+([^\s=.]+)\s*=\s*([^\s=.]+)")),
+    "comp": ("comp G.F = H", re.compile(r"comp\s+([^\s.=]+)\s*\.\s*([^\s.=]+)\s*=\s*([^\s.=]+)")),
 }
 
 
@@ -485,8 +403,8 @@ def parse_category(text: str) -> FiniteCategory:
         id a = ida
         comp g.f = h
 
-    where each name is one run of non-space characters; a malformed line
-    is an error naming the form its first word names."""
+    where each name is one run of non-space characters other than `.`; a
+    malformed line is an error naming the form its first word names."""
     objects: dict[str, None] = {}
     morphisms: dict[str, tuple[str, str]] = {}
     composition: dict[tuple[str, str], str] = {}
@@ -559,7 +477,7 @@ def category_algebra(C: FiniteCategory, max_nodes: int) -> OAlgebra:
         start, edges = pasting_chain(cell)
         return f"a.{C.chain_composite(start[2:], tuple(e[2:] for e in edges))}"
 
-    return build_algebra(X, rule, max_nodes)
+    return OAlgebra(X, rule, max_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -645,68 +563,6 @@ def h_morphism(omega: Opetope, gen: Gen) -> LambdaMorphism:
     index = _point_index(omega)
     values = tuple(index[fs.cell_of_word((gen,) + w)] for w in _points(face(omega, gen)))
     return LambdaMorphism(len(values) - 1, len(index) - 1, values)
-
-
-# ---------------------------------------------------------------------------
-# Diagrammatic morphisms
-
-
-@dataclass(frozen=True)
-class Diagram:
-    """A monotone map presented inside a single 3-shape: the marked source
-    face maps to the target face."""
-
-    shape: Opetope
-    node: Addr
-
-    def __post_init__(self) -> None:
-        if self.shape.dim != 3:
-            raise ValueError("diagrams live in dimension 3")
-        if not (isinstance(self.shape, Tree) and self.shape.has_node(self.node)):
-            raise ValueError(f"{self.node} is not a node of the shape")
-
-    @property
-    def source_shape(self) -> Opetope:
-        return source(self.shape, self.node)
-
-    @property
-    def target_shape(self) -> Opetope:
-        return target(self.shape)
-
-
-def diagram_map(d: Diagram) -> LambdaMorphism:
-    return h_morphism(d.shape, ("s", d.node))
-
-
-def diagram_compose(d1: Diagram, d2: Diagram) -> Diagram:
-    """Substitute d1's shape into the marked node of d2's; realizes the
-    composite of the two monotone maps."""
-    if target(d1.shape) != source(d2.shape, d2.node):
-        raise NotComposable(
-            f"target of the first diagram is {render(target(d1.shape))}, "
-            f"the second expects {render(source(d2.shape, d2.node))}"
-        )
-    composite = substitute(d2.shape, d2.node, d1.shape)
-    return Diagram(composite, d2.node + d1.node)
-
-
-def diagram_for_monotone(f: LambdaMorphism) -> Diagram:
-    """Present a monotone map [m] -> [mp], m >= 1, as a diagram.
-
-    The root is a chain long enough to leave f(0) arrows below and
-    mp - f(m) arrows above the image; the marked node carries the source
-    chain, and each source arrow's image block is filled in by a chain of
-    its own length.
-    """
-    m, mp = f.src, f.dst
-    if m < 1:
-        raise ValueError("only maps from [m] with m >= 1 are diagrams")
-    root, marked = opetopic_integer(f(0) + 1 + mp - f(m)), opetopic_integer(m)
-    q = _arrows(root)[f(0)]
-    nodes: dict[Addr, Opetope] = {epsilon(2): root, Addr(2, (q,)): marked}
-    for i, li in enumerate(_arrows(marked)):
-        nodes[Addr(2, (q, li))] = opetopic_integer(f(i + 1) - f(i))
-    return Diagram(tree(nodes), Addr(2, (q,)))
 
 
 # ---------------------------------------------------------------------------

@@ -126,12 +126,6 @@ def epsilon(depth: int) -> Addr:
     return Addr(depth)
 
 
-def lex_key(a: Addr):
-    """Plain lexicographic order on entry sequences (prefixes come first),
-    used where reverse-lexicographic node order is required."""
-    return tuple(lex_key(e) for e in a.entries)
-
-
 # --------------------------------------------------------------------------
 # opetopes
 
@@ -321,33 +315,6 @@ def leaf_addrs(omega: Opetope) -> tuple[Addr, ...]:
     return tuple(leaves)
 
 
-def edge_addrs(omega: Opetope) -> tuple[Addr, ...]:
-    """All edge addresses: the root edge plus one edge per node input."""
-    if isinstance(omega, Degenerate):
-        return (epsilon(omega.dim - 1),)
-    if not isinstance(omega, Tree):
-        raise ValueError("edge addresses are defined in dimension >= 2")
-    out = [epsilon(omega.dim - 1)]
-    for a, dec in omega.nodes:
-        out.extend(a.extend(q) for q in node_addrs(dec))
-    out.sort(key=lambda x: x.key)
-    return tuple(out)
-
-
-def edge_colour(omega: Opetope, addr: Addr) -> Opetope:
-    """The shape two dimensions down that decorates an edge."""
-    if isinstance(omega, Degenerate):
-        if addr == epsilon(omega.dim - 1):
-            return omega.shell
-        raise AddressNotALeaf(f"a degenerate shape has a single edge, not {addr}")
-    if not isinstance(omega, Tree):
-        raise ValueError("edges exist in dimension >= 2 only")
-    if addr == epsilon(omega.dim - 1):
-        return target(omega.decoration(addr))
-    parent, q = addr.parent(), addr.last()
-    return source(omega.decoration(parent), q)
-
-
 # --------------------------------------------------------------------------
 # target and readdressing
 
@@ -467,69 +434,6 @@ def target(omega: Opetope) -> Opetope:
 def readdress(omega: Opetope) -> dict[Addr, Addr]:
     """The bijection from leaf addresses onto node addresses of the target."""
     return dict(_target_readdress(omega)[1])
-
-
-# --------------------------------------------------------------------------
-# grafting and substitution
-
-
-def _root_edge_colour(t: Opetope) -> Opetope:
-    if isinstance(t, Degenerate):
-        return t.shell
-    if isinstance(t, Tree):
-        return target(t.nodes[0][1]) if t.nodes[0][0] == epsilon(t.dim - 1) else None
-    raise ValueError("no root edge below dimension 2")
-
-
-def graft(nu: Opetope, leaf: Addr, x: Opetope) -> Opetope:
-    """Graft onto a leaf.  x may be a decoration (one dimension down, grafted
-    as its corolla) or a whole tree of the same dimension."""
-    if x.dim == nu.dim - 1:
-        x = corolla(x)
-    elif x.dim != nu.dim:
-        raise ColourMismatch(
-            f"cannot graft a {x.dim}-dimensional shape onto a {nu.dim}-dimensional tree"
-        )
-    if isinstance(nu, Degenerate):
-        if leaf != epsilon(nu.dim - 1):
-            raise AddressNotALeaf(f"no leaf at {leaf}")
-        if _root_edge_colour(x) != nu.shell:
-            raise ColourMismatch("root edge of the graft does not match the bare edge")
-        return x
-    if not isinstance(nu, Tree):
-        raise ValueError("grafting is defined in dimension >= 2")
-    if leaf not in leaf_addrs(nu):
-        raise AddressNotALeaf(f"no leaf at {leaf}")
-    if isinstance(x, Degenerate):
-        if edge_colour(nu, leaf) != x.shell:
-            raise ColourMismatch("edge colours differ at the graft point")
-        return nu
-    if edge_colour(nu, leaf) != _root_edge_colour(x):
-        raise ColourMismatch("edge colours differ at the graft point")
-    out = nu.node_map()
-    for a, dec in x.nodes:
-        out[leaf + a] = dec
-    return tree(out)
-
-
-def substitute(t: Opetope, p: Addr, u: Opetope) -> Opetope:
-    """Replace the node of t at p by the tree u; t and u share a dimension.
-
-    The rewiring of hanging subtrees is forced by the readdressing of u.
-    """
-    if u.dim != t.dim:
-        raise ColourMismatch("substitution needs equal dimensions")
-    if isinstance(t, Arrow):
-        if p != STAR:
-            raise AddressNotANode("the 1-dimensional shape has a single node *")
-        if u != ARROW:
-            raise ColourMismatch("only the 1-dimensional shape substitutes into it")
-        return ARROW
-    if not isinstance(t, Tree):
-        raise AddressNotANode("substitution needs a node to replace")
-    nodes = t.node_map()
-    _replace_node(nodes, _child_index(nodes), p, u)
-    return tree(nodes) if nodes else u
 
 
 # --------------------------------------------------------------------------
@@ -866,10 +770,6 @@ class OMorphism:
         return render_word(self.word)
 
 
-def identity(omega: Opetope) -> OMorphism:
-    return OMorphism(omega, omega, ())
-
-
 def hom(psi: Opetope, omega: Opetope) -> tuple[OMorphism, ...]:
     """All morphisms from psi into omega, in word order."""
     if psi.dim > omega.dim:
@@ -1029,12 +929,3 @@ def parse(text: str) -> Opetope:
     if p.peek() is not None:
         raise ParseError(f"trailing input from token {p.peek()!r}")
     return out
-
-
-def parse_addr(text: str, depth: int) -> Addr:
-    """Parse one address at a known depth."""
-    p = _Parser(text)
-    raw = p.raw_addr()
-    if p.peek() is not None:
-        raise ParseError(f"trailing input from token {p.peek()!r}")
-    return _calibrate(raw, depth)

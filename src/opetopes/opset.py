@@ -5,10 +5,12 @@ generators are the generating faces: it stores, per shape, a tuple of
 globally unique cell identifiers, and an action table on generating faces
 only; restrictions along composite face words are folded through the
 table.  Windows are closed dimension intervals [lo, hi]; faces that would
-leave the window are not stored.  Maps, the naturality check, identities,
-composites and sub-presheaves are the shared ones of `kernel`.  The cells
-of a representable, a boundary or a spine are named as `opetope.faces(omega)`
+leave the window are not stored.  Maps, the naturality check and
+sub-presheaves are the shared ones of `kernel`.  The cells of a
+representable, a boundary or a spine are named as `opetope.faces(omega)`
 names them; this module reads those names and renders no face word itself.
+Pushouts and the spine cell decomposition, which no command computes, are
+stated in `tests/paper_results.py`.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from opetopes.opetope import (
-    Addr,
     Gen,
     Opetope,
     T_GEN,
@@ -27,21 +28,16 @@ from opetopes.opetope import (
     face,
     faces as face_structure,
     generators,
-    lex_key,
-    node_addrs,
     parse as parse_opetope,
     relation_squares,
     render,
     render_gen,
-    source,
-    target,
 )
 from opetopes.kernel import (
     FinPresheaf,
     Inclusion,
     PshMap,
     line_error,
-    check_psh_map,
     natural_maps,
     numbered_lines,
     sub_presheaf,
@@ -132,16 +128,6 @@ def validate_opset(X: FinOpSet) -> list[str]:
 
 
 # --------------------------------------------------------------------------
-# maps and inclusions
-
-
-def check_natural(f: PshMap) -> list[str]:
-    if f.src.window != f.dst.window:
-        return ["windows differ"]
-    return check_psh_map(f)
-
-
-# --------------------------------------------------------------------------
 # representables, boundaries, spines
 
 
@@ -219,11 +205,6 @@ def orthogonal_witness(incl: Inclusion, X: FinOpSet):
     return None
 
 
-def orthogonal(incl: Inclusion, X: FinOpSet) -> bool:
-    """True iff every map incl.src -> X extends to exactly one map incl.dst -> X."""
-    return orthogonal_witness(incl, X) is None
-
-
 def lifting_failures(
     X: FinOpSet, build: str, shapes: list[Opetope]
 ) -> list[tuple[Opetope, int]]:
@@ -232,81 +213,6 @@ def lifting_failures(
     include = {"spine": spine, "boundary": boundary}[build]
     found = ((w, orthogonal_witness(include(w, X.window), X)) for w in shapes)
     return [(w, witness[1]) for w, witness in found if witness is not None]
-
-
-# --------------------------------------------------------------------------
-# pushouts and the spine cell decomposition
-
-
-def pushout(incl: Inclusion, f: PshMap, tag: str = "+"):
-    """Push an inclusion A >-> B out along a map A -> X.
-
-    Returns (Y, leg from X, leg from B); fresh cells of B are renamed with
-    the tag prefix.
-    """
-    if incl.src != f.src:
-        raise ValueError("pushout legs must share their source")
-    A, B, X = incl.src, incl.dst, f.dst
-    image = set(incl.comp.values())
-    inv = {v: k for k, v in incl.comp.items()}
-    b_to_y: dict[CellId, CellId] = {}
-    for b in B.all_cells():
-        if b in image:
-            b_to_y[b] = f.comp[inv[b]]
-        else:
-            b_to_y[b] = tag + b
-    cells: dict[Opetope, tuple[CellId, ...]] = {
-        shape: ids for shape, ids in X.cells.items()
-    }
-    for shape in B.shapes():
-        fresh = tuple(b_to_y[b] for b in B.of_shape(shape) if b not in image)
-        if fresh:
-            cells[shape] = cells.get(shape, ()) + fresh
-    faces = dict(X.faces)
-    for (b, g), b2 in B.faces.items():
-        if b not in image:
-            faces[(b_to_y[b], g)] = b_to_y[b2]
-    Y = FinOpSet(X.window, cells, faces)
-    return Y, PshMap(X, Y, {x: x for x in X.all_cells()}), PshMap(B, Y, b_to_y)
-
-
-@dataclass(frozen=True)
-class SpineAttachment:
-    """One pushout step: attach the shape at a node along its spine."""
-
-    node: Addr
-    shape: Opetope
-    attach: PshMap  # spine of the shape into the complex built so far
-    complex_after: FinOpSet
-
-
-def spine_cell_decomposition(xi: Opetope) -> tuple[SpineAttachment, ...]:
-    """Build the spine of xi from the spine of its target, one node at a time.
-
-    Nodes are attached in reverse lexicographic address order, so every child
-    is attached before its parent and the attaching maps always land in the
-    complex built so far.  Degenerate shapes need no attachments.
-    """
-    if xi.dim < 2:
-        raise ValueError("the decomposition needs dimension >= 2")
-    window = (0, xi.dim - 1)
-    big = representable(xi, window)
-    fs = face_structure(xi)
-    # start from the spine of the target, embedded by t-precomposition
-    on_t = fs.along(T_GEN)
-    current = {on_t[x] for x in spine(target(xi)).src.sort}
-    complex_now = sub_presheaf(big, current).src
-    steps: list[SpineAttachment] = []
-    for p in sorted(node_addrs(xi), key=lex_key, reverse=True):
-        nu = source(xi, p)
-        nu_spine = spine(nu)
-        names = fs.along(("s", p))
-        comp = {x: names[x] for x in nu_spine.src.sort}
-        attach = PshMap(nu_spine.src, complex_now, comp)
-        current |= {names[x] for x in nu_spine.dst.sort}
-        complex_now = sub_presheaf(big, current).src
-        steps.append(SpineAttachment(p, nu, attach, complex_now))
-    return tuple(steps)
 
 
 # --------------------------------------------------------------------------

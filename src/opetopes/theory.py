@@ -5,7 +5,8 @@ The semantic side, on the category tables and finite presheaves of
 direct categories, whose direction and dimensions validate_lfd checks in
 one pass after the table and law checks it shares with ensure_category,
 presheaves on them, boundaries, and cell contexts built by attaching one
-cell at a time, carrying the strict parent/projection/pullback structure.
+cell at a time.  The strict parent/projection/pullback structure of
+contexts, which no command computes, is stated in `tests/paper_results.py`.
 
 The syntactic side: type signatures, term signatures, and equation sets
 parsed from a small declaration grammar, the translation between
@@ -36,10 +37,6 @@ from .kernel import (
     numbered_lines,
     sub_presheaf,
 )
-
-
-class EmptyContext(ValueError):
-    pass
 
 
 class FreshnessViolation(ValueError):
@@ -329,54 +326,6 @@ def context_isomorphism(X: FinPresheafC, ctx: Context) -> PshMap | None:
     if X.cat != ctx.cat or len(cells) != len(ctx.steps) or check_psh_map(f):
         return None
     return f
-
-
-def ctx_ft(ctx: Context) -> Context:
-    """Drop the last attachment."""
-    if not ctx.steps:
-        raise EmptyContext("the empty context has no parent")
-    return Context(ctx.cat, ctx.steps[:-1])
-
-
-def ctx_pr(ctx: Context) -> PshMap:
-    """The inclusion of the parent stage into the full realization."""
-    if not ctx.steps:
-        raise EmptyContext("the empty context has no projection")
-    prev = ctx_ft(ctx).realization()
-    return Inclusion(prev, ctx.realization(), {x: x for x in prev.sort})
-
-
-def ctx_pullback(
-    ctx: Context, f: PshMap, base: Context
-) -> tuple[Context, PshMap]:
-    """Reattach the last cell of ctx along f, over the context base.
-
-    f must be a map from the realization of the parent of ctx to the
-    realization of base.  Returns the extended context together with the
-    connecting map from the realization of ctx to its realization.  The
-    construction is strictly functorial: pulling back along a composite
-    equals the two-step pullback, as equality of contexts.
-    """
-    if not ctx.steps:
-        raise EmptyContext("cannot pull back the empty context")
-    last = ctx.steps[-1]
-    parent = ctx_ft(ctx).realization()
-    if f.src != parent:
-        raise NotAMap("the map must start at the parent realization")
-    if f.dst != base.realization():
-        raise NotAMap("the map must land in the base realization")
-    if ctx.cat != base.cat:
-        raise NotAMap("contexts live over different categories")
-    bad = check_psh_map(f)
-    if bad:
-        raise NotAMap(bad[0])
-    name = f"x{len(base.steps)}"
-    attach = tuple(sorted((m, f(y)) for m, y in last.attach))
-    result = Context(base.cat, base.steps + (AttachStep(last.obj, attach, name),))
-    comp = dict(f.comp)
-    comp[last.name] = name
-    connecting = PshMap(ctx.realization(), result.realization(), comp)
-    return result, connecting
 
 
 # ---------------------------------------------------------------------------
@@ -805,14 +754,6 @@ def _check_sort_instance(
         got = _sort_of(theta[v], known, ops)
         if got != want:
             raise error(f"{theta[v]} has sort {got}, expected {want}")
-
-
-def parse_signature(text: str) -> Signature:
-    """Parse a file of type declarations only."""
-    sig, ops, eqns = parse_theory(text)
-    if ops.declarations or eqns.equations:
-        raise ParseError("a signature file may contain only type declarations")
-    return sig
 
 
 def parse_context(sig: Signature, text: str) -> tuple[Binding, ...]:

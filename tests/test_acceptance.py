@@ -31,19 +31,15 @@ from opetopes.opetope import (
     tree,
 )
 from opetopes.oalg import (
-    Diagram,
     LambdaMorphism,
     PastingCell,
     SortedFamily,
     T_GEN,
     category_algebra,
     check_algebra_laws,
-    diagram_compose,
-    diagram_map,
     free_cells,
     h_morphism,
     h_object,
-    monad_mult,
     monad_unit,
     nerve_axioms_check,
     nerve_category,
@@ -53,9 +49,7 @@ from opetopes.oalg import (
 from opetopes.kernel import PshMap as OpSetMap
 from opetopes.opset import (
     FinOpSet,
-    pushout,
     spine,
-    spine_cell_decomposition,
     validate_opset,
 )
 from opetopes.theory import (
@@ -75,6 +69,14 @@ from opetopes.theory import (
 )
 from opetopes.theory import FinPresheafC
 
+from monad_oracle import monad_mult
+from paper_results import (
+    Diagram,
+    diagram_compose,
+    diagram_map,
+    replay_by_pushouts,
+    spine_cell_decomposition,
+)
 from scaffold import monotone_maps
 
 I = opetopic_integer
@@ -505,15 +507,18 @@ def test_acceptance_09_spine_decomposition():
         steps = spine_cell_decomposition(xi)
         if not steps:
             continue
-        current = steps[0].attach.dst
-        for k, s in enumerate(steps):
-            sp_nu = spine(s.shape)
-            attach = OpSetMap(sp_nu.src, current, dict(s.attach.comp))
-            current, _, _ = pushout(sp_nu, attach, tag=f"a{k}:")
+        replay, rename = replay_by_pushouts(xi, steps)
         wanted = spine(xi, (0, xi.dim - 1)).src
-        assert current.size() == wanted.size()
-        assert cell_counts(current) == cell_counts(wanted)
+        assert replay.size() == wanted.size()
+        assert cell_counts(replay) == cell_counts(wanted)
         assert steps[-1].complex_after == wanted
+        # the replay is an opetopic set, and renaming its cells back is a
+        # natural bijection onto the spine: no search
+        assert validate_opset(replay) == [], render(xi)
+        back = {y: x for x, y in rename.items()}
+        assert len(back) == len(rename) == replay.size()
+        assert set(back.values()) == set(wanted.all_cells())
+        assert check_psh_map(OpSetMap(replay, wanted, back)) == [], render(xi)
         replayed += 1
     assert replayed == 9
 

@@ -10,8 +10,8 @@ import laws_oracle
 from opetopes import oalg
 from opetopes.oalg import (
     FiniteCategory,
+    OAlgebra,
     _height_two_shapes,
-    build_algebra,
     category_algebra,
     category_family,
     check_algebra_laws,
@@ -135,14 +135,14 @@ def test_laws_match_the_oracle(case):
     ensure_category(C)
     X = category_family(C)
     if kind == "star":
-        A = build_algebra(X, star_rule(C, pasting_chain), bound)
-        B = build_algebra(X, star_rule(C, laws_oracle.pasting_chain), bound)
+        A = OAlgebra(X, star_rule(C, pasting_chain), bound)
+        B = OAlgebra(X, star_rule(C, laws_oracle.pasting_chain), bound)
     elif kind == "wrong":
-        A = build_algebra(X, composite_rule(C, pasting_chain, wrong), bound)
-        B = build_algebra(X, composite_rule(C, laws_oracle.pasting_chain, wrong), bound)
+        A = OAlgebra(X, composite_rule(C, pasting_chain, wrong), bound)
+        B = OAlgebra(X, composite_rule(C, laws_oracle.pasting_chain, wrong), bound)
     else:
         A = category_algebra(C, bound)
-        B = build_algebra(X, composite_rule(C, laws_oracle.pasting_chain), bound)
+        B = OAlgebra(X, composite_rule(C, laws_oracle.pasting_chain), bound)
     report = check_algebra_laws(A, bound)
     assert report == laws_oracle.check_algebra_laws(B, bound)
     if kind == "composite":
@@ -152,8 +152,8 @@ def test_laws_match_the_oracle(case):
 def test_the_nonassociative_rule_fails_like_the_oracle():
     C = cyclic_monoid(3)
     X = category_family(C)
-    report = check_algebra_laws(build_algebra(X, star_rule(C, pasting_chain), 8), 8)
-    oracle = build_algebra(X, star_rule(C, laws_oracle.pasting_chain), 8)
+    report = check_algebra_laws(OAlgebra(X, star_rule(C, pasting_chain), 8), 8)
+    oracle = OAlgebra(X, star_rule(C, laws_oracle.pasting_chain), 8)
     assert report.failures
     assert report == laws_oracle.check_algebra_laws(oracle, 8)
 

@@ -861,6 +861,16 @@ def test_malformed_category_directive_names_its_form(capsys, tmp_path, text, for
         pytest.param("obj a\nmor i d: a -> a\nid a = i d\n", 2, MOR_FORM, id="name-with-space"),
         pytest.param("obj a\nmor : a -> a\nid a = \n", 2, MOR_FORM, id="empty-name"),
         pytest.param("obj a\nmor ia: a -> a\nid a = \n", 3, ID_FORM, id="empty-identity"),
+        # the nerve's cell ids join names with `.`, so no name holds one: else
+        # the chain x, f and the object x.f would share the id c.x.f
+        pytest.param(
+            "obj x x.f\nmor ix: x -> x\nmor iy: x.f -> x.f\nmor f: x -> x.f\n"
+            "id x = ix\nid x.f = iy\n",
+            1, "obj NAME...", id="dotted-object",
+        ),
+        pytest.param("obj a\nmor i.a: a -> a\n", 2, MOR_FORM, id="dotted-morphism"),
+        pytest.param("obj a\nmor ia: a -> a\nid a = i.a\n", 3, ID_FORM, id="dotted-identity"),
+        pytest.param("obj a\nmor ia: a -> a\ncomp ia.ia = i.a\n", 3, COMP_FORM, id="dotted-composite"),
     ],
 )
 @pytest.mark.parametrize("command", ["nerve", "nerve-check"])

@@ -27,7 +27,6 @@ from opetopes.theory import (
     Context,
     context_isomorphism,
     parse_context,
-    parse_signature,
     presheaf_to_context,
     psh_isomorphism,
     realize_bindings,
@@ -35,6 +34,7 @@ from opetopes.theory import (
 )
 
 from context_oracle import oracle_validate_context
+from scaffold import parse_signature
 
 # Points, edges between them, and 2-cells between parallel edges.
 GLOBE = "|- V type\nx y : V |- E(x, y) type\nx y : V, f g : E(x, y) |- F(x, y, f, g) type\n"

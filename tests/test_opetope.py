@@ -14,29 +14,24 @@ from opetopes.opetope import (
     check_identities,
     compose,
     corolla,
-    edge_addrs,
-    edge_colour,
     enumerate_opetopes,
     faces,
-    graft,
     hom,
-    identity,
     leaf_addrs,
     node_addrs,
     opetopic_integer,
     parse,
-    parse_addr,
     readdress,
     render,
     size,
     source,
-    substitute,
     target,
     tree,
     validate,
 )
-from opetopes.opetope import AddressNotALeaf, AddressNotANode, ColourMismatch, _target_readdress
+from opetopes.opetope import AddressNotALeaf, AddressNotANode, ColourMismatch, OMorphism, _target_readdress
 from peel_oracle import peel_target_readdress
+from scaffold import edge_addrs, edge_colour, graft, parse_addr, substitute
 
 I = opetopic_integer
 E1 = Addr(1)
@@ -410,8 +405,8 @@ def test_compose_functorial():
             for h in hom(POINT, ARROW):
                 assert compose(compose(f, g), h) == compose(f, compose(g, h))
     for f in hom(ARROW, w):
-        assert compose(f, identity(ARROW)) == f
-        assert compose(identity(w), f) == f
+        assert compose(f, OMorphism(ARROW, ARROW, ())) == f
+        assert compose(OMorphism(w, w, ()), f) == f
 
 
 def test_target_cell_identified_with_glob_faces():

@@ -16,18 +16,14 @@ from opetopes.opetope import (
     face,
     faces as face_structure,
     generators,
-    graft,
     opetopic_integer,
     parse,
     render,
     render_word,
-    target,
     word_key,
 )
 from opetopes.kernel import (
-    PshMap as OpSetMap,
-    psh_compose as compose_maps,
-    psh_identity as identity_map,
+    check_psh_map,
     sub_presheaf as sub_opset,
 )
 from opetopes.opset import (
@@ -35,22 +31,24 @@ from opetopes.opset import (
     Inclusion,
     WindowMismatch,
     boundary,
-    check_natural,
     dump_opset,
     empty_opset,
     hlift_check,
     load_opset,
     maps,
-    orthogonal,
     orthogonal_witness,
-    pushout,
     representable,
     spine,
-    spine_cell_decomposition,
     validate_opset,
 )
 
-from scaffold import terminal_opset
+from paper_results import (
+    psh_compose as compose_maps,
+    psh_identity as identity_map,
+    replay_by_pushouts,
+    spine_cell_decomposition,
+)
+from scaffold import graft, terminal_opset
 
 I = opetopic_integer
 E1 = Addr(1)
@@ -103,7 +101,7 @@ def test_boundary_of_arrow():
     b = boundary(ARROW)
     assert cell_counts(b.src) == {"point": 2}
     assert isinstance(b, Inclusion)
-    assert check_natural(b) == []
+    assert check_psh_map(b) == []
 
 
 def test_spine_of_chain():
@@ -264,7 +262,7 @@ def test_maps_compose_and_identity():
     X = representable(ARROW, (0, 2))
     Y = representable(I(2), (0, 2))
     for f in maps(X, Y):
-        assert check_natural(f) == []
+        assert check_psh_map(f) == []
         assert compose_maps(f, identity_map(X)) == f
     assert len(maps(X, Y)) == 3  # one per arrow cell
 
@@ -295,9 +293,9 @@ def test_orthogonal_empty_inclusion_singleton_fibre():
     X = two_parallel_arrows()
     o_point = sub_opset(representable(POINT, (0, 1)), set())
     # two point cells: two maps from the representable, no unique lift
-    assert not orthogonal(o_point, X)
+    assert orthogonal_witness(o_point, X) is not None
     Y = FinOpSet((0, 1), {POINT: ("a",)}, {})
-    assert orthogonal(sub_opset(representable(POINT, (0, 1)), set()), Y)
+    assert orthogonal_witness(sub_opset(representable(POINT, (0, 1)), set()), Y) is None
 
 
 def test_orthogonal_parallel_arrows_fail_boundary():
@@ -307,13 +305,13 @@ def test_orthogonal_parallel_arrows_fail_boundary():
     assert w is not None
     f, n = w
     assert n in (0, 2)
-    assert not orthogonal(b, X)
+    assert orthogonal_witness(b, X) is not None
 
 
 def test_orthogonal_window_guard():
     X = two_parallel_arrows()
     with pytest.raises(WindowMismatch):
-        orthogonal(boundary(ARROW, (0, 2)), X)
+        orthogonal_witness(boundary(ARROW, (0, 2)), X)
 
 
 def counting_witness(incl: Inclusion, X: FinOpSet):
@@ -382,7 +380,7 @@ def test_spine_decomposition_worked_example():
     assert [render(s.shape) for s in steps] == ["I1", "I2", "I3"]
     assert [str(s.node) for s in steps] == ["[[**]]", "[[*]]", "[]"]
     for s in steps:
-        assert check_natural(s.attach) == []
+        assert check_psh_map(s.attach) == []
     assert steps[-1].complex_after == spine(XI_EX, (0, 2)).src
     # each pushout contributes the source cell and its fresh target face
     sizes = [s.complex_after.size() for s in steps]
@@ -394,17 +392,11 @@ def test_spine_decomposition_replay_via_pushouts():
         steps = spine_cell_decomposition(xi)
         if not steps:
             continue
-        window = (0, xi.dim - 1)
-        t_sp = spine(target(xi))
         # replay: start from the target spine and push out each attachment
-        fs = face_structure(xi)
-        current = steps[0].attach.dst
-        for k, s in enumerate(steps):
-            sp_nu = spine(s.shape)
-            attach = OpSetMap(sp_nu.src, current, dict(s.attach.comp))
-            current, _, _ = pushout(sp_nu, attach, tag=f"a{k}:")
-        assert current.size() == spine(xi, window).src.size()
-        assert cell_counts(current) == cell_counts(spine(xi, window).src)
+        replay, _ = replay_by_pushouts(xi, steps)
+        wanted = spine(xi, (0, xi.dim - 1)).src
+        assert replay.size() == wanted.size()
+        assert cell_counts(replay) == cell_counts(wanted)
 
 
 def test_spine_decomposition_two_fresh_cells_per_step():

@@ -54,10 +54,8 @@ from opetopes.oalg import (
     _height_two_shapes,
     category_family,
     ensure_category,
-    monad_mult,
     nerve_axioms_check,
     nerve_category,
-    split_pasting,
 )
 from opetopes.opetope import (
     STAR,
@@ -78,7 +76,6 @@ from opetopes.opetope import (
 from opetopes.kernel import sub_presheaf as sub_opset
 from opetopes.opset import (
     boundary,
-    check_natural,
     dump_opset,
     load_opset,
     maps,
@@ -94,7 +91,6 @@ from opetopes.theory import (
     check_psh_map,
     lfd_to_signature,
     natural_maps,
-    parse_signature,
     psh_isomorphism,
     psh_maps,
     realize_bindings,
@@ -106,7 +102,9 @@ from opetopes.theory import (
     validate_lfd,
 )
 
+from monad_oracle import monad_mult, split_pasting
 from peel_oracle import peel_target_readdress
+from scaffold import parse_signature
 from signature_oracle import oracle_signature_category
 from test_theory import assert_isomorphism
 
@@ -395,7 +393,7 @@ def test_found_maps_of_realized_contexts_are_natural(X, Y):
 @given(st.data())
 def test_found_opset_maps_are_natural(data):
     X, Y = opset_presheaf(data), opset_presheaf(data)
-    assert_natural_and_repointing_reported(maps(X, Y), check_natural)
+    assert_natural_and_repointing_reported(maps(X, Y), check_psh_map)
 
 
 def without_a_face(X):
@@ -433,7 +431,7 @@ def test_split_then_multiply_is_the_identity(C, count):
             inner = split_pasting(X, xi, cell)
             assert monad_mult(X, xi, inner) == cell
             for part in inner.values():
-                assert check_natural(part.filling) == []
+                assert check_psh_map(part.filling) == []
                 assert set(part.filling.comp) == set(part.filling.src.sort)
     assert fillings == count
 

@@ -7,8 +7,11 @@ the package.  So a name shared by two defs reaches both, and a reached
 class reaches every name its methods mention.
 
 A name no command reaches stays in `src/` only as the subject of a test
-that states its result; each is pinned here with that test.  A new
-unreached name fails the test until it is pinned, or moved to `tests/`.
+that states its result, and only while a later step builds on it; each is
+pinned here with that test and the reason it stays.  A new unreached name
+fails the test until it is pinned, or moved to `tests/`.  A name that left
+`src/` is recorded with the module of `tests/` that holds it now, or as a
+deleted wrapper, and with the test that states it.
 """
 
 from __future__ import annotations
@@ -22,43 +25,55 @@ TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "opetopes"
 
 ACCEPTANCE = "test_acceptance.py::test_acceptance_"
+TRACED = "traced by perfbench until ROADMAP item 1"
+ITEM_4 = "ROADMAP item 4"
+# a name no command reaches -> (the test that states its result, why it stays)
 UNREACHED = {
-    "kernel.NotAMap": "test_theory.py::test_pullback_rejects_bad_maps",
-    "kernel.psh_compose": "test_theory.py::test_pullback_is_strictly_functorial",
-    "kernel.psh_identity": "test_theory.py::test_pullback_along_the_identity_is_strict",
-    "oalg.Diagram": ACCEPTANCE + "05_diagram_functoriality",
-    "oalg.diagram_compose": ACCEPTANCE + "05_diagram_functoriality",
-    "oalg.diagram_map": ACCEPTANCE + "05_diagram_functoriality",
-    "oalg.diagram_for_monotone": "test_oalg.py::test_every_monotone_map_is_a_diagram",
-    "oalg.monad_mult": ACCEPTANCE + "07_monad_laws",
-    "oalg._shell_cell": ACCEPTANCE + "07_monad_laws",
-    "oalg.split_pasting": "test_properties.py::test_split_then_multiply_is_the_identity",
-    "oalg.pasting_face": "test_oalg.py::test_pasting_face_reads_endpoints",
-    "opetope.edge_addrs": "test_opetope.py::test_source_and_edge_colours",
-    "opetope.edge_colour": "test_opetope.py::test_source_and_edge_colours",
-    "opetope.graft": "test_opetope.py::test_graft_whole_tree",
-    "opetope._root_edge_colour": "test_opetope.py::test_graft_rejects_bad_input",
-    "opetope.identity": "test_opetope.py::test_compose_functorial",
-    "opetope.substitute": "test_opetope.py::test_substitute_rewires_hanging_subtrees",
-    "opetope.lex_key": ACCEPTANCE + "09_spine_decomposition",
-    "opetope.parse_addr": "test_opetope.py::test_addr_render_parse_round_trip",
-    "opset.SpineAttachment": ACCEPTANCE + "09_spine_decomposition",
-    "opset.spine_cell_decomposition": ACCEPTANCE + "09_spine_decomposition",
-    "opset.pushout": ACCEPTANCE + "09_spine_decomposition",
-    "opset.check_natural": "test_properties.py::test_found_opset_maps_are_natural",
-    "opset.orthogonal": "test_opset.py::test_orthogonal_parallel_arrows_fail_boundary",
-    "theory.EmptyContext": "test_theory.py::test_empty_presheaf_gives_the_empty_context",
-    "theory.boundary_c": "test_theory.py::test_boundary_of_the_triangle",
-    "theory.cat_isomorphic": "test_properties.py::test_isomorphism_found_to_a_renamed_copy",
-    "theory.ctx_ft": "test_theory.py::test_parent_and_projection",
-    "theory.ctx_pr": "test_theory.py::test_parent_and_projection",
-    "theory.ctx_pullback": "test_theory.py::test_pullback_is_strictly_functorial",
-    "theory._graph": "test_theory.py::test_isomorphism_search_can_say_no",
-    "theory.parse_signature": "test_theory.py::test_signature_to_category_recovers_the_two_arrows",
-    "theory.psh_isomorphism": "test_context.py::test_the_named_isomorphism_is_the_one_the_search_finds",
-    "theory.psh_maps": "test_theory.py::test_hom_sets_agree_with_presheaf_maps",
-    "theory.representable_psh": "test_theory.py::test_representable_contains_the_identity",
-    "theory.validate_presheaf": ACCEPTANCE + "10_contexts",
+    "kernel.NotAMap": ("test_theory.py::test_pullback_rejects_bad_maps", ITEM_4),
+    "theory.boundary_c": ("test_theory.py::test_boundary_of_the_triangle", ITEM_4),
+    "theory.cat_isomorphic": ("test_properties.py::test_isomorphism_found_to_a_renamed_copy", TRACED),
+    "theory._graph": ("test_theory.py::test_isomorphism_search_can_say_no", TRACED),
+    "theory.psh_isomorphism": (
+        "test_context.py::test_the_named_isomorphism_is_the_one_the_search_finds", TRACED,
+    ),
+    "theory.psh_maps": ("test_theory.py::test_hom_sets_agree_with_presheaf_maps", ITEM_4),
+    "theory.representable_psh": ("test_theory.py::test_representable_contains_the_identity", ITEM_4),
+    "theory.validate_presheaf": (ACCEPTANCE + "10_contexts", ITEM_4),
+}
+# a name that left src/ -> (the module of tests/ it lives in, or None for a
+# deleted wrapper whose test calls the code it wrapped; the test that states it)
+LEFT = {
+    "kernel.psh_compose": ("paper_results", "test_theory.py::test_pullback_is_strictly_functorial"),
+    "kernel.psh_identity": ("paper_results", "test_theory.py::test_pullback_along_the_identity_is_strict"),
+    "oalg.Diagram": ("paper_results", ACCEPTANCE + "05_diagram_functoriality"),
+    "oalg.diagram_compose": ("paper_results", ACCEPTANCE + "05_diagram_functoriality"),
+    "oalg.diagram_map": ("paper_results", ACCEPTANCE + "05_diagram_functoriality"),
+    "oalg.diagram_for_monotone": ("paper_results", "test_oalg.py::test_every_monotone_map_is_a_diagram"),
+    "oalg.monad_mult": ("monad_oracle", ACCEPTANCE + "07_monad_laws"),
+    "oalg._shell_cell": ("monad_oracle", ACCEPTANCE + "07_monad_laws"),
+    "oalg.split_pasting": ("monad_oracle", "test_properties.py::test_split_then_multiply_is_the_identity"),
+    "oalg.pasting_face": (None, "test_oalg.py::test_pasting_face_reads_endpoints"),
+    "oalg.build_algebra": (None, "test_oalg.py::test_algebra_applies_its_rule_only_on_compose"),
+    "opetope.edge_addrs": ("scaffold", "test_opetope.py::test_source_and_edge_colours"),
+    "opetope.edge_colour": ("scaffold", "test_opetope.py::test_source_and_edge_colours"),
+    "opetope.graft": ("scaffold", "test_opetope.py::test_graft_whole_tree"),
+    "opetope._root_edge_colour": ("scaffold", "test_opetope.py::test_graft_rejects_bad_input"),
+    "opetope.identity": (None, "test_opetope.py::test_compose_functorial"),
+    "opetope.substitute": ("scaffold", "test_opetope.py::test_substitute_rewires_hanging_subtrees"),
+    "opetope.lex_key": ("paper_results", ACCEPTANCE + "09_spine_decomposition"),
+    "opetope.parse_addr": ("scaffold", "test_opetope.py::test_addr_render_parse_round_trip"),
+    "opset.SpineAttachment": ("paper_results", ACCEPTANCE + "09_spine_decomposition"),
+    "opset.spine_cell_decomposition": ("paper_results", ACCEPTANCE + "09_spine_decomposition"),
+    "opset.pushout": ("paper_results", ACCEPTANCE + "09_spine_decomposition"),
+    "opset.check_natural": (None, "test_properties.py::test_found_opset_maps_are_natural"),
+    "opset.orthogonal": (None, "test_opset.py::test_orthogonal_parallel_arrows_fail_boundary"),
+    "theory.EmptyContext": ("paper_results", "test_theory.py::test_empty_presheaf_gives_the_empty_context"),
+    "theory.ctx_ft": ("paper_results", "test_theory.py::test_parent_and_projection"),
+    "theory.ctx_pr": ("paper_results", "test_theory.py::test_parent_and_projection"),
+    "theory.ctx_pullback": ("paper_results", "test_theory.py::test_pullback_is_strictly_functorial"),
+    "theory.parse_signature": (
+        "scaffold", "test_theory.py::test_signature_to_category_recovers_the_two_arrows",
+    ),
 }
 
 
@@ -106,7 +121,25 @@ def test_every_unreached_name_is_pinned_with_its_test():
     assert unreached() == set(UNREACHED)
 
 
-@pytest.mark.parametrize("test", sorted(set(UNREACHED.values())))
+def test_every_unreached_name_says_why_it_stays():
+    assert {reason for _, reason in UNREACHED.values()} <= {TRACED, ITEM_4}
+
+
+def test_every_name_that_left_lives_where_it_is_recorded():
+    def defined(path: Path) -> dict[str, ast.stmt]:
+        return top_level(ast.parse(path.read_text(encoding="utf-8")))
+
+    for name, (home, _) in LEFT.items():
+        module, _, def_name = name.partition(".")
+        assert def_name not in defined(PACKAGE / f"{module}.py"), name
+        if home is not None:
+            assert def_name in defined(TESTS / f"{home}.py"), name
+
+
+PINNED = {test for test, _ in UNREACHED.values()} | {test for _, test in LEFT.values()}
+
+
+@pytest.mark.parametrize("test", sorted(PINNED))
 def test_every_pinned_test_exists(test):
     file, name = test.split("::")
     tree = ast.parse((TESTS / file).read_text(encoding="utf-8"))

@@ -21,7 +21,6 @@ DIMENSION = "the dimension, which opetope.NEST_CAP caps for a parsed shape"
 TERM = "term depth, capped by theory.TERM_CAP in the reader and in Term"
 RECURSIVE = {
     "oalg._points": "two levels: a 3-shape recurses once, on its 2-shape target",
-    "opetope.lex_key": "address depth, at most " + DIMENSION,
     "opetope.validate": DIMENSION,
     "opetope._skey": DIMENSION,
     "opetope.render": DIMENSION,

@@ -11,7 +11,6 @@ import pytest
 from opetopes.theory import (
     AttachStep,
     Context,
-    EmptyContext,
     Equation,
     EquationSet,
     FinDirectCat,
@@ -30,13 +29,9 @@ from opetopes.theory import (
     cat_isomorphic,
     check_model,
     check_psh_map,
-    ctx_ft,
-    ctx_pr,
-    ctx_pullback,
     lfd_to_signature,
     object_dimensions,
     parse_model,
-    parse_signature,
     parse_theory,
     presheaf_to_context,
     psh_isomorphism,
@@ -49,7 +44,9 @@ from opetopes.theory import (
     validate_lfd,
     validate_presheaf,
 )
-from opetopes.kernel import psh_compose, psh_identity
+
+from paper_results import EmptyContext, ctx_ft, ctx_pr, ctx_pullback, psh_compose, psh_identity
+from scaffold import parse_signature
 
 GG1 = FinDirectCat(
     ("D0", "D1"),
