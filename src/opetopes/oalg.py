@@ -248,14 +248,6 @@ def _gluing(
     }
 
 
-def _slice(
-    X: SortedFamily, nu: Opetope, glue: dict[CellId, CellId], f: PshMap
-) -> PastingCell:
-    """The pasting of shape nu that reads the filling f through glue."""
-    S = _spine_of(nu, X.family.window)
-    return PastingCell(nu, PshMap(S, X.family, {y: f(x) for y, x in glue.items()}))
-
-
 # ---------------------------------------------------------------------------
 # Algebras as composition rules
 
@@ -331,47 +323,73 @@ def _height_two_shapes(n: int, max_nodes: int) -> list[Opetope]:
 def check_algebra_laws(A: OAlgebra, max_nodes: int) -> AlgebraLawReport:
     """Check the unit law on every cell and the multiplication square on
     every uniform-height-2 pasting of pastings within the node bound,
-    skipping a unit or square whose pasting the algebra has no entry for."""
+    skipping a unit or square whose pasting the algebra has no entry for.
+
+    Each distinct pasting, a shape and its filling, is composed once per
+    check, so the rule must be a function of its pasting; an outer pasting,
+    alpha filled by its parts' composites, is filled and composed once."""
     X = A.base
+    window = X.family.window
     failures: list[str] = []
+
+    @cache
+    def compose(nu: Opetope, values: tuple[CellId, ...]) -> CellId:
+        """The composite of the pasting of shape nu filled by values, in spine order."""
+        S = _spine_of(nu, window)
+        return A.compose(PastingCell(nu, PshMap(S, X.family, dict(zip(S.sort, values)))))
+
+    @cache
+    def stage(alpha: Opetope, seeds: tuple[CellId, ...], inner: tuple[CellId, ...]) -> tuple:
+        """(the composite of alpha filled by its parts' composites inner at
+        the cells seeds, None), or (None, why they fill no pasting)."""
+        S = _spine_of(alpha, window)
+        try:
+            comp = _natural_fill(S, X.family, zip(seeds, inner), "outer pasting")
+        except ShapeMismatch as err:
+            return None, str(err)
+        return compose(alpha, tuple(map(comp.__getitem__, S.sort))), None
+
     units = 0
     for omega in X.family.shapes():
         if omega.dim != X.n or size(corolla(omega)) > A.max_nodes:
             continue
         for x in X.family.of_shape(omega):
             units += 1
-            got = A.compose(monad_unit(X, x))
+            unit = monad_unit(X, x)
+            got = compose(unit.shape, tuple(map(unit.filling, unit.filling.src.sort)))
             if got != x:
                 failures.append(f"unit: compose(unit({x})) = {got}")
 
     squares = 0
-    # each flattened shape's fillings and their composites, searched once
-    flattened: dict[Opetope, list[tuple[PshMap, CellId]]] = {}
+    # each flattened shape's fillings with their values, searched once
+    flattened: dict[Opetope, list[tuple[PshMap, tuple[CellId, ...]]]] = {}
+    # the first object seen equal to a shape, so that keys compare it by identity
+    same = {}.setdefault
     for xi in _height_two_shapes(X.n, max_nodes):
         flat = target(xi)
+        flat = same(flat, flat)
         if size(flat) > A.max_nodes:
             continue
         if flat not in flattened:
-            S = _spine_of(flat, X.family.window)
-            flattened[flat] = [
-                (f, A.compose(PastingCell(flat, f))) for f in maps(S, X.family)
-            ]
+            S = _spine_of(flat, window)
+            flattened[flat] = [(f, tuple(map(f, S.sort))) for f in maps(S, X.family)]
         alpha, parts = _height_two_parts(xi)
-        glue = _gluing(xi, parts, X.family.window)
+        alpha = same(alpha, alpha)
+        glue = _gluing(xi, parts, window)
+        slices = [(same(nu, nu), tuple(glue[p].values())) for p, nu in parts.items()]
         name = faces(alpha).name
-        SA = _spine_of(alpha, X.family.window)
-        for f, lhs in flattened[flat]:
+        seeds = tuple(name((("s", p),)) for p in parts)
+        for f, values in flattened[flat]:
             squares += 1
+            lhs = compose(flat, values)
+            value = f.comp.__getitem__
             try:
-                seeds = {
-                    name((("s", p),)): A.compose(_slice(X, nu, glue[p], f))
-                    for p, nu in parts.items()
-                }
-                comp = _natural_fill(SA, X.family, seeds.items(), "outer pasting")
+                inner = tuple(compose(nu, tuple(map(value, cells))) for nu, cells in slices)
             except ShapeMismatch as err:
-                problem = str(err)
+                rhs, problem = None, str(err)
             else:
-                rhs = A.compose(PastingCell(alpha, PshMap(SA, X.family, comp)))
+                rhs, problem = stage(alpha, seeds, inner)
+            if problem is None:
                 if lhs == rhs:
                     continue
                 problem = f"flattened {lhs} != staged {rhs}"

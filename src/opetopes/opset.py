@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable
 
 from opetopes.opetope import (
@@ -193,13 +194,26 @@ def orthogonal_witness(incl: Inclusion, X: FinOpSet):
     if incl.src.window != X.window:
         raise WindowMismatch("orthogonality needs equal windows")
     # The maps from incl.src, of which a spine can have exponentially many,
-    # are streamed, and the search stops at the first witness.  The maps from
-    # incl.dst are listed: for a spine or boundary, one per top cell of X.
+    # are streamed, and the search stops at the first witness.  A map out of
+    # incl.src, or out of incl.dst restricted to it, is fixed by its values at
+    # the maximal cells of incl.src (top).  If incl.dst is y(omega) with its
+    # top cell in the window, its maps are the cells of X at omega (Yoneda),
+    # read along each maximal cell's face word (any one: X's squares commute).
     order = _search_order(incl.src)
-    image = [incl.comp[x] for x in order]
-    counts = Counter(tuple(g.comp[y] for y in image) for g in maps(incl.dst, X))
+    faced = set(incl.src.face.values())
+    top = [x for x in order if x not in faced]
+    omega = max(incl.dst.sort.values(), key=lambda w: w.dim, default=None)
+    if omega is not None and incl.dst == representable(omega, X.window):
+        fs = face_structure(omega)
+        words = {name: fs.words[c] for c, name in fs.names.items()}
+        paths = [words[incl.comp[x]] for x in top]
+        counts = Counter(
+            tuple(reduce(lambda c, g: X.face[c, g], w, y) for w in paths) for y in X.of_shape(omega)
+        )
+    else:
+        counts = Counter(tuple(g.comp[incl.comp[x]] for x in top) for g in maps(incl.dst, X))
     for f in natural_maps(order, incl.src, X):
-        n = counts[tuple(f[x] for x in order)]
+        n = counts[tuple(f[x] for x in top)]
         if n != 1:
             return PshMap(incl.src, X, f), n
     return None

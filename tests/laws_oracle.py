@@ -22,10 +22,10 @@ from opetopes.oalg import (
     _height_two_parts,
     _height_two_shapes,
     _natural_fill,
-    _slice,
     _spine_of,
     monad_unit,
 )
+from monad_oracle import _slice
 from opetopes.opetope import STAR, T_GEN, faces, render, size, target
 from opetopes.kernel import PshMap as OpSetMap
 from opetopes.opset import maps

@@ -3,11 +3,12 @@ the law square.
 
 `oalg.check_algebra_laws` reads the flattened side of a square as the
 pasting of shape target(xi) itself, and the staged side by slicing that
-filling back into one inner pasting per outer node (`oalg._gluing`,
-`oalg._slice`).  `monad_mult` goes the other way: it glues inner pastings
-into the filling of target(xi), and `split_pasting` inverts it through
-the same slicing.  The tests state the monad laws with these, and that
-splitting then multiplying gives back every filling the search finds.
+filling back into one inner pasting per outer node along `oalg._gluing`;
+`_slice` here builds such a pasting.  `monad_mult` goes the other way: it
+glues inner pastings into the filling of target(xi), and `split_pasting`
+inverts it through `_slice`.  The tests state the monad laws with these,
+and that splitting then multiplying gives back every filling the search
+finds.
 """
 
 from __future__ import annotations
@@ -19,12 +20,19 @@ from opetopes.oalg import (
     _gluing,
     _height_two_parts,
     _natural_fill,
-    _slice,
     _spine_of,
 )
 from opetopes.opetope import Addr, Degenerate, Opetope, Tree, epsilon, render, target
 from opetopes.kernel import PshMap
 from opetopes.opset import CellId, FinOpSet
+
+
+def _slice(
+    X: SortedFamily, nu: Opetope, glue: dict[CellId, CellId], f: PshMap
+) -> PastingCell:
+    """The pasting of shape nu that reads the filling f through glue."""
+    S = _spine_of(nu, X.family.window)
+    return PastingCell(nu, PshMap(S, X.family, {y: f(x) for y, x in glue.items()}))
 
 
 def _shell_cell(S: FinOpSet, shell: Opetope) -> CellId:

@@ -11,6 +11,7 @@ from opetopes import oalg
 from opetopes.oalg import (
     FiniteCategory,
     OAlgebra,
+    ShapeMismatch,
     _height_two_shapes,
     category_algebra,
     category_family,
@@ -182,3 +183,45 @@ def test_composing_pastings_of_one_shape_walks_its_words_once(monkeypatch):
         A.compose(cell)
     assert len(cells) > 1
     assert len(walks) == first
+
+
+def test_laws_compose_each_distinct_pasting_once(monkeypatch):
+    ran = []
+    real = oalg.pasting_chain
+    monkeypatch.setattr(oalg, "pasting_chain", lambda cell: ran.append(cell) or real(cell))
+    C = parse_category(CHAIN_CAT)
+    check_algebra_laws(category_algebra(C, 8), 8)
+    oracle_ran = []
+
+    def chain(cell):
+        oracle_ran.append(cell)
+        return laws_oracle.pasting_chain(cell)
+
+    laws_oracle.check_algebra_laws(OAlgebra(category_family(C), composite_rule(C, chain), 8), 8)
+
+    def pasting(cell):
+        return cell.shape, tuple(sorted(cell.filling.comp.items()))
+
+    distinct = {pasting(cell) for cell in oracle_ran}
+    assert sorted(map(pasting, ran), key=repr) == sorted(distinct, key=repr)
+    assert len(ran) < len(oracle_ran)
+
+
+def test_laws_under_a_lower_algebra_bound_fail_like_the_oracle():
+    # the algebra refuses the pastings past its own bound: a square whose
+    # flattened pasting it refuses is skipped, and one whose outer pasting
+    # it refuses stops the check, in both
+    C = cyclic_monoid(3)
+    X = category_family(C)
+    for own in range(1, 8):
+        outcomes = []
+        for chain, check in (
+            (pasting_chain, check_algebra_laws),
+            (laws_oracle.pasting_chain, laws_oracle.check_algebra_laws),
+        ):
+            try:
+                outcomes.append(check(OAlgebra(X, star_rule(C, chain), own), 8))
+            except ShapeMismatch as err:
+                outcomes.append(str(err))
+        assert outcomes[0] == outcomes[1], own
+    assert outcomes[0].failures

@@ -15,7 +15,10 @@ isomorphism search agrees with the first bijective map of the full map
 search, the nerve's 2-cells are the chains with the faces the arrows
 read off by hand (arrow i of I_m at [*^(m-1-i)]), each 3-cell's target
 is the 2-cell of its own chain, and the nerve cut at the node bound 0, 1
-or 2 passes the nerve checks at that bound.
+or 2 passes the nerve checks at that bound.  On these nerves and on
+terminal sets, each maybe less one cell, `orthogonal_witness` against a
+spine or boundary agrees with counting every map out of the
+representable, also where the shape lies above the window.
 
 Type signatures are the signatures of generated posets, globular
 signatures up to dimension 4, bipartite signatures, and signatures whose
@@ -79,6 +82,7 @@ from opetopes.opset import (
     dump_opset,
     load_opset,
     maps,
+    orthogonal_witness,
     representable,
     spine,
 )
@@ -104,7 +108,8 @@ from opetopes.theory import (
 
 from monad_oracle import monad_mult, split_pasting
 from peel_oracle import peel_target_readdress
-from scaffold import parse_signature
+from scaffold import parse_signature, terminal_opset
+from test_opset import counting_witness, without_cell
 from signature_oracle import oracle_signature_category
 from test_theory import assert_isomorphism
 
@@ -279,6 +284,32 @@ def test_nerve_passes_its_checks_at_small_bounds(C):
     for bound in (0, 1, 2):
         report = nerve_axioms_check(nerve_category(C, bound), bound)
         assert report.ok, report.failures
+
+
+@st.composite
+def lifting_cases(draw):
+    """An opetopic set, maybe less one cell and every cell above it, and a
+    spine or boundary of a shape of at most 3 nodes whose dimension runs
+    from the window's bottom (at least 1) to one above its top."""
+    if draw(st.booleans()):
+        X = nerve_category(draw(categories), draw(st.integers(1, 3)))
+    else:
+        X = terminal_opset(draw(st.sampled_from([(0, 2), (1, 3), (0, 3)])), draw(st.integers(1, 3)))
+    if draw(st.booleans()):
+        X = without_cell(X, draw(st.sampled_from(sorted(X.sort))))
+    lo, hi = X.window
+    w = draw(st.sampled_from(enumerate_opetopes(draw(st.integers(max(lo, 1), hi + 1)), 3)))
+    return X, draw(st.sampled_from([spine, boundary]))(w, X.window)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lifting_cases())
+@example((terminal_opset((1, 3), 3), boundary(opetopic_integer(1), (1, 3))))
+@example((nerve_category(monoid_category("cyclic", 2), 2), spine(opetopic_integer(2), (0, 3))))
+@example((terminal_opset((0, 2), 2), spine(enumerate_opetopes(3, 3)[-1], (0, 2))))
+def test_orthogonal_witness_counts_the_maps_by_hand(case):
+    X, incl = case
+    assert orthogonal_witness(incl, X) == counting_witness(incl, X)
 
 
 def first_bijection(X, Y):

@@ -29,7 +29,7 @@ TRACED = "traced by perfbench until ROADMAP item 1"
 ITEM_4 = "ROADMAP item 4"
 # a name no command reaches -> (the test that states its result, why it stays)
 UNREACHED = {
-    "kernel.NotAMap": ("test_theory.py::test_pullback_rejects_bad_maps", ITEM_4),
+    "kernel.NotAMap": ("test_theory.py::test_maps_across_two_categories_are_refused", ITEM_4),
     "theory.boundary_c": ("test_theory.py::test_boundary_of_the_triangle", ITEM_4),
     "theory.cat_isomorphic": ("test_properties.py::test_isomorphism_found_to_a_renamed_copy", TRACED),
     "theory._graph": ("test_theory.py::test_isomorphism_search_can_say_no", TRACED),
@@ -51,6 +51,7 @@ LEFT = {
     "oalg.diagram_for_monotone": ("paper_results", "test_oalg.py::test_every_monotone_map_is_a_diagram"),
     "oalg.monad_mult": ("monad_oracle", ACCEPTANCE + "07_monad_laws"),
     "oalg._shell_cell": ("monad_oracle", ACCEPTANCE + "07_monad_laws"),
+    "oalg._slice": ("monad_oracle", "test_algebra_laws.py::test_laws_match_the_oracle"),
     "oalg.split_pasting": ("monad_oracle", "test_properties.py::test_split_then_multiply_is_the_identity"),
     "oalg.pasting_face": (None, "test_oalg.py::test_pasting_face_reads_endpoints"),
     "oalg.build_algebra": (None, "test_oalg.py::test_algebra_applies_its_rule_only_on_compose"),

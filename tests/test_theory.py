@@ -412,6 +412,11 @@ def test_pullback_rejects_bad_maps():
         )
 
 
+def test_maps_across_two_categories_are_refused():
+    with pytest.raises(NotAMap, match="different categories"):
+        psh_maps(representable_psh(GG1, "D0"), representable_psh(SS2, "s0"))
+
+
 def test_validate_context_catches_defects():
     bad = Context(
         GG1, (AttachStep("D1", (("s", "x0"),), "x0"),)

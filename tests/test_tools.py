@@ -61,7 +61,7 @@ def test_search_series_times_every_command_on_small_chains():
     assert proc.returncode == 0, proc.stderr
     header, *rows = proc.stdout.splitlines()
     assert header.split() == ["objects", "3", "4"]
-    assert [row.split()[0] for row in rows] == ["nerve-check", "hlift", "orthogonal"]
+    assert [row.split()[0] for row in rows] == ["nerve-check", "hlift", "orthogonal", "laws"]
     for row in rows:
         _, *ms = row.split()
         assert len(ms) == 2 and all(float(m) > 0 for m in ms)

@@ -5,11 +5,12 @@
 For each N (default 4 6 8 10) the N-object chain 0 < 1 < ... < N-1 is
 written as a category file and as the nerve file of the benchmark's
 `checks` workload (window [0, 2], chains up to length 3; `perfbench/
-workloads.py`, which is only read).  Three commands are timed on it:
+workloads.py`, which is only read).  Four commands are timed on it:
 
     oalg nerve-check --file CAT --max-nodes 3
     opset hlift --file NERVE --n 0 --max-nodes 3
     opset orthogonal --expr I3 --file NERVE
+    oalg laws --file CAT --max-nodes 8
 
 Each run is a fresh interpreter that imports `opetopes.cli` from
 TREE/src (default: the checkout this script lives in) and times one
@@ -37,6 +38,7 @@ COMMANDS = {
     "nerve-check": ["oalg", "nerve-check", "--file", "chain.cat", "--max-nodes", "3"],
     "hlift": ["opset", "hlift", "--file", "chain.opset", "--n", "0", "--max-nodes", "3"],
     "orthogonal": ["opset", "orthogonal", "--expr", "I3", "--file", "chain.opset"],
+    "laws": ["oalg", "laws", "--file", "chain.cat", "--max-nodes", "8"],
 }
 # run in the input directory by a fresh interpreter: argv[1] is the tree,
 # argv[2:] the command line; prints the call's wall time in ms, or exits
