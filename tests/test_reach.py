@@ -29,7 +29,7 @@ TRACED = "traced by perfbench until ROADMAP item 1"
 ITEM_4 = "ROADMAP item 4"
 # a name no command reaches -> (the test that states its result, why it stays)
 UNREACHED = {
-    "kernel.NotAMap": ("test_theory.py::test_maps_across_two_categories_are_refused", ITEM_4),
+    "kernel.NotAMap": ("test_theory.py::test_pullback_rejects_bad_maps", ITEM_4),
     "theory.boundary_c": ("test_theory.py::test_boundary_of_the_triangle", ITEM_4),
     "theory.cat_isomorphic": ("test_properties.py::test_isomorphism_found_to_a_renamed_copy", TRACED),
     "theory._graph": ("test_theory.py::test_isomorphism_search_can_say_no", TRACED),
