@@ -5,7 +5,7 @@ direct categories."""
 from opetopes.opetope import Addr, Opetope, POINT, ARROW, OMorphism
 from opetopes.kernel import FinDirectCat, FiniteCategory, PshMap
 from opetopes.opset import FinOpSet
-from opetopes.oalg import LambdaMorphism, OAlgebra, PastingCell, SortedFamily
+from opetopes.oalg import LambdaMorphism, OAlgebra, PastingCell
 
 __all__ = [
     "Addr",
@@ -15,7 +15,6 @@ __all__ = [
     "OMorphism",
     "FinOpSet",
     "PshMap",
-    "SortedFamily",
     "PastingCell",
     "OAlgebra",
     "FiniteCategory",

@@ -247,7 +247,7 @@ def cmd_oalg_free(args) -> int:
 def cmd_oalg_laws(args) -> int:
     C = oalg.parse_category(_read(args.file))
     algebra = oalg.category_algebra(C, args.max_nodes)
-    report = oalg.check_algebra_laws(algebra, args.max_nodes)
+    report = oalg.check_algebra_laws(algebra)
     return _result(
         args,
         1 if report.failures else 0,
@@ -266,8 +266,6 @@ def cmd_oalg_laws(args) -> int:
 
 
 def cmd_oalg_h(args) -> int:
-    if args.k != 1 or args.n != 1:
-        raise ValueError("only the k = 1, n = 1 realization is implemented")
     omega = opetope.parse(_one_expr(args))
     value = oalg.h_object(omega)
     rows = []
@@ -465,12 +463,7 @@ def _build_parser() -> argparse.ArgumentParser:
         max_nodes={"type": int, "default": 4},
     )
     leaf(g3, "laws", **catfile, max_nodes={"type": int, "default": 6})
-    leaf(
-        g3, "h",
-        **exprfile,
-        k={"type": int, "default": 1},
-        n={"type": int, "default": 1},
-    )
+    leaf(g3, "h", **exprfile)
     leaf(g3, "nerve", **catfile, max_nodes={"type": int, "default": 3})
     leaf(g3, "nerve-check", **catfile, max_nodes={"type": int, "default": 3})
 

@@ -1,9 +1,10 @@
 """Opetopic algebras over a window of dimensions.
 
-A sorted family is a finite opetopic set over the window [n-k, n].  Free
-pasting cells over such a family, the unit of the free pasting monad,
-algebra structures given by a composition rule (a map from pastings to
-cells, checked up to a node bound), the ordinal realization for
+An algebra lives on a finite opetopic set X over a window [n-k, n]; the
+top of the window, n = X.window[1], is the dimension of the sorts its
+pastings output.  Free pasting cells over X, the unit of the free pasting
+monad, algebra structures given by a composition rule (a map from pastings
+to cells, built up to a node bound), the ordinal realization for
 (k, n) = (1, 1), and nerves of finite categories all live here.  The
 monad multiplication is the oracle of the law square in
 `tests/monad_oracle.py`, and diagrammatic presentations of monotone maps
@@ -59,7 +60,6 @@ from .opset import (
     FinOpSet,
     Window,
     WindowMismatch,
-    empty_opset,
     lifting_failures,
     maps,
     spine,
@@ -83,40 +83,8 @@ class NotComposable(ValueError):
     pass
 
 
-class InfiniteNerve(ValueError):
-    pass
-
-
 # ---------------------------------------------------------------------------
-# Sorted families and pasting cells
-
-
-@dataclass(frozen=True, eq=False)
-class SortedFamily:
-    """A finite opetopic set over the window [n-k, n].
-
-    k > n is clamped to k = n, so the window never dips below dimension 0.
-    """
-
-    family: FinOpSet
-    k: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 0 or self.k < 0:
-            raise ValueError("parameters must be non-negative")
-        if self.k > self.n:
-            object.__setattr__(self, "k", self.n)
-        want = (self.n - self.k, self.n)
-        if self.family.window != want:
-            raise WindowMismatch(
-                f"family window {self.family.window} is not {want}"
-            )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SortedFamily):
-            return NotImplemented
-        return (self.k, self.n) == (other.k, other.n) and self.family == other.family
+# Pasting cells
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,7 +92,7 @@ class PastingCell:
     """A pasting shape together with a filling of its spine.
 
     The shape is an (n+1)-opetope nu; the filling maps the spine of nu,
-    truncated to the family's window, into the family.  Its output sort is
+    truncated to the window of a set X, into X.  Its output sort is
     target(nu).
     """
 
@@ -179,30 +147,31 @@ def _natural_fill(
 # Free cells and the monad structure
 
 
-def free_cells(X: SortedFamily, omega: Opetope, max_nodes: int) -> list[PastingCell]:
+def free_cells(X: FinOpSet, omega: Opetope, max_nodes: int) -> list[PastingCell]:
     """All pastings over X with output sort omega and at most max_nodes nodes."""
-    if omega.dim != X.n:
-        raise ShapeMismatch(f"output sort must have dimension {X.n}")
+    n = X.window[1]
+    if omega.dim != n:
+        raise ShapeMismatch(f"output sort must have dimension {n}")
     out: list[PastingCell] = []
-    for nu in enumerate_opetopes(X.n + 1, max_nodes):
+    for nu in enumerate_opetopes(n + 1, max_nodes):
         if target(nu) != omega:
             continue
-        S = _spine_of(nu, X.family.window)
-        for f in maps(S, X.family):
+        S = _spine_of(nu, X.window)
+        for f in maps(S, X):
             out.append(PastingCell(nu, f))
     return out
 
 
-def monad_unit(X: SortedFamily, x: CellId) -> PastingCell:
+def monad_unit(X: FinOpSet, x: CellId) -> PastingCell:
     """The trivial pasting of a single cell: a corolla filled with x."""
-    omega = X.family.shape_of(x)
-    if omega.dim != X.n:
-        raise ShapeMismatch(f"unit takes a cell of dimension {X.n}")
+    omega = X.shape_of(x)
+    if omega.dim != X.window[1]:
+        raise ShapeMismatch(f"unit takes a cell of dimension {X.window[1]}")
     nu = corolla(omega)
-    S = _spine_of(nu, X.family.window)
+    S = _spine_of(nu, X.window)
     root = node_addrs(nu)[0]
-    comp = _natural_fill(S, X.family, [(faces(nu).name((("s", root),)), x)], "unit")
-    return PastingCell(nu, PshMap(S, X.family, comp))
+    comp = _natural_fill(S, X, [(faces(nu).name((("s", root),)), x)], "unit")
+    return PastingCell(nu, PshMap(S, X, comp))
 
 
 def _height_two_parts(xi: Opetope) -> tuple[Opetope, dict[Addr, Opetope]]:
@@ -254,21 +223,21 @@ def _gluing(
 
 @dataclass(frozen=True)
 class OAlgebra:
-    """A sorted family with its composition rule, a map from pastings to cells.
+    """An opetopic set with its composition rule, a map from pastings to cells.
 
-    compose applies the rule to the pastings over the family whose shape
-    and output sort have at most max_nodes nodes, and refuses every other
-    one.  It does not check that a filling is natural.
+    compose applies the rule to the pastings over the set whose shape and
+    output sort have at most max_nodes nodes, and refuses every other one.
+    It does not check that a filling is natural.
     """
 
-    base: SortedFamily
+    base: FinOpSet
     rule: Callable[[PastingCell], CellId]
     max_nodes: int
 
     def compose(self, cell: PastingCell) -> CellId:
         if (
-            cell.filling.dst != self.base.family
-            or cell.shape.dim != self.base.n + 1
+            cell.filling.dst != self.base
+            or cell.shape.dim != self.base.window[1] + 1
             or size(cell.shape) > self.max_nodes
             or size(cell.output) > self.max_nodes
         ):
@@ -320,23 +289,25 @@ def _height_two_shapes(n: int, max_nodes: int) -> list[Opetope]:
     return out
 
 
-def check_algebra_laws(A: OAlgebra, max_nodes: int) -> AlgebraLawReport:
+def check_algebra_laws(A: OAlgebra) -> AlgebraLawReport:
     """Check the unit law on every cell and the multiplication square on
-    every uniform-height-2 pasting of pastings within the node bound,
-    skipping a unit or square whose pasting the algebra has no entry for.
+    every uniform-height-2 pasting of pastings within the algebra's node
+    bound, A.max_nodes.  It skips each unit whose corolla, and each square
+    whose flattened shape, has more nodes than the bound.
 
     Each distinct pasting, a shape and its filling, is composed once per
     check, so the rule must be a function of its pasting; an outer pasting,
     alpha filled by its parts' composites, is filled and composed once."""
     X = A.base
-    window = X.family.window
+    window = X.window
+    n = window[1]
     failures: list[str] = []
 
     @cache
     def compose(nu: Opetope, values: tuple[CellId, ...]) -> CellId:
         """The composite of the pasting of shape nu filled by values, in spine order."""
         S = _spine_of(nu, window)
-        return A.compose(PastingCell(nu, PshMap(S, X.family, dict(zip(S.sort, values)))))
+        return A.compose(PastingCell(nu, PshMap(S, X, dict(zip(S.sort, values)))))
 
     @cache
     def stage(alpha: Opetope, seeds: tuple[CellId, ...], inner: tuple[CellId, ...]) -> tuple:
@@ -344,16 +315,16 @@ def check_algebra_laws(A: OAlgebra, max_nodes: int) -> AlgebraLawReport:
         the cells seeds, None), or (None, why they fill no pasting)."""
         S = _spine_of(alpha, window)
         try:
-            comp = _natural_fill(S, X.family, zip(seeds, inner), "outer pasting")
+            comp = _natural_fill(S, X, zip(seeds, inner), "outer pasting")
         except ShapeMismatch as err:
             return None, str(err)
         return compose(alpha, tuple(map(comp.__getitem__, S.sort))), None
 
     units = 0
-    for omega in X.family.shapes():
-        if omega.dim != X.n or size(corolla(omega)) > A.max_nodes:
+    for omega in X.shapes():
+        if omega.dim != n or size(corolla(omega)) > A.max_nodes:
             continue
-        for x in X.family.of_shape(omega):
+        for x in X.of_shape(omega):
             units += 1
             unit = monad_unit(X, x)
             got = compose(unit.shape, tuple(map(unit.filling, unit.filling.src.sort)))
@@ -365,14 +336,14 @@ def check_algebra_laws(A: OAlgebra, max_nodes: int) -> AlgebraLawReport:
     flattened: dict[Opetope, list[tuple[PshMap, tuple[CellId, ...]]]] = {}
     # the first object seen equal to a shape, so that keys compare it by identity
     same = {}.setdefault
-    for xi in _height_two_shapes(X.n, max_nodes):
+    for xi in _height_two_shapes(n, A.max_nodes):
         flat = target(xi)
         flat = same(flat, flat)
         if size(flat) > A.max_nodes:
             continue
         if flat not in flattened:
             S = _spine_of(flat, window)
-            flattened[flat] = [(f, tuple(map(f, S.sort))) for f in maps(S, X.family)]
+            flattened[flat] = [(f, tuple(map(f, S.sort))) for f in maps(S, X)]
         alpha, parts = _height_two_parts(xi)
         alpha = same(alpha, alpha)
         glue = _gluing(xi, parts, window)
@@ -458,8 +429,8 @@ def parse_category(text: str) -> FiniteCategory:
     return C
 
 
-def category_family(C: FiniteCategory) -> SortedFamily:
-    """The underlying graph of a category as a sorted family for k = n = 1."""
+def category_family(C: FiniteCategory) -> FinOpSet:
+    """The underlying graph of a category as an opetopic set over [0, 1]."""
     cells = {POINT: tuple(f"o.{a}" for a in C.objects)}
     if C.morphisms:
         cells[ARROW] = tuple(f"a.{f}" for f in sorted(C.morphisms))
@@ -467,7 +438,7 @@ def category_family(C: FiniteCategory) -> SortedFamily:
     for f, (a, b) in C.morphisms.items():
         fac[(f"a.{f}", ("s", STAR))] = f"o.{a}"
         fac[(f"a.{f}", T_GEN)] = f"o.{b}"
-    return SortedFamily(FinOpSet((0, 1), cells, fac), 1, 1)
+    return FinOpSet((0, 1), cells, fac)
 
 
 @cache
@@ -626,25 +597,18 @@ def _nerve_shapes(bound: int) -> list[Opetope]:
     return [opetopic_integer(m) for m in range(bound + 1)] + threes
 
 
-def nerve_category(C: FiniteCategory, max_shape_nodes: int | None = None) -> FinOpSet:
-    """The opetopic nerve of a finite category over the window [0, 3].
+def nerve_category(C: FiniteCategory, max_shape_nodes: int) -> FinOpSet:
+    """The opetopic nerve of a finite category over the window [0, 3], cut
+    at a shape bound: a nonempty category has chains of every length.
 
     Point cells are objects and arrow cells morphisms.  At each shape of
     dimension 2 or 3 that the shape bound keeps, the cells are the chains
     of length h(omega), and the face g of a chain is its restriction along
     the realization h(g): a morphism when the face is an arrow, a chain
-    otherwise.  Every nonempty category has chains of every length, so a
-    shape bound is required; omitting it raises InfiniteNerve.
+    otherwise.
     """
     ensure_category(C)
-    if max_shape_nodes is None:
-        if C.objects:
-            raise InfiniteNerve(
-                "a nonempty category has cells at arbitrarily large shapes; "
-                "pass a shape bound"
-            )
-        return empty_opset((0, 3))
-    graph = category_family(C).family
+    graph = category_family(C)
     cells: dict[Opetope, tuple[CellId, ...]] = dict(graph.cells)
     fac: dict[tuple[CellId, Gen], CellId] = dict(graph.faces)
     for omega in _nerve_shapes(max_shape_nodes):
@@ -674,7 +638,7 @@ class NerveReport:
         return self.segal2 and self.segal3 and self.boundary3
 
 
-def nerve_axioms_check(N: FinOpSet, max_nodes: int = 4) -> NerveReport:
+def nerve_axioms_check(N: FinOpSet, max_nodes: int) -> NerveReport:
     """Check unique spine extension in dimensions 2 and 3 and unique
     boundary extension in dimension 3, over the shapes of the nerve cut at
     the node bound."""

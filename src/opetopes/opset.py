@@ -167,10 +167,6 @@ def spine(omega: Opetope, window: Window | None = None) -> Inclusion:
     return sub_presheaf(X, X.sort.keys() - {fs.name(()), fs.name((T_GEN,))})
 
 
-def empty_opset(window: Window) -> FinOpSet:
-    return FinOpSet(window, {}, {})
-
-
 # --------------------------------------------------------------------------
 # map enumeration and orthogonality
 
@@ -250,7 +246,7 @@ class HLiftReport:
         return not (self.spines_low and self.boundaries_high) or self.spines_high
 
 
-def hlift_check(X: FinOpSet, n: int, max_nodes: int = 6) -> HLiftReport:
+def hlift_check(X: FinOpSet, n: int, max_nodes: int) -> HLiftReport:
     """Check both unique-lifting implications around dimension n on X,
     over all shapes of total size at most max_nodes."""
     lo, hi = X.window

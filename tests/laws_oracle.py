@@ -45,25 +45,25 @@ def check_algebra_laws(A: OAlgebra, max_nodes: int) -> AlgebraLawReport:
     X = A.base
     failures: list[str] = []
     units = 0
-    for omega in X.family.shapes():
-        if omega.dim != X.n:
+    for omega in X.shapes():
+        if omega.dim != X.window[1]:
             continue
-        for x in X.family.of_shape(omega):
+        for x in X.of_shape(omega):
             units += 1
             got = A.compose(monad_unit(X, x))
             if got != x:
                 failures.append(f"unit: compose(unit({x})) = {got}")
 
     squares = 0
-    for xi in _height_two_shapes(X.n, max_nodes):
+    for xi in _height_two_shapes(X.window[1], max_nodes):
         flat = target(xi)
         if size(flat) > A.max_nodes:
             continue
-        S = _spine_of(flat, X.family.window)
+        S = _spine_of(flat, X.window)
         alpha, parts = _height_two_parts(xi)
-        glue = _gluing(xi, parts, X.family.window)
+        glue = _gluing(xi, parts, X.window)
         name = faces(alpha).name
-        for f in maps(S, X.family):
+        for f in maps(S, X):
             squares += 1
             lhs = A.compose(PastingCell(flat, f))
             try:
@@ -71,12 +71,12 @@ def check_algebra_laws(A: OAlgebra, max_nodes: int) -> AlgebraLawReport:
                     name((("s", p),)): A.compose(_slice(X, nu, glue[p], f))
                     for p, nu in parts.items()
                 }
-                SA = _spine_of(alpha, X.family.window)
-                comp = _natural_fill(SA, X.family, seeds.items(), "outer pasting")
+                SA = _spine_of(alpha, X.window)
+                comp = _natural_fill(SA, X, seeds.items(), "outer pasting")
             except ShapeMismatch as err:
                 problem = str(err)
             else:
-                rhs = A.compose(PastingCell(alpha, OpSetMap(SA, X.family, comp)))
+                rhs = A.compose(PastingCell(alpha, OpSetMap(SA, X, comp)))
                 if lhs == rhs:
                     continue
                 problem = f"flattened {lhs} != staged {rhs}"

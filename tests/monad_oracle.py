@@ -16,7 +16,6 @@ from __future__ import annotations
 from opetopes.oalg import (
     PastingCell,
     ShapeMismatch,
-    SortedFamily,
     _gluing,
     _height_two_parts,
     _natural_fill,
@@ -28,11 +27,11 @@ from opetopes.opset import CellId, FinOpSet
 
 
 def _slice(
-    X: SortedFamily, nu: Opetope, glue: dict[CellId, CellId], f: PshMap
+    X: FinOpSet, nu: Opetope, glue: dict[CellId, CellId], f: PshMap
 ) -> PastingCell:
     """The pasting of shape nu that reads the filling f through glue."""
-    S = _spine_of(nu, X.family.window)
-    return PastingCell(nu, PshMap(S, X.family, {y: f(x) for y, x in glue.items()}))
+    S = _spine_of(nu, X.window)
+    return PastingCell(nu, PshMap(S, X, {y: f(x) for y, x in glue.items()}))
 
 
 def _shell_cell(S: FinOpSet, shell: Opetope) -> CellId:
@@ -44,7 +43,7 @@ def _shell_cell(S: FinOpSet, shell: Opetope) -> CellId:
 
 
 def monad_mult(
-    X: SortedFamily,
+    X: FinOpSet,
     xi: Opetope,
     inner: dict[Addr, PastingCell],
     shell: CellId | None = None,
@@ -60,8 +59,8 @@ def monad_mult(
     of their spines into the spine of target(xi); a cell that two inner
     fillings give different values is an error.
     """
-    if xi.dim != X.n + 2:
-        raise ShapeMismatch(f"multiplication takes a shape of dimension {X.n + 2}")
+    if xi.dim != X.window[1] + 2:
+        raise ShapeMismatch(f"multiplication takes a shape of dimension {X.window[1] + 2}")
     if isinstance(xi, Tree) and isinstance(xi.decoration(epsilon(xi.dim - 1)), Degenerate):
         if len(xi.node_map()) != 1:
             raise ShapeMismatch(f"{render(xi)} is not of uniform height 2")
@@ -70,11 +69,11 @@ def monad_mult(
             raise ShapeMismatch("a degenerate outer shape admits no inner cells")
         if shell is None:
             raise ShapeMismatch("a degenerate outer shape needs its colour")
-        S = _spine_of(alpha, X.family.window)
+        S = _spine_of(alpha, X.window)
         comp = _natural_fill(
-            S, X.family, [(_shell_cell(S, alpha.shell), shell)], "multiplication"
+            S, X, [(_shell_cell(S, alpha.shell), shell)], "multiplication"
         )
-        return PastingCell(alpha, PshMap(S, X.family, comp))
+        return PastingCell(alpha, PshMap(S, X, comp))
 
     alpha, parts = _height_two_parts(xi)
     if set(inner) != set(parts):
@@ -85,18 +84,18 @@ def monad_mult(
                 f"inner cell at {p} has shape {render(cell.shape)}, "
                 f"expected {render(parts[p])}"
             )
-        if cell.filling.dst != X.family:
+        if cell.filling.dst != X:
             raise ShapeMismatch("inner cells must be pastings over the same family")
 
     flat = target(xi)
-    glue = _gluing(xi, parts, X.family.window)
+    glue = _gluing(xi, parts, X.window)
     seeds = [(x, inner[p].filling(y)) for p in parts for y, x in glue[p].items()]
-    S = _spine_of(flat, X.family.window)
-    comp = _natural_fill(S, X.family, seeds, "multiplication")
-    return PastingCell(flat, PshMap(S, X.family, comp))
+    S = _spine_of(flat, X.window)
+    comp = _natural_fill(S, X, seeds, "multiplication")
+    return PastingCell(flat, PshMap(S, X, comp))
 
 
-def split_pasting(X: SortedFamily, xi: Opetope, cell: PastingCell) -> dict[Addr, PastingCell]:
+def split_pasting(X: FinOpSet, xi: Opetope, cell: PastingCell) -> dict[Addr, PastingCell]:
     """Invert monad_mult: slice a filling of the flattened tree back into
     one pasting cell per outer node of the uniform-height-2 shape xi."""
     _, parts = _height_two_parts(xi)
@@ -104,5 +103,5 @@ def split_pasting(X: SortedFamily, xi: Opetope, cell: PastingCell) -> dict[Addr,
         raise ShapeMismatch(
             f"filling has shape {render(cell.shape)}, expected {render(target(xi))}"
         )
-    glue = _gluing(xi, parts, X.family.window)
+    glue = _gluing(xi, parts, X.window)
     return {p: _slice(X, nu, glue[p], cell.filling) for p, nu in parts.items()}

@@ -494,7 +494,10 @@ def test_missing_expr_exits_two(capsys):
 
 
 def test_unsupported_realization_exits_two(capsys):
-    assert main(["oalg", "h", "--expr", "I2", "--k", "2"]) == 2
+    # h is the (1, 1) realization and takes no --k
+    with pytest.raises(SystemExit) as exc:
+        main(["oalg", "h", "--expr", "I2", "--k", "2"])
+    assert exc.value.code == 2
 
 
 def test_usage_error_exits_two():

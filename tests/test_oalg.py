@@ -1,4 +1,4 @@
-"""Algebras over sorted families: free pastings, the monad laws, finite
+"""Algebras over opetopic sets: free pastings, the monad laws, finite
 categories, ordinal realization, diagrammatic morphisms, and nerves."""
 
 from __future__ import annotations
@@ -41,14 +41,12 @@ from opetopes.opset import (
 )
 from opetopes.oalg import (
     FiniteCategory,
-    InfiniteNerve,
     LambdaMorphism,
     NotACategory,
     NotComposable,
     OAlgebra,
     PastingCell,
     ShapeMismatch,
-    SortedFamily,
     category_algebra,
     category_family,
     check_algebra_laws,
@@ -81,13 +79,12 @@ def a1(j: int) -> Addr:
 GRAPH_EDGES = {"e0": ("v0", "v1"), "e1": ("v1", "v2"), "e2": ("v2", "v2")}
 
 
-def graph_family(edges: dict[str, tuple[str, str]], vertices: tuple[str, ...]) -> SortedFamily:
+def graph_family(edges: dict[str, tuple[str, str]], vertices: tuple[str, ...]) -> FinOpSet:
     fac = {}
     for e, (a, b) in edges.items():
         fac[(e, ("s", STAR))] = a
         fac[(e, T_GEN)] = b
-    X = FinOpSet((0, 1), {POINT: vertices, ARROW: tuple(sorted(edges))}, fac)
-    return SortedFamily(X, 1, 1)
+    return FinOpSet((0, 1), {POINT: vertices, ARROW: tuple(sorted(edges))}, fac)
 
 
 GRAPH = graph_family(GRAPH_EDGES, ("v0", "v1", "v2"))
@@ -116,21 +113,6 @@ def graph_paths(
         out |= {(s, p) for s, _, p in nxt}
         frontier = nxt
     return out
-
-
-# -------------------------------------------------------------- sorted families
-
-
-def test_family_window_must_match():
-    X = FinOpSet((0, 2), {POINT: ("p",)}, {})
-    with pytest.raises(WindowMismatch):
-        SortedFamily(X, 1, 1)
-
-
-def test_family_clamps_extra_context():
-    assert graph_family(GRAPH_EDGES, ("v0", "v1", "v2")).k == 1
-    clamped = SortedFamily(GRAPH.family, 5, 1)
-    assert clamped.k == 1
 
 
 # ----------------------------------------------------------------- free pastings
@@ -378,7 +360,7 @@ id c = ic
 def test_category_algebra_satisfies_the_laws():
     C = parse_category(CHAIN_CAT)
     A = category_algebra(C, 6)
-    report = check_algebra_laws(A, 6)
+    report = check_algebra_laws(A)
     assert report.ok
     assert report.units_checked == 6
     assert report.squares_checked == 49
@@ -396,12 +378,28 @@ def test_algebra_table_is_bounded():
 
 def test_algebra_refuses_degenerate_pastings_past_the_bound():
     # {{arrow}} has no nodes, but its output sort I1 has one
-    X = SortedFamily(terminal_opset((1, 2), 1), 1, 2)
+    X = terminal_opset((1, 2), 1)
     cells = [c for c in free_cells(X, I(1), 1) if isinstance(c.shape, Degenerate)]
     assert [render(c.shape) for c in cells] == ["{{arrow}}"]
     A = OAlgebra(X, lambda cell: "never", 0)
     with pytest.raises(ShapeMismatch, match="built up to 0 nodes"):
         A.compose(cells[0])
+
+
+@pytest.mark.parametrize("m, units, squares", [(4, 4, 2), (6, 6, 4), (8, 8, 12)])
+def test_laws_hold_over_the_window_one_two(m, units, squares):
+    # n is the top of the window: the units are corollas of 2-shapes, and a
+    # rule that answers a unit with a cell of another shape fails
+    X = terminal_opset((1, 2), m)
+    report = check_algebra_laws(OAlgebra(X, lambda cell: X.of_shape(cell.output)[0], m))
+    assert (report.units_checked, report.squares_checked, report.failures) == (units, squares, ())
+    x, y = X.of_shape(I(1))[0], X.of_shape(I(2))[0]
+
+    def rule(cell: PastingCell) -> str:
+        return y if cell == monad_unit(X, x) else X.of_shape(cell.output)[0]
+
+    report = check_algebra_laws(OAlgebra(X, rule, m))
+    assert f"unit: compose(unit({x})) = {y}" in report.failures
 
 
 def test_algebra_refuses_pastings_over_another_family():
@@ -426,15 +424,10 @@ def test_algebra_applies_its_rule_only_on_compose():
 
 def test_nonassociative_table_fails_the_square():
     elems = ("m0", "m1", "m2")
-    X = SortedFamily(
-        FinOpSet(
-            (0, 1),
-            {POINT: ("p",), ARROW: elems},
-            {(e, ("s", STAR)): "p" for e in elems}
-            | {(e, T_GEN): "p" for e in elems},
-        ),
-        1,
-        1,
+    X = FinOpSet(
+        (0, 1),
+        {POINT: ("p",), ARROW: elems},
+        {(e, ("s", STAR)): "p" for e in elems} | {(e, T_GEN): "p" for e in elems},
     )
 
     def star(a: str, b: str) -> str:
@@ -450,7 +443,7 @@ def test_nonassociative_table_fails_the_square():
         return c
 
     A = OAlgebra(X, rule, 8)
-    report = check_algebra_laws(A, 8)
+    report = check_algebra_laws(A)
     assert not report.ok
     assert report.units_checked == 3
     assert len(report.failures) == 34
@@ -505,9 +498,9 @@ def test_associativity_is_enforced():
 def test_category_family_is_its_graph():
     C = parse_category(CHAIN_CAT)
     X = category_family(C)
-    assert set(X.family.of_shape(POINT)) == {"o.a", "o.b", "o.c"}
-    assert len(X.family.of_shape(ARROW)) == 6
-    assert validate_opset(X.family) == []
+    assert set(X.of_shape(POINT)) == {"o.a", "o.b", "o.c"}
+    assert len(X.of_shape(ARROW)) == 6
+    assert validate_opset(X) == []
 
 
 # --------------------------------------------------------- ordinal realization
@@ -716,12 +709,12 @@ def test_nerve_satisfies_the_axioms():
     assert report.failures == ()
 
 
-def test_nerve_requires_a_shape_bound():
-    with pytest.raises(InfiniteNerve):
-        nerve_category(parse_category(WALKING_ARROW))
+def test_an_empty_categorys_nerve_has_no_cells_at_any_bound():
     empty = FiniteCategory((), {}, {}, {})
-    N = nerve_category(empty)
-    assert list(N.shapes()) == []
+    for bound in range(5):
+        N = nerve_category(empty, bound)
+        assert N.window == (0, 3)
+        assert N.all_cells() == []
 
 
 def test_nerve_of_the_terminal_category_is_terminal():
@@ -759,4 +752,4 @@ def test_nerve_axioms_detect_a_missing_composite():
 
 def test_nerve_axioms_require_the_full_window():
     with pytest.raises(WindowMismatch):
-        nerve_axioms_check(GRAPH.family, 2)
+        nerve_axioms_check(GRAPH, 2)

@@ -32,7 +32,6 @@ from opetopes.opset import (
     WindowMismatch,
     boundary,
     dump_opset,
-    empty_opset,
     hlift_check,
     load_opset,
     maps,
@@ -253,9 +252,9 @@ def test_yoneda_exact():
 
 def test_maps_from_empty_and_window_guard():
     X = representable(I(2))
-    assert len(maps(empty_opset(X.window), X)) == 1
+    assert len(maps(FinOpSet(X.window, {}, {}), X)) == 1
     with pytest.raises(WindowMismatch):
-        maps(empty_opset((0, 1)), X)
+        maps(FinOpSet((0, 1), {}, {}), X)
 
 
 def test_maps_compose_and_identity():
@@ -433,7 +432,7 @@ def test_hlift_truncated_representable_vacuous():
 def test_hlift_window_guard():
     X = representable(I(2), (0, 2))
     with pytest.raises(WindowMismatch):
-        hlift_check(X, 1)
+        hlift_check(X, 1, 3)
 
 
 # ------------------------------------------------------------------ text form
@@ -444,7 +443,7 @@ def test_dump_load_round_trip():
         representable(I(2)),
         spine(XI_EX).src,
         two_parallel_arrows(),
-        empty_opset((0, 2)),
+        FinOpSet((0, 2), {}, {}),
     ]:
         assert load_opset(dump_opset(X)) == X
 

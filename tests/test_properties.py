@@ -456,7 +456,7 @@ def test_split_then_multiply_is_the_identity(C, count):
     fillings = 0
     for xi in _height_two_shapes(1, 7):
         flat = target(xi)
-        for f in maps(spine(flat, X.family.window).src, X.family):
+        for f in maps(spine(flat, X.window).src, X):
             fillings += 1
             cell = PastingCell(flat, f)
             inner = split_pasting(X, xi, cell)
