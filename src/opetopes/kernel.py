@@ -6,8 +6,9 @@ which ensure_category raises on and `theory.validate_lfd` reports.  A
 finite presheaf on a direct category is one type, FinPresheaf: cells of
 each sort and their faces along each generator.  Opetopic sets
 (`opset.FinOpSet`) and presheaves on a category table
-(`theory.FinPresheafC`) are its two kinds.  What works on any presheaf
-lives here too: maps (PshMap, Inclusion), the naturality check,
+(`theory.FinPresheafC`) are its two kinds; the first are presheaves on
+the category of opetopes (`tests/paper_results.py`).  What works on any
+presheaf lives here too: maps (PshMap, Inclusion), the naturality check,
 face-closed sub-presheaves, and the natural-map search (natural_maps,
 with propagate filling in what a choice forces).
 
@@ -21,10 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
-
-
-class NotAMap(ValueError):
-    pass
 
 
 class ParseError(ValueError):
@@ -266,36 +263,30 @@ def natural_maps(order: list, src: FinPresheaf, dst: FinPresheaf, injective: boo
     sort with each face at g, in dst's cell order.  Only the values
     propagate would accept at that face are tried, so the maps and their
     order are those of a scan of the whole sort, which runs when no face
-    of x is assigned, or when some cell of the sort in dst lacks one of
-    its faces.  With injective set, distinct cells get distinct values:
-    used holds the values taken, and each choice tests only the values
-    it adds."""
+    of x is assigned.  With injective set, distinct cells get distinct
+    values: used holds the values taken, and each choice tests only the
+    values it adds."""
     comp: dict = {}
     used: set = set()
-    index: dict = {}  # sort id -> {g: {face: values}}, or None: scan the sort
+    index: dict = {}  # sort id -> {g: {face: values}}
 
     def faces_of(s):
         gens = src.gens[s]
         by_gen: dict = {g: {} for g in gens}
         for y in dst.cells.get(s, ()):
             for g in gens:
-                f = dst.face.get((y, g))
-                if f is None:
-                    return None  # propagate raises at y: keep the scan
-                by_gen[g].setdefault(f, []).append(y)
+                by_gen[g].setdefault(dst.face[y, g], []).append(y)
         return by_gen
 
     def values(x):
         s = src.sort[x]
         for g in src.gens[s]:
-            f = src.face.get((x, g))
+            f = src.face[x, g]
             if f in comp:
                 i = src.sid[x]
                 if i not in index:
                     index[i] = faces_of(s)
-                if index[i] is not None:
-                    return index[i][g].get(comp[f], ())
-                break
+                return index[i][g].get(comp[f], ())
         return dst.cells.get(s, ())
 
     def extend(i: int):

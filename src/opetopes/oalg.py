@@ -431,7 +431,7 @@ def parse_category(text: str) -> FiniteCategory:
 
 def category_family(C: FiniteCategory) -> FinOpSet:
     """The underlying graph of a category as an opetopic set over [0, 1]."""
-    cells = {POINT: tuple(f"o.{a}" for a in C.objects)}
+    cells = {POINT: tuple(f"o.{a}" for a in C.objects)} if C.objects else {}
     if C.morphisms:
         cells[ARROW] = tuple(f"a.{f}" for f in sorted(C.morphisms))
     fac = {}

@@ -4,9 +4,10 @@ The semantic side, on the category tables and finite presheaves of
 `kernel` (the only module of the package this one imports): finite
 direct categories, whose direction and dimensions validate_lfd checks in
 one pass after the table and law checks it shares with ensure_category,
-presheaves on them, boundaries, and cell contexts built by attaching one
-cell at a time.  The strict parent/projection/pullback structure of
-contexts, which no command computes, is stated in `tests/paper_results.py`.
+presheaves on them, and cell contexts built by attaching one cell at a
+time.  `tests/paper_results.py` states what no command computes: the
+validator, representables, boundaries and maps of presheaves, and the
+strict parent/projection/pullback structure of contexts.
 
 The syntactic side: type signatures, term signatures, and equation sets
 parsed from a small declaration grammar, the translation between
@@ -25,8 +26,6 @@ from operator import itemgetter
 from .kernel import (
     FinDirectCat,
     FinPresheaf,
-    Inclusion,
-    NotAMap,
     ParseError,
     PshMap,
     _law_problems,
@@ -35,7 +34,6 @@ from .kernel import (
     line_error,
     natural_maps,
     numbered_lines,
-    sub_presheaf,
 )
 
 
@@ -147,34 +145,6 @@ class FinPresheafC(FinPresheaf):
         return self.restriction[(x, f)]
 
 
-def validate_presheaf(X: FinPresheafC) -> list[str]:
-    problems: list[str] = []
-    for c in X.cells:
-        if c not in X.cat.objects:
-            problems.append(f"cells declared at unknown object {c}")
-    for f, (a, b) in X.cat.morphisms.items():
-        if X.cat.is_identity(f):
-            continue
-        for x in X.of_obj(b):
-            y = X.restriction.get((x, f))
-            if y is None:
-                problems.append(f"missing restriction of {x} along {f}")
-            elif y not in X.of_obj(a):
-                problems.append(f"restriction of {x} along {f} is not a cell at {a}")
-    for (x, f), y in X.restriction.items():
-        if X.cat.morphisms.get(f) is None or x not in X.of_obj(X.cat.tgt(f)):
-            problems.append(f"stray restriction entry ({x}, {f})")
-    C = X.cat
-    for c in C.objects:
-        for g in C.into(c):
-            for f in C.into(C.src(g)):
-                gf = C.compose(g, f)
-                for x in X.of_obj(c):
-                    if X.restrict(x, gf) != X.restrict(X.restrict(x, g), f):
-                        problems.append(f"functoriality fails at {x} along {g}.{f}")
-    return problems
-
-
 def _cells_by_dimension(X: FinPresheafC) -> list[tuple[str, str]]:
     """(object, cell) pairs ordered by dimension, object order, cell order."""
     dims = object_dimensions(X.cat)
@@ -183,14 +153,6 @@ def _cells_by_dimension(X: FinPresheafC) -> list[tuple[str, str]]:
     for c in sorted(X.cells, key=lambda c: (dims[c], order[c])):
         out.extend((c, x) for x in X.cells[c])
     return out
-
-
-def psh_maps(X: FinPresheafC, Y: FinPresheafC) -> list[PshMap]:
-    """All natural maps X -> Y, by backtracking in dimension order."""
-    if X.cat != Y.cat:
-        raise NotAMap("presheaves live over different categories")
-    order = [x for _, x in _cells_by_dimension(X)]
-    return [PshMap(X, Y, comp) for comp in natural_maps(order, X, Y)]
 
 
 def psh_isomorphism(X: FinPresheafC, Y: FinPresheafC) -> PshMap | None:
@@ -204,29 +166,6 @@ def psh_isomorphism(X: FinPresheafC, Y: FinPresheafC) -> PshMap | None:
     for comp in natural_maps(order, X, Y, injective=True):
         return PshMap(X, Y, comp)
     return None
-
-
-def representable_psh(C: FinDirectCat, c: str) -> FinPresheafC:
-    """The presheaf of morphisms into c; cells are morphism names."""
-    cells: dict[str, tuple[str, ...]] = {}
-    for b in C.objects:
-        ms = sorted(f for f, (s, t) in C.morphisms.items() if s == b and t == c)
-        if ms:
-            cells[b] = tuple(ms)
-    restriction = {}
-    for b, ms in cells.items():
-        for x in ms:
-            for e in C.into(b):
-                restriction[(x, e)] = C.compose(x, e)
-    return FinPresheafC(C, cells, restriction)
-
-
-def boundary_c(C: FinDirectCat, c: str) -> Inclusion:
-    """The inclusion of the boundary of c into its representable.  The
-    boundary keeps exactly the non-identity morphisms into c."""
-    if c not in C.objects:
-        raise ValueError(f"unknown object {c}")
-    return sub_presheaf(representable_psh(C, c), set(C.into(c)))
 
 
 # ---------------------------------------------------------------------------

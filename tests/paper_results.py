@@ -1,5 +1,20 @@
 """Results of the paper that the tests state and no command computes.
 
+Presheaves on a category table (`test_theory.py`, acceptance test 10):
+a presheaf satisfies the presheaf axioms (`validate_presheaf`), the maps
+between two presheaves are the natural ones (`psh_maps`), and an object
+has a representable presheaf, its morphisms (`representable_psh`), with
+the boundary of the non-identity ones (`boundary_c`).
+
+The category of opetopes (`test_opetope_category.py`): the shapes of a
+window under a node bound, with the face maps between them, form a
+finite direct category (`opetope_category`), and an opetopic set is a
+presheaf on it (`as_presheaf`): the two validators agree, the two map
+searches find the same maps, the representables and boundaries of the
+two kinds are the same presheaves under the naming of each morphism by
+its least face word, and the signature of the category presents the
+representable of each shape as the extended context of its type.
+
 The pullback of contexts (`test_theory.py`): a context drops its last
 attachment (`ctx_ft`), includes its parent stage (`ctx_pr`), and pulls
 its last cell back along a map into another context (`ctx_pullback`),
@@ -23,26 +38,180 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from opetopes.kernel import FinPresheaf, Inclusion, NotAMap, PshMap, check_psh_map, sub_presheaf
+from opetopes.kernel import (
+    FiniteCategory,
+    FinPresheaf,
+    Inclusion,
+    PshMap,
+    check_psh_map,
+    natural_maps,
+    sub_presheaf,
+)
 from opetopes.oalg import LambdaMorphism, NotComposable, _arrows, h_morphism
 from opetopes.opetope import (
     T_GEN,
     Addr,
     Opetope,
     Tree,
+    compose,
     epsilon,
+    hom,
     node_addrs,
     opetopic_integer,
     render,
+    render_word,
     source,
     target,
     tree,
 )
 from opetopes.opetope import faces as face_structure
 from opetopes.opset import CellId, FinOpSet, representable, spine
-from opetopes.theory import AttachStep, Context
+from opetopes.theory import (
+    _IDENT,
+    AttachStep,
+    Context,
+    FinDirectCat,
+    FinPresheafC,
+    _cells_by_dimension,
+)
 
 from scaffold import substitute
+
+
+# --------------------------------------------------------------------------
+# presheaves on a category table
+
+
+class NotAMap(ValueError):
+    pass
+
+
+def validate_presheaf(X: FinPresheafC) -> list[str]:
+    """The failures of the presheaf axioms: cells at unknown objects,
+    restrictions missing, landing at the wrong object or stray, then
+    functoriality, checked only at cells whose restrictions, and theirs,
+    are all in place."""
+    problems: list[str] = []
+    reported: set[str] = set()
+    for c in X.cells:
+        if c not in X.cat.objects:
+            problems.append(f"cells declared at unknown object {c}")
+    for f, (a, b) in X.cat.morphisms.items():
+        if X.cat.is_identity(f):
+            continue
+        for x in X.of_obj(b):
+            y = X.restriction.get((x, f))
+            if y is None:
+                problems.append(f"missing restriction of {x} along {f}")
+                reported.add(x)
+            elif y not in X.of_obj(a):
+                problems.append(f"restriction of {x} along {f} is not a cell at {a}")
+                reported.add(x)
+    for (x, f), y in X.restriction.items():
+        if X.cat.morphisms.get(f) is None or x not in X.of_obj(X.cat.tgt(f)):
+            problems.append(f"stray restriction entry ({x}, {f})")
+    C = X.cat
+    for c in C.objects:
+        for g in C.into(c):
+            for f in C.into(C.src(g)):
+                gf = C.compose(g, f)
+                for x in X.of_obj(c):
+                    if x in reported or X.restrict(x, g) in reported:
+                        continue
+                    if X.restrict(x, gf) != X.restrict(X.restrict(x, g), f):
+                        problems.append(f"functoriality fails at {x} along {g}.{f}")
+    return problems
+
+
+def psh_maps(X: FinPresheafC, Y: FinPresheafC) -> list[PshMap]:
+    """All natural maps X -> Y, by backtracking in dimension order."""
+    if X.cat != Y.cat:
+        raise NotAMap("presheaves live over different categories")
+    order = [x for _, x in _cells_by_dimension(X)]
+    return [PshMap(X, Y, comp) for comp in natural_maps(order, X, Y)]
+
+
+def representable_psh(C: FinDirectCat, c: str) -> FinPresheafC:
+    """The presheaf of morphisms into c; cells are morphism names."""
+    cells: dict[str, tuple[str, ...]] = {}
+    for b in C.objects:
+        ms = sorted(f for f, (s, t) in C.morphisms.items() if s == b and t == c)
+        if ms:
+            cells[b] = tuple(ms)
+    restriction = {}
+    for b, ms in cells.items():
+        for x in ms:
+            for e in C.into(b):
+                restriction[(x, e)] = C.compose(x, e)
+    return FinPresheafC(C, cells, restriction)
+
+
+def boundary_c(C: FinDirectCat, c: str) -> Inclusion:
+    """The inclusion of the boundary of c into its representable.  The
+    boundary keeps exactly the non-identity morphisms into c."""
+    if c not in C.objects:
+        raise ValueError(f"unknown object {c}")
+    return sub_presheaf(representable_psh(C, c), set(C.into(c)))
+
+
+# --------------------------------------------------------------------------
+# the category of opetopes
+
+
+@dataclass(frozen=True)
+class OpetopeCategory(FiniteCategory):
+    """A full subcategory of the category of opetopes, with the shape of
+    each object, in object order."""
+
+    shapes: tuple[Opetope, ...]
+
+
+def opetope_category(shapes: list[Opetope]) -> OpetopeCategory:
+    """The full subcategory of the category of opetopes on a face-closed
+    list of shapes.  Objects come in (dim, render) order, each named
+    render(omega) where that is an identifier, so that the category's
+    signature reads as a theory, and o<index> otherwise.  The morphism
+    <object>:<word> is the face map into the object named by its least
+    face word, <object>:id its identity, and composites are those of
+    `opetope.compose`."""
+    ordered = sorted(shapes, key=lambda w: (w.dim, render(w)))
+    obj = {w: render(w) if _IDENT.match(render(w)) else f"o{i}" for i, w in enumerate(ordered)}
+    name = {m: f"{obj[m.dst]}:{render_word(m.word)}" for w in obj for v in obj for m in hom(v, w)}
+    composition = {
+        (name[g], name[f]): name[compose(g, f)]
+        for g in name
+        for f in name
+        if f.dst == g.src and g.word and f.word
+    }
+    return OpetopeCategory(
+        tuple(obj.values()),
+        {n: (obj[m.src], obj[m.dst]) for m, n in name.items()},
+        composition,
+        {o: f"{o}:id" for o in obj.values()},
+        tuple(obj),
+    )
+
+
+def as_presheaf(X: FinOpSet, O: OpetopeCategory) -> FinPresheafC:
+    """X as a presheaf on O, whose shapes hold X's: a cell restricts along
+    <object>:<word> to the cell it reaches by folding X's faces along the
+    word.  A fold that meets a missing face gives no restriction, so that
+    validate_presheaf reports it."""
+    obj = dict(zip(O.shapes, O.objects))
+    restriction = {}
+    for w, xs in X.cells.items():
+        fs = face_structure(w)
+        words = {f"{obj[w]}:{n}": fs.words[c] for c, n in fs.names.items()}
+        for m in O.into(obj[w]):
+            for x in xs:
+                y = x
+                for g in words[m]:
+                    y = X.face.get((y, g))
+                    if y is None:
+                        break
+                else:
+                    restriction[x, m] = y
+    return FinPresheafC(O, {obj[w]: xs for w, xs in X.cells.items()}, restriction)
 
 
 # --------------------------------------------------------------------------

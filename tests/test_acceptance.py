@@ -64,7 +64,6 @@ from opetopes.theory import (
     signature_to_lfd,
     validate_context,
     validate_lfd,
-    validate_presheaf,
 )
 from opetopes.theory import FinPresheafC
 
@@ -75,6 +74,7 @@ from paper_results import (
     diagram_map,
     replay_by_pushouts,
     spine_cell_decomposition,
+    validate_presheaf,
 )
 from scaffold import monotone_maps
 

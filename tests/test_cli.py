@@ -375,6 +375,12 @@ def test_nerve_check_at_bound_zero_passes(capsys, tmp_path):
     assert out.rstrip().splitlines()[-1] == "ok"
 
 
+def test_nerve_of_an_empty_category_is_its_window_line(capsys, tmp_path):
+    cat = tmp_path / "empty.cat"
+    cat.write_text("")
+    assert run(capsys, "oalg", "nerve", "--file", str(cat)) == (0, "window 0 3\n")
+
+
 def test_nerve_check_passes(capsys, tmp_path):
     cat = tmp_path / "chain.cat"
     cat.write_text(CHAIN_CAT)

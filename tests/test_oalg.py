@@ -715,6 +715,7 @@ def test_an_empty_categorys_nerve_has_no_cells_at_any_bound():
         N = nerve_category(empty, bound)
         assert N.window == (0, 3)
         assert N.all_cells() == []
+        assert N == FinOpSet((0, 3), {}, {})
 
 
 def test_nerve_of_the_terminal_category_is_terminal():

@@ -26,24 +26,19 @@ PACKAGE = TESTS.parent / "src" / "opetopes"
 
 ACCEPTANCE = "test_acceptance.py::test_acceptance_"
 TRACED = "traced by perfbench until ROADMAP item 1"
-ITEM_4 = "ROADMAP item 4"
 # a name no command reaches -> (the test that states its result, why it stays)
 UNREACHED = {
-    "kernel.NotAMap": ("test_theory.py::test_pullback_rejects_bad_maps", ITEM_4),
-    "theory.boundary_c": ("test_theory.py::test_boundary_of_the_triangle", ITEM_4),
     "theory.cat_isomorphic": ("test_properties.py::test_isomorphism_found_to_a_renamed_copy", TRACED),
     "theory._graph": ("test_theory.py::test_isomorphism_search_can_say_no", TRACED),
     "theory.psh_isomorphism": (
         "test_context.py::test_the_named_isomorphism_is_the_one_the_search_finds", TRACED,
     ),
-    "theory.psh_maps": ("test_theory.py::test_hom_sets_agree_with_presheaf_maps", ITEM_4),
-    "theory.representable_psh": ("test_theory.py::test_representable_contains_the_identity", ITEM_4),
-    "theory.validate_presheaf": (ACCEPTANCE + "10_contexts", ITEM_4),
 }
 # a name that left src/ -> (the module of tests/ it lives in, or None for a
 # deleted name whose test calls the code it wrapped or what replaced it; the
 # test that states it)
 LEFT = {
+    "kernel.NotAMap": ("paper_results", "test_theory.py::test_pullback_rejects_bad_maps"),
     "kernel.psh_compose": ("paper_results", "test_theory.py::test_pullback_is_strictly_functorial"),
     "kernel.psh_identity": ("paper_results", "test_theory.py::test_pullback_along_the_identity_is_strict"),
     "oalg.Diagram": ("paper_results", ACCEPTANCE + "05_diagram_functoriality"),
@@ -79,6 +74,12 @@ LEFT = {
     "theory.parse_signature": (
         "scaffold", "test_theory.py::test_signature_to_category_recovers_the_two_arrows",
     ),
+    "theory.boundary_c": ("paper_results", "test_theory.py::test_boundary_of_the_triangle"),
+    "theory.psh_maps": ("paper_results", "test_theory.py::test_hom_sets_agree_with_presheaf_maps"),
+    "theory.representable_psh": (
+        "paper_results", "test_theory.py::test_representable_contains_the_identity",
+    ),
+    "theory.validate_presheaf": ("paper_results", ACCEPTANCE + "10_contexts"),
 }
 
 
@@ -127,7 +128,7 @@ def test_every_unreached_name_is_pinned_with_its_test():
 
 
 def test_every_unreached_name_says_why_it_stays():
-    assert {reason for _, reason in UNREACHED.values()} <= {TRACED, ITEM_4}
+    assert {reason for _, reason in UNREACHED.values()} <= {TRACED}
 
 
 def test_every_name_that_left_lives_where_it_is_recorded():

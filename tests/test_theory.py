@@ -18,34 +18,42 @@ from opetopes.theory import (
     FreshnessViolation,
     IllFormedContext,
     Model,
-    NotAMap,
     ParseError,
     PshMap,
     Signature,
     SortExpr,
     Term,
     TermSignature,
-    boundary_c,
     cat_isomorphic,
     check_model,
     check_psh_map,
     lfd_to_signature,
     object_dimensions,
+    parse_context,
     parse_model,
     parse_theory,
     presheaf_to_context,
     psh_isomorphism,
-    psh_maps,
     realize_bindings,
-    representable_psh,
     signature_category,
     signature_to_lfd,
     validate_context,
     validate_lfd,
-    validate_presheaf,
 )
 
-from paper_results import EmptyContext, ctx_ft, ctx_pr, ctx_pullback, psh_compose, psh_identity
+from paper_results import (
+    EmptyContext,
+    NotAMap,
+    boundary_c,
+    ctx_ft,
+    ctx_pr,
+    ctx_pullback,
+    psh_compose,
+    psh_identity,
+    psh_maps,
+    representable_psh,
+    validate_presheaf,
+)
 from scaffold import parse_signature
 
 GG1 = FinDirectCat(
@@ -242,6 +250,16 @@ def test_validate_presheaf_catches_defects():
     assert any("missing restriction of f along t" in p for p in validate_presheaf(X))
     with pytest.raises(ValueError, match="not unique"):
         FinPresheafC(GG1, {"D0": ("x",), "D1": ("x",)}, {})
+
+
+def test_validate_presheaf_reports_a_restriction_at_the_wrong_object():
+    # the functoriality check must not restrict x, a cell at V, along V>E:x
+    sig, _, _ = parse_theory(
+        "|- V type\nx y : V |- E(x, y) type\nx y : V, f g : E(x, y) |- T(x, y, f, g) type\n"
+    )
+    X = realize_bindings(sig, parse_context(sig, "x y : V, f g : E(x, y), a : T(x, y, f, g)"))
+    bad = FinPresheafC(X.cat, X.cells, {**X.restriction, ("a", "E>T:x,y,f"): "x"})
+    assert "restriction of a along E>T:x,y,f is not a cell at E" in validate_presheaf(bad)
 
 
 # --- contexts ----------------------------------------------------------------
