@@ -193,8 +193,8 @@ def cmd_opset_orthogonal(args) -> int:
     omega = opetope.parse(args.expr)
     X = opset.load_opset(_read(args.file))
     results = {
-        kind: opset.orthogonal_witness(build(omega, X.window), X)
-        for kind, build in (("spine", opset.spine), ("boundary", opset.boundary))
+        include.__name__: opset.orthogonal_witness(omega, include, X)
+        for include in (opset.spine, opset.boundary)
     }
     ok = all(w is None for w in results.values())
     payload = {

@@ -60,8 +60,9 @@ from .opset import (
     FinOpSet,
     Window,
     WindowMismatch,
-    lifting_failures,
+    boundary,
     maps,
+    orthogonal_witness,
     spine,
 )
 from .kernel import (
@@ -647,12 +648,11 @@ def nerve_axioms_check(N: FinOpSet, max_nodes: int) -> NerveReport:
     failures: list[str] = []
     shapes = _nerve_shapes(max_nodes)
 
-    def run(build: str, d: int) -> bool:
-        bad = lifting_failures(N, build, [w for w in shapes if w.dim == d])
-        what = f"{build} extension in dimension {d} fails at"
+    def run(include, d: int) -> bool:
+        found = ((w, orthogonal_witness(w, include, N)) for w in shapes if w.dim == d)
+        bad = [(w, witness[1]) for w, witness in found if witness is not None]
+        what = f"{include.__name__} extension in dimension {d} fails at"
         failures.extend(f"{what} {render(w)}: a map extends {n} times" for w, n in bad)
         return not bad
 
-    return NerveReport(
-        run("spine", 2), run("spine", 3), run("boundary", 3), tuple(failures)
-    )
+    return NerveReport(run(spine, 2), run(spine, 3), run(boundary, 3), tuple(failures))

@@ -9,6 +9,7 @@ leave the window are not stored.  Maps, the naturality check and
 sub-presheaves are the shared ones of `kernel`.  The cells of a
 representable, a boundary or a spine are named as `opetope.faces(omega)`
 names them; this module reads those names and renders no face word itself.
+Unique lifting is asked of a shape's spine or boundary, built in the set's window.
 Pushouts and the spine cell decomposition, which no command computes, are
 stated in `tests/paper_results.py`.
 """
@@ -184,22 +185,22 @@ def maps(X: FinOpSet, Y: FinOpSet) -> tuple[PshMap, ...]:
     return tuple(PshMap(X, Y, comp) for comp in natural_maps(_search_order(X), X, Y))
 
 
-def orthogonal_witness(incl: Inclusion, X: FinOpSet):
-    """None if every map from the source extends uniquely along incl;
-    otherwise (offending map, number of extensions)."""
-    if incl.src.window != X.window:
-        raise WindowMismatch("orthogonality needs equal windows")
+def orthogonal_witness(omega: Opetope, include, X: FinOpSet):
+    """None if every map from include(omega) extends uniquely to y(omega),
+    include being spine or boundary built in X's window; otherwise
+    (offending map, number of extensions)."""
+    incl = include(omega, X.window)
     # The maps from incl.src, of which a spine can have exponentially many,
     # are streamed, and the search stops at the first witness.  A map out of
     # incl.src, or out of incl.dst restricted to it, is fixed by its values at
-    # the maximal cells of incl.src (top).  If incl.dst is y(omega) with its
-    # top cell in the window, its maps are the cells of X at omega (Yoneda),
+    # the maximal cells of incl.src (top).  If omega lies in the window, the
+    # maps out of incl.dst = y(omega) are the cells of X at omega (Yoneda),
     # read along each maximal cell's face word (any one: X's squares commute).
     order = _search_order(incl.src)
     faced = set(incl.src.face.values())
     top = [x for x in order if x not in faced]
-    omega = max(incl.dst.sort.values(), key=lambda w: w.dim, default=None)
-    if omega is not None and incl.dst == representable(omega, X.window):
+    lo, hi = X.window
+    if lo <= omega.dim <= hi:
         fs = face_structure(omega)
         words = {name: fs.words[c] for c, name in fs.names.items()}
         paths = [words[incl.comp[x]] for x in top]
@@ -213,16 +214,6 @@ def orthogonal_witness(incl: Inclusion, X: FinOpSet):
         if n != 1:
             return PshMap(incl.src, X, f), n
     return None
-
-
-def lifting_failures(
-    X: FinOpSet, build: str, shapes: list[Opetope]
-) -> list[tuple[Opetope, int]]:
-    """(shape, number of extensions) for each shape whose inclusion X is
-    not orthogonal to; build names the inclusion, "spine" or "boundary"."""
-    include = {"spine": spine, "boundary": boundary}[build]
-    found = ((w, orthogonal_witness(include(w, X.window), X)) for w in shapes)
-    return [(w, witness[1]) for w, witness in found if witness is not None]
 
 
 # --------------------------------------------------------------------------
@@ -254,17 +245,17 @@ def hlift_check(X: FinOpSet, n: int, max_nodes: int) -> HLiftReport:
         raise WindowMismatch("window must cover [n, n+2]")
     failures: list[str] = []
 
-    def family(kind: str, dims: list[int]) -> bool:
+    def family(include, dims: list[int]) -> bool:
         shapes = [w for d in dims if d >= 1 for w in enumerate_opetopes(d, max_nodes)]
-        bad = lifting_failures(X, kind, shapes)
-        failures.extend(f"{kind} of {render(w)} not orthogonal" for w, _ in bad)
+        bad = [w for w in shapes if orthogonal_witness(w, include, X) is not None]
+        failures.extend(f"{include.__name__} of {render(w)} not orthogonal" for w in bad)
         return not bad
 
     return HLiftReport(
-        spines_low=family("spine", [n, n + 1]),
-        boundaries_mid=family("boundary", [n + 1]),
-        boundaries_high=family("boundary", [n + 2]),
-        spines_high=family("spine", [n + 2]),
+        spines_low=family(spine, [n, n + 1]),
+        boundaries_mid=family(boundary, [n + 1]),
+        boundaries_high=family(boundary, [n + 2]),
+        spines_high=family(spine, [n + 2]),
         failures=tuple(failures),
     )
 

@@ -313,6 +313,28 @@ def test_hlift_reports_failures(capsys, tmp_path):
     assert "spine of arrow not orthogonal" in out
 
 
+def test_hlift_names_the_boundary_of_two_parallel_arrows(capsys, tmp_path):
+    p = tmp_path / "arrows.opset"
+    p.write_text(
+        "window 0 2\nshape point cells a b\nshape arrow cells f g\n"
+        "face f s* -> a\nface f t -> b\nface g s* -> a\nface g t -> b\n"
+    )
+    code, out = run(capsys, "opset", "hlift", "--file", str(p), "--n", "0")
+    assert code == 1
+    assert out.splitlines() == [
+        "spines_low: False",
+        "boundaries_mid: False",
+        "boundaries_high: False",
+        "spines_high: False",
+        "failure: spine of arrow not orthogonal",
+        "failure: boundary of arrow not orthogonal",
+        "failure: boundary of I1 not orthogonal",
+        "failure: spine of I0 not orthogonal",
+        "failure: spine of I1 not orthogonal",
+        "failed",
+    ]
+
+
 # ---------------------------------------------------------------------- oalg
 
 

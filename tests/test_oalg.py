@@ -751,6 +751,22 @@ def test_nerve_axioms_detect_a_missing_composite():
     )
 
 
+def test_nerve_axioms_name_a_doubled_three_cell():
+    N = nerve_category(parse_category(WALKING_ARROW), 3)
+    w = next(s for s in N.shapes() if s.dim == 3)
+    x = N.of_shape(w)[0]
+    cells = {**N.cells, w: N.of_shape(w) + ("twin",)}
+    faces = {**N.faces, **{("twin", g): y for (c, g), y in N.faces.items() if c == x}}
+    B = FinOpSet((0, 3), cells, faces)
+    assert validate_opset(B) == []
+    report = nerve_axioms_check(B, 3)
+    assert (report.segal2, report.segal3, report.boundary3) == (True, False, False)
+    assert report.failures == (
+        "spine extension in dimension 3 fails at {[] <- I0}: a map extends 2 times",
+        "boundary extension in dimension 3 fails at {[] <- I0}: a map extends 2 times",
+    )
+
+
 def test_nerve_axioms_require_the_full_window():
     with pytest.raises(WindowMismatch):
         nerve_axioms_check(GRAPH, 2)

@@ -288,29 +288,23 @@ def two_parallel_arrows() -> FinOpSet:
     )
 
 
-def test_orthogonal_empty_inclusion_singleton_fibre():
-    X = two_parallel_arrows()
-    o_point = sub_opset(representable(POINT, (0, 1)), set())
-    # two point cells: two maps from the representable, no unique lift
-    assert orthogonal_witness(o_point, X) is not None
-    Y = FinOpSet((0, 1), {POINT: ("a",)}, {})
-    assert orthogonal_witness(sub_opset(representable(POINT, (0, 1)), set()), Y) is None
+def test_orthogonal_empty_boundary_counts_the_cells():
+    # in the window [1, 1] the boundary of an arrow is empty, so a map
+    # extends once per arrow cell: two parallel arrows give no unique lift
+    one = FinOpSet((1, 1), {ARROW: ("f",)}, {})
+    two = FinOpSet((1, 1), {ARROW: ("f", "g")}, {})
+    assert boundary(ARROW, (1, 1)).src.cells == {}
+    assert orthogonal_witness(ARROW, boundary, two)[1] == 2
+    assert orthogonal_witness(ARROW, boundary, one) is None
 
 
 def test_orthogonal_parallel_arrows_fail_boundary():
     X = two_parallel_arrows()
-    b = boundary(ARROW, (0, 1))
-    w = orthogonal_witness(b, X)
+    w = orthogonal_witness(ARROW, boundary, X)
     assert w is not None
     f, n = w
     assert n in (0, 2)
-    assert orthogonal_witness(b, X) is not None
-
-
-def test_orthogonal_window_guard():
-    X = two_parallel_arrows()
-    with pytest.raises(WindowMismatch):
-        orthogonal_witness(boundary(ARROW, (0, 2)), X)
+    assert orthogonal_witness(ARROW, boundary, X) is not None
 
 
 def counting_witness(incl: Inclusion, X: FinOpSet):
@@ -352,11 +346,36 @@ def test_orthogonal_witness_matches_counting():
     for X in targets:
         for n in (1, 2, 3):
             for w in enumerate_opetopes(n, 3):
-                for incl in (spine(w, X.window), boundary(w, X.window)):
-                    witness = orthogonal_witness(incl, X)
+                for include in (spine, boundary):
+                    witness = orthogonal_witness(w, include, X)
+                    incl = include(w, X.window)
                     assert witness == counting_witness(incl, X), (render(w), X.cells)
                     witnesses.append(witness)
     assert {w[1] for w in witnesses if w is not None} >= {0, 2, 3}
+
+
+def test_each_orthogonality_question_builds_one_representable(monkeypatch):
+    from opetopes import opset
+    from opetopes.oalg import nerve_category, parse_category
+    from test_cli_golden import Z2_CAT
+
+    X = nerve_category(parse_category(Z2_CAT), 3)
+    calls = {"representable": 0, "orthogonal_witness": 0}
+
+    def counted(name):
+        fn = getattr(opset, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(opset, name, counted(name))
+    opset.hlift_check(X, 0, 3)
+    assert calls["orthogonal_witness"] > 0
+    assert calls["representable"] == calls["orthogonal_witness"]
 
 
 # ------------------------------------------------------- cell decompositions

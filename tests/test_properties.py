@@ -285,9 +285,9 @@ def test_nerve_passes_its_checks_at_small_bounds(C):
 
 @st.composite
 def lifting_cases(draw):
-    """An opetopic set, maybe less one cell and every cell above it, and a
-    spine or boundary of a shape of at most 3 nodes whose dimension runs
-    from the window's bottom (at least 1) to one above its top."""
+    """An opetopic set, maybe less one cell and every cell above it, a shape
+    of at most 3 nodes whose dimension runs from the window's bottom (at
+    least 1) to one above its top, and `spine` or `boundary`."""
     if draw(st.booleans()):
         X = nerve_category(draw(categories), draw(st.integers(1, 3)))
     else:
@@ -296,17 +296,17 @@ def lifting_cases(draw):
         X = without_cell(X, draw(st.sampled_from(sorted(X.sort))))
     lo, hi = X.window
     w = draw(st.sampled_from(enumerate_opetopes(draw(st.integers(max(lo, 1), hi + 1)), 3)))
-    return X, draw(st.sampled_from([spine, boundary]))(w, X.window)
+    return X, w, draw(st.sampled_from([spine, boundary]))
 
 
 @settings(max_examples=100, deadline=None)
 @given(lifting_cases())
-@example((terminal_opset((1, 3), 3), boundary(opetopic_integer(1), (1, 3))))
-@example((nerve_category(monoid_category("cyclic", 2), 2), spine(opetopic_integer(2), (0, 3))))
-@example((terminal_opset((0, 2), 2), spine(enumerate_opetopes(3, 3)[-1], (0, 2))))
+@example((terminal_opset((1, 3), 3), opetopic_integer(1), boundary))
+@example((nerve_category(monoid_category("cyclic", 2), 2), opetopic_integer(2), spine))
+@example((terminal_opset((0, 2), 2), enumerate_opetopes(3, 3)[-1], spine))
 def test_orthogonal_witness_counts_the_maps_by_hand(case):
-    X, incl = case
-    assert orthogonal_witness(incl, X) == counting_witness(incl, X)
+    X, omega, include = case
+    assert orthogonal_witness(omega, include, X) == counting_witness(include(omega, X.window), X)
 
 
 def first_bijection(X, Y):

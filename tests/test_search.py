@@ -117,5 +117,5 @@ def test_boundary_search_against_a_chain_nerve_is_cut_by_the_index(monkeypatch):
         return propagate(*args)
 
     monkeypatch.setattr(kernel, "propagate", counting)
-    assert orthogonal_witness(boundary(parse("I3"), X.window), X) is None
+    assert orthogonal_witness(parse("I3"), boundary, X) is None
     assert 0 < len(calls) <= 4000

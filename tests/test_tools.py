@@ -5,13 +5,14 @@ from __future__ import annotations
 import importlib.util
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def load_tool(name: str):
-    spec = importlib.util.spec_from_file_location(name, REPO_ROOT / "tools" / f"{name}.py")
+def load_tool(name: str, directory: str = "tools"):
+    spec = importlib.util.spec_from_file_location(name, REPO_ROOT / directory / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -48,6 +49,19 @@ def test_cli_diff_refuses_a_tree_without_the_package(tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == f"error: {missing[0]} has no src/opetopes\n"
+
+
+def test_every_traced_name_is_a_plain_function_of_its_module():
+    # the benchmark's tracer wraps each name in place and tells a call from
+    # inside the module by fn.__globals__, so a cached or renamed traced
+    # function breaks traced runs only
+    tracing = load_tool("tracing", "perfbench")
+    for module_name, names in tracing.TRACED.items():
+        module = importlib.import_module(f"opetopes.{module_name}")
+        for name in names:
+            fn = getattr(module, name, None)
+            assert isinstance(fn, types.FunctionType), f"{module_name}.{name}"
+            assert fn.__globals__ is module.__dict__, f"{module_name}.{name}"
 
 
 def test_search_series_times_every_command_on_small_chains():
