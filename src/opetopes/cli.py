@@ -209,20 +209,20 @@ def cmd_opset_orthogonal(args) -> int:
     return _result(args, 0 if ok else 1, payload | {"ok": ok}, lines)
 
 
-def cmd_opset_hlift(args) -> int:
-    X = opset.load_opset(_read(args.file))
-    report = opset.hlift_check(X, args.n, args.max_nodes)
-    flags = {
-        key: getattr(report, key)
-        for key in ("spines_low", "boundaries_mid", "boundaries_high", "spines_high")
-    }
+def _lifting_result(args, report: opset.LiftingReport, show) -> int:
+    """Print a unique-lifting report: each row's flag as show writes it, then the verdict."""
     return _result(
         args,
-        1 if report.failures else 0,
-        flags | {"ok": not report.failures, "failures": list(report.failures)},
-        [f"{key}: {value}" for key, value in flags.items()]
+        0 if report.ok else 1,
+        report.flags | {"ok": report.ok, "failures": list(report.failures)},
+        [f"{key}: {show(value)}" for key, value in report.flags.items()]
         + _verdict("failure", report.failures, "failed"),
     )
+
+
+def cmd_opset_hlift(args) -> int:
+    X = opset.load_opset(_read(args.file))
+    return _lifting_result(args, opset.hlift_check(X, args.n, args.max_nodes), str)
 
 
 # --- oalg ---------------------------------------------------------------------
@@ -289,18 +289,9 @@ def cmd_oalg_nerve(args) -> int:
 
 
 def cmd_oalg_nerve_check(args) -> int:
-    C = oalg.parse_category(_read(args.file))
-    N = oalg.nerve_category(C, args.max_nodes)
+    N = oalg.nerve_category(oalg.parse_category(_read(args.file)), args.max_nodes)
     report = oalg.nerve_axioms_check(N, args.max_nodes)
-    flags = {key: getattr(report, key) for key in ("segal2", "segal3", "boundary3")}
-    return _result(
-        args,
-        0 if report.ok else 1,
-        flags | {"ok": report.ok, "failures": list(report.failures)},
-        [f"{key}: {'yes' if value else 'no'}" for key, value in flags.items()]
-        + [f"failure: {f}" for f in report.failures]
-        + ["ok" if report.ok else "failed"],
-    )
+    return _lifting_result(args, report, lambda value: "yes" if value else "no")
 
 
 # --- theory -------------------------------------------------------------------

@@ -16,11 +16,12 @@ faces(xi) each spine cell of an inner shape equals one spine cell of
 target(xi): the law check slices a filling of target(xi) back into inner
 fillings along that map.  The realization names the points of a shape
 by face words, and sends each point of a face to the point it equals in
-faces(omega).  The nerve of a category is read off the
-realization: its cells at a shape omega are the chains of length h(omega),
-the faces of a cell are its restrictions along the realization of omega's
-faces, and one shape rule cuts it off at a node bound.  The finite-category
-type and its axiom checks come from `kernel`.
+faces(omega).  The nerve of a category is read off the realization: its
+cells at a shape omega are the chains of length h(omega), the faces of a
+cell are its restrictions along the realization of omega's faces, and one
+shape rule cuts it off at a node bound.  The nerve check is a table of
+three rows that `opset.lifting_report` asks at those shapes.  The
+finite-category type and its axiom checks come from `kernel`.
 """
 
 from __future__ import annotations
@@ -58,11 +59,12 @@ from .opetope import (
 from .opset import (
     CellId,
     FinOpSet,
+    LiftingReport,
     Window,
     WindowMismatch,
     boundary,
+    lifting_report,
     maps,
-    orthogonal_witness,
     spine,
 )
 from .kernel import (
@@ -627,32 +629,16 @@ def nerve_category(C: FiniteCategory, max_shape_nodes: int) -> FinOpSet:
     return FinOpSet((0, 3), cells, fac)
 
 
-@dataclass(frozen=True)
-class NerveReport:
-    segal2: bool
-    segal3: bool
-    boundary3: bool
-    failures: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return self.segal2 and self.segal3 and self.boundary3
-
-
-def nerve_axioms_check(N: FinOpSet, max_nodes: int) -> NerveReport:
+def nerve_axioms_check(N: FinOpSet, max_nodes: int) -> LiftingReport:
     """Check unique spine extension in dimensions 2 and 3 and unique
     boundary extension in dimension 3, over the shapes of the nerve cut at
     the node bound."""
     if N.window != (0, 3):
         raise WindowMismatch(f"nerve checks need window (0, 3), got {N.window}")
-    failures: list[str] = []
-    shapes = _nerve_shapes(max_nodes)
+    rows = [("segal2", spine, (2,)), ("segal3", spine, (3,)), ("boundary3", boundary, (3,))]
 
-    def run(include, d: int) -> bool:
-        found = ((w, orthogonal_witness(w, include, N)) for w in shapes if w.dim == d)
-        bad = [(w, witness[1]) for w, witness in found if witness is not None]
-        what = f"{include.__name__} extension in dimension {d} fails at"
-        failures.extend(f"{what} {render(w)}: a map extends {n} times" for w, n in bad)
-        return not bad
+    def text(include, w: Opetope, n: int) -> str:
+        what = f"{include.__name__} extension in dimension {w.dim} fails at"
+        return f"{what} {render(w)}: a map extends {n} times"
 
-    return NerveReport(run(spine, 2), run(spine, 3), run(boundary, 3), tuple(failures))
+    return lifting_report(N, rows, _nerve_shapes(max_nodes), text)

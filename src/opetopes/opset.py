@@ -9,7 +9,8 @@ leave the window are not stored.  Maps, the naturality check and
 sub-presheaves are the shared ones of `kernel`.  The cells of a
 representable, a boundary or a spine are named as `opetope.faces(omega)`
 names them; this module reads those names and renders no face word itself.
-Unique lifting is asked of a shape's spine or boundary, built in the set's window.
+Unique lifting is asked of a shape's spine or boundary, built in the set's
+window; each check of it is a table of rows that `lifting_report` asks.
 Pushouts and the spine cell decomposition, which no command computes, are
 stated in `tests/paper_results.py`.
 """
@@ -217,46 +218,48 @@ def orthogonal_witness(omega: Opetope, include, X: FinOpSet):
 
 
 # --------------------------------------------------------------------------
-# unique-lifting report around a dimension
+# unique-lifting reports
 
 
 @dataclass(frozen=True)
-class HLiftReport:
-    spines_low: bool  # spine inclusions at dims n and n+1 are orthogonal
-    boundaries_mid: bool  # boundary inclusions at dim n+1
-    boundaries_high: bool  # boundary inclusions at dim n+2
-    spines_high: bool  # spine inclusions at dim n+2
+class LiftingReport:
+    flags: dict[str, bool]  # row name -> every shape of the row lifts uniquely
     failures: tuple[str, ...]
 
     @property
-    def implication_one(self) -> bool:
-        return (not self.spines_low) or self.boundaries_mid
-
-    @property
-    def implication_two(self) -> bool:
-        return not (self.spines_low and self.boundaries_high) or self.spines_high
+    def ok(self) -> bool:
+        return not self.failures
 
 
-def hlift_check(X: FinOpSet, n: int, max_nodes: int) -> HLiftReport:
-    """Check both unique-lifting implications around dimension n on X,
-    over all shapes of total size at most max_nodes."""
+def lifting_report(X: FinOpSet, rows, shapes: list[Opetope], text) -> LiftingReport:
+    """For each row (name, include, dims), ask orthogonal_witness at every
+    shape of shapes whose dimension is in dims, in list order: flags[name]
+    says none fails, and each failure adds text(include, shape, extensions)."""
+    flags: dict[str, bool] = {}
+    failures: list[str] = []
+    for name, include, dims in rows:
+        found = ((w, orthogonal_witness(w, include, X)) for w in shapes if w.dim in dims)
+        bad = [text(include, w, witness[1]) for w, witness in found if witness is not None]
+        flags[name] = not bad
+        failures.extend(bad)
+    return LiftingReport(flags, tuple(failures))
+
+
+def hlift_check(X: FinOpSet, n: int, max_nodes: int) -> LiftingReport:
+    """Unique lifting around dimension n on X, over all shapes of total size
+    at most max_nodes."""
     lo, hi = X.window
     if not (lo <= n and n + 2 <= hi):
         raise WindowMismatch("window must cover [n, n+2]")
-    failures: list[str] = []
-
-    def family(include, dims: list[int]) -> bool:
-        shapes = [w for d in dims if d >= 1 for w in enumerate_opetopes(d, max_nodes)]
-        bad = [w for w in shapes if orthogonal_witness(w, include, X) is not None]
-        failures.extend(f"{include.__name__} of {render(w)} not orthogonal" for w in bad)
-        return not bad
-
-    return HLiftReport(
-        spines_low=family(spine, [n, n + 1]),
-        boundaries_mid=family(boundary, [n + 1]),
-        boundaries_high=family(boundary, [n + 2]),
-        spines_high=family(spine, [n + 2]),
-        failures=tuple(failures),
+    rows = [
+        ("spines_low", spine, (n, n + 1)),
+        ("boundaries_mid", boundary, (n + 1,)),
+        ("boundaries_high", boundary, (n + 2,)),
+        ("spines_high", spine, (n + 2,)),
+    ]
+    shapes = [w for d in range(max(n, 1), n + 3) for w in enumerate_opetopes(d, max_nodes)]
+    return lifting_report(
+        X, rows, shapes, lambda include, w, _: f"{include.__name__} of {render(w)} not orthogonal"
     )
 
 

@@ -32,6 +32,11 @@ node presents a monotone map (`Diagram`, `diagram_map`), substituting one
 diagram into the marked node of another presents the composite
 (`diagram_compose`), and every monotone map [m] -> [mp] with m >= 1 has a
 diagram (`diagram_for_monotone`).
+
+The nerve theorem's converse at (1, 1) (`test_properties.py`): an
+opetopic set over [0, 3] that passes the nerve check at a bound of at least
+2 presents a category (`category_of`), which agrees with C on the nerve of
+C, and whose nerve is the set again, up to the names of its cells.
 """
 
 from __future__ import annotations
@@ -49,6 +54,9 @@ from opetopes.kernel import (
 )
 from opetopes.oalg import LambdaMorphism, NotComposable, _arrows, h_morphism
 from opetopes.opetope import (
+    ARROW,
+    POINT,
+    STAR,
     T_GEN,
     Addr,
     Opetope,
@@ -446,3 +454,26 @@ def diagram_for_monotone(f: LambdaMorphism) -> Diagram:
     for i, li in enumerate(_arrows(marked)):
         nodes[Addr(2, (q, li))] = opetopic_integer(f(i + 1) - f(i))
     return Diagram(tree(nodes), Addr(2, (q,)))
+
+
+# --------------------------------------------------------------------------
+# the category an opetopic set presents
+
+
+def category_of(X: FinOpSet) -> FiniteCategory:
+    """The category of an opetopic set over [0, 3] that passes the nerve
+    check at a bound of at least 2: its objects are the point cells, its
+    morphisms the arrow cells with their ends at s* and t, the identity of
+    an object is the t face of its I0 filler, and g after f is the t face of
+    the I2 filler of (f, g).  The check shows that each filler is unique."""
+    I0, I2 = opetopic_integer(0), opetopic_integer(2)
+    composition = {}
+    for x in X.of_shape(I2):
+        f, g = (X.face[x, ("s", a)] for a in _arrows(I2))
+        composition[g, f] = X.face[x, T_GEN]
+    return FiniteCategory(
+        X.of_shape(POINT),
+        {f: (X.face[f, ("s", STAR)], X.face[f, T_GEN]) for f in X.of_shape(ARROW)},
+        composition,
+        {X.face[X.face[x, T_GEN], ("s", STAR)]: X.face[x, T_GEN] for x in X.of_shape(I0)},
+    )

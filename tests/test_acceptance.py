@@ -469,7 +469,7 @@ def test_acceptance_08_nerve_checks():
         assert validate_opset(N) == []
         report = nerve_axioms_check(N, 3)
         assert report.ok, report.failures
-        assert report.segal2 and report.segal3 and report.boundary3
+        assert report.flags == {"segal2": True, "segal3": True, "boundary3": True}
 
     # dropping a filler cell must break the two-dimensional spine condition
     N = nerve_category(parse_category(WALKING_ARROW), 3)
@@ -488,7 +488,7 @@ def test_acceptance_08_nerve_checks():
     assert validate_opset(broken) == []
     report = nerve_axioms_check(broken, 3)
     assert not report.ok
-    assert not report.segal2
+    assert not report.flags["segal2"]
     assert (
         "spine extension in dimension 2 fails at I2: a map extends 0 times"
         in report.failures

@@ -705,7 +705,7 @@ def test_nerve_satisfies_the_axioms():
     N = nerve_category(parse_category(WALKING_ARROW), 4)
     report = nerve_axioms_check(N, 4)
     assert report.ok
-    assert report.segal2 and report.segal3 and report.boundary3
+    assert report.flags == {"segal2": True, "segal3": True, "boundary3": True}
     assert report.failures == ()
 
 
@@ -744,7 +744,7 @@ def test_nerve_axioms_detect_a_missing_composite():
     assert validate_opset(B) == []
     report = nerve_axioms_check(B, 3)
     assert not report.ok
-    assert not report.segal2
+    assert not report.flags["segal2"]
     assert (
         "spine extension in dimension 2 fails at I2: a map extends 0 times"
         in report.failures
@@ -760,7 +760,7 @@ def test_nerve_axioms_name_a_doubled_three_cell():
     B = FinOpSet((0, 3), cells, faces)
     assert validate_opset(B) == []
     report = nerve_axioms_check(B, 3)
-    assert (report.segal2, report.segal3, report.boundary3) == (True, False, False)
+    assert report.flags == {"segal2": True, "segal3": False, "boundary3": False}
     assert report.failures == (
         "spine extension in dimension 3 fails at {[] <- I0}: a map extends 2 times",
         "boundary extension in dimension 3 fails at {[] <- I0}: a map extends 2 times",

@@ -432,20 +432,30 @@ def test_spine_decomposition_two_fresh_cells_per_step():
 # ---------------------------------------------------------------- hlift check
 
 
+def hlift_implications(flags: dict[str, bool]) -> tuple[bool, bool]:
+    """The two unique-lifting implications around a dimension n: spines at
+    n and n+1 give boundaries at n+1, and with boundaries at n+2 they give
+    spines at n+2."""
+    low = flags["spines_low"]
+    return (not low or flags["boundaries_mid"],
+            not (low and flags["boundaries_high"]) or flags["spines_high"])
+
+
 def test_hlift_terminal_all_hold():
     X = terminal_opset((0, 3), 5)
     rep = hlift_check(X, 1, max_nodes=3)
-    assert rep.spines_low and rep.boundaries_mid
-    assert rep.boundaries_high and rep.spines_high
-    assert rep.implication_one and rep.implication_two
+    assert rep.flags == {
+        "spines_low": True, "boundaries_mid": True, "boundaries_high": True, "spines_high": True,
+    }
+    assert hlift_implications(rep.flags) == (True, True)
     assert rep.failures == ()
 
 
 def test_hlift_truncated_representable_vacuous():
     X = representable(I(2), (0, 2))
     rep = hlift_check(X, 0, max_nodes=3)
-    assert not rep.spines_low
-    assert rep.implication_one and rep.implication_two
+    assert not rep.flags["spines_low"]
+    assert hlift_implications(rep.flags) == (True, True)
 
 
 def test_hlift_window_guard():

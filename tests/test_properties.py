@@ -15,7 +15,12 @@ isomorphism search agrees with the first bijective map of the full map
 search, the nerve's 2-cells are the chains with the faces the arrows
 read off by hand (arrow i of I_m at [*^(m-1-i)]), each 3-cell's target
 is the 2-cell of its own chain, and the nerve cut at the node bound 0, 1
-or 2 passes the nerve checks at that bound.  On these nerves and on
+or 2 passes the nerve checks at that bound.  The nerve theorem both ways
+at (1, 1): a nerve with one 2- or 3-cell removed, or doubled, fails every
+row of the check that asks the cell's dimension, at the cell's shape;
+`category_of` reads the category back off its nerve, and the nerve of
+the category read off a renamed nerve is that nerve again, through a
+bijective map that `maps` finds.  On these nerves and on
 terminal sets, each maybe less one cell, `orthogonal_witness` against a
 spine or boundary agrees with counting every map out of the
 representable, also where the shape lies above the window.
@@ -78,6 +83,7 @@ from opetopes.opetope import (
 )
 from opetopes.kernel import sub_presheaf
 from opetopes.opset import (
+    FinOpSet,
     boundary,
     dump_opset,
     load_opset,
@@ -103,7 +109,7 @@ from opetopes.theory import (
 )
 
 from monad_oracle import monad_mult, split_pasting
-from paper_results import boundary_c, psh_maps, representable_psh
+from paper_results import boundary_c, category_of, psh_maps, representable_psh
 from peel_oracle import peel_target_readdress
 from scaffold import parse_signature, terminal_opset
 from test_opset import counting_witness, without_cell
@@ -281,6 +287,86 @@ def test_nerve_passes_its_checks_at_small_bounds(C):
     for bound in (0, 1, 2):
         report = nerve_axioms_check(nerve_category(C, bound), bound)
         assert report.ok, report.failures
+
+
+def perturbed(N, x: str, how: str):
+    """N less x and every cell above it, or N with a twin of x: a cell of
+    x's shape with x's faces and a fresh id."""
+    if how == "remove":
+        return without_cell(N, x)
+    w = N.shape_of(x)
+    cells = {**N.cells, w: N.of_shape(w) + ("twin",)}
+    return FinOpSet(N.window, cells, {**N.faces, **{("twin", g): N.face[x, g] for g in N.gens[w]}})
+
+
+@st.composite
+def perturbed_nerves(draw):
+    """A category, a bound from 1 to 3, a 2- or 3-cell of the nerve at that
+    bound, and whether to remove or double it."""
+    C, bound = draw(categories), draw(st.integers(1, 3))
+    N = nerve_category(C, bound)
+    x = draw(st.sampled_from(sorted(x for x, w in N.sort.items() if w.dim >= 2)))
+    return C, bound, x, draw(st.sampled_from(["remove", "double"]))
+
+
+@settings(max_examples=50, deadline=None)
+@given(perturbed_nerves())
+@example((monoid_category("cyclic", 2), 2, "c.o.e1.e1", "remove"))
+@example((monoid_category("cyclic", 2), 2, "c.o.e1.e1", "double"))
+@example((monoid_category("cyclic", 2), 2, "x{[]<-I1}.o.e1", "remove"))
+@example((monoid_category("cyclic", 2), 2, "x{[]<-I1}.o.e1", "double"))
+def test_a_perturbed_nerve_fails_its_check_at_the_cell_shape(case):
+    """Removing a 2- or 3-cell of a nerve, or doubling it, fails every row
+    that asks the cell's dimension, at the cell's shape: the cell's spine,
+    and in dimension 3 its boundary, extends 0 times or 2 times."""
+    C, bound, x, how = case
+    N = nerve_category(C, bound)
+    report = nerve_axioms_check(N, bound)
+    assert report.flags == {"segal2": True, "segal3": True, "boundary3": True}
+    assert report.ok == all(report.flags.values())
+    w = N.shape_of(x)
+    report = nerve_axioms_check(perturbed(N, x, how), bound)
+    assert not report.ok
+    assert report.ok == all(report.flags.values())
+    extends = 0 if how == "remove" else 2
+    for kind in ("spine", "boundary") if w.dim == 3 else ("spine",):
+        text = f"{kind} extension in dimension {w.dim} fails at {render(w)}"
+        assert f"{text}: a map extends {extends} times" in report.failures
+
+
+@st.composite
+def renamed_nerves(draw):
+    """A bound from 2 to 3, and the nerve of a category at that bound with
+    its cell ids renamed at random."""
+    bound = draw(st.integers(2, 3))
+    N = nerve_category(draw(categories), bound)
+    ids = sorted(N.sort)
+    new = dict(zip(ids, draw(st.permutations([f"z{i}" for i in range(len(ids))]))))
+    cells = {w: tuple(new[x] for x in xs) for w, xs in N.cells.items()}
+    return bound, FinOpSet(N.window, cells, {(new[x], g): new[y] for (x, g), y in N.faces.items()})
+
+
+@SETTINGS
+@given(categories, st.integers(2, 3))
+def test_the_category_of_a_nerve_is_the_category(C, bound):
+    D = category_of(nerve_category(C, bound))
+    ensure_category(D)
+    assert D.objects == tuple(f"o.{a}" for a in C.objects)
+    assert D.morphisms == {f"a.{f}": (f"o.{a}", f"o.{b}") for f, (a, b) in C.morphisms.items()}
+    assert D.identities == {f"o.{a}": f"a.{i}" for a, i in C.identities.items()}
+    for f, g in itertools.product(C.morphisms, repeat=2):
+        if C.tgt(f) == C.src(g):
+            assert D.compose(f"a.{g}", f"a.{f}") == f"a.{C.compose(g, f)}"
+
+
+@SETTINGS
+@given(renamed_nerves())
+def test_the_nerve_of_the_category_of_a_nerve_is_the_nerve(case):
+    bound, X = case
+    assert nerve_axioms_check(X, bound).ok
+    N = nerve_category(category_of(X), bound)
+    assert N.size() == X.size()
+    assert any(len(set(f.comp.values())) == X.size() for f in maps(N, X))
 
 
 @st.composite
