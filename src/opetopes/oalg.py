@@ -14,14 +14,19 @@ The law check and the realization read cells off the face structure of a
 shape.  A pasting of pastings is a uniform-height-2 shape xi, and in
 faces(xi) each spine cell of an inner shape equals one spine cell of
 target(xi): the law check slices a filling of target(xi) back into inner
-fillings along that map.  The realization names the points of a shape
-by face words, and sends each point of a face to the point it equals in
-faces(omega).  The nerve of a category is read off the realization: its
-cells at a shape omega are the chains of length h(omega), the faces of a
-cell are its restrictions along the realization of omega's faces, and one
-shape rule cuts it off at a node bound.  The nerve check is a table of
-three rows that `opset.lifting_report` asks at those shapes.  The
-finite-category type and its axiom checks come from `kernel`.
+fillings along that map.  What the law check needs of the shapes alone
+(each height-2 shape with its flattened shape, parts, gluing and seeds)
+is planned once per window and node bound and cached per process
+(`_square_plan`); it is read-only, like every cached presheaf, and only
+the map searches and the composites read the algebra.  The realization
+names the points of a shape by face words, and sends each point of a
+face to the point it equals in faces(omega).  The nerve of a category
+is read off the realization: its cells at a shape omega are the chains
+of length h(omega), the faces of a cell are its restrictions along the
+realization of omega's faces, and one shape rule cuts it off at a node
+bound.  The nerve check is a table of three rows that
+`opset.lifting_report` asks at those shapes.  The finite-category type
+and its axiom checks come from `kernel`.
 """
 
 from __future__ import annotations
@@ -292,6 +297,32 @@ def _height_two_shapes(n: int, max_nodes: int) -> list[Opetope]:
     return out
 
 
+@cache
+def _square_plan(window: Window, max_nodes: int) -> tuple:
+    """The half of the square check that depends on shapes alone: for each
+    uniform-height-2 shape xi of dimension window[1] + 2 whose flattened
+    shape flat = target(xi) is within the node bound, in the order of
+    _height_two_shapes, (xi, flat, alpha, slices, seeds).  alpha is the
+    root decoration of xi; slices holds, per inner shape nu, (nu, the
+    spine cells of flat that nu's spine cells are glued to, in nu's spine
+    order), and seeds the cells of alpha's spine that the inner composites
+    fill.  Equal shapes are one object, so that keys compare them by
+    identity.  Cached per process; nothing may change what it returns."""
+    same = {}.setdefault  # the first object seen equal to a shape
+    plan = []
+    for xi in _height_two_shapes(window[1], max_nodes):
+        flat = target(xi)
+        flat = same(flat, flat)
+        if size(flat) > max_nodes:
+            continue
+        alpha, parts = _height_two_parts(xi)
+        glue = _gluing(xi, parts, window)
+        slices = tuple((same(nu, nu), tuple(glue[p].values())) for p, nu in parts.items())
+        seeds = tuple(faces(alpha).name((("s", p),)) for p in parts)
+        plan.append((xi, flat, same(alpha, alpha), slices, seeds))
+    return tuple(plan)
+
+
 def check_algebra_laws(A: OAlgebra) -> AlgebraLawReport:
     """Check the unit law on every cell and the multiplication square on
     every uniform-height-2 pasting of pastings within the algebra's node
@@ -337,22 +368,10 @@ def check_algebra_laws(A: OAlgebra) -> AlgebraLawReport:
     squares = 0
     # each flattened shape's fillings with their values, searched once
     flattened: dict[Opetope, list[tuple[PshMap, tuple[CellId, ...]]]] = {}
-    # the first object seen equal to a shape, so that keys compare it by identity
-    same = {}.setdefault
-    for xi in _height_two_shapes(n, A.max_nodes):
-        flat = target(xi)
-        flat = same(flat, flat)
-        if size(flat) > A.max_nodes:
-            continue
+    for xi, flat, alpha, slices, seeds in _square_plan(window, A.max_nodes):
         if flat not in flattened:
             S = _spine_of(flat, window)
             flattened[flat] = [(f, tuple(map(f, S.sort))) for f in maps(S, X)]
-        alpha, parts = _height_two_parts(xi)
-        alpha = same(alpha, alpha)
-        glue = _gluing(xi, parts, window)
-        slices = [(same(nu, nu), tuple(glue[p].values())) for p, nu in parts.items()]
-        name = faces(alpha).name
-        seeds = tuple(name((("s", p),)) for p in parts)
         for f, values in flattened[flat]:
             squares += 1
             lhs = compose(flat, values)

@@ -141,6 +141,11 @@ class Opetope:
         return render(self)
 
 
+# the hashes of the point and the arrow, computed once
+_POINT_HASH = hash(("point",))
+_ARROW_HASH = hash(("arrow",))
+
+
 @dataclass(frozen=True, eq=False)
 class Point(Opetope):
     __slots__ = ()
@@ -150,7 +155,7 @@ class Point(Opetope):
         return 0
 
     def __hash__(self) -> int:
-        return hash(("point",))
+        return _POINT_HASH
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Point)
@@ -165,7 +170,7 @@ class Arrow(Opetope):
         return 1
 
     def __hash__(self) -> int:
-        return hash(("arrow",))
+        return _ARROW_HASH
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Arrow)

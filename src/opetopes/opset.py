@@ -11,6 +11,13 @@ representable, a boundary or a spine are named as `opetope.faces(omega)`
 names them; this module reads those names and renders no face word itself.
 Unique lifting is asked of a shape's spine or boundary, built in the set's
 window; each check of it is a table of rows that `lifting_report` asks.
+A question's shape half (the inclusion, its search order, its maximal
+cells and their face words) is planned once per shape, builder and window
+and cached per process (`_lifting_plan`); only the count of the maps out
+of y(omega) and the map search read the set.  Cached presheaves are
+read-only: nothing changes them once built.  `representable`, `spine` and
+`boundary` themselves stay uncached, so that the large shapes a command
+asks about once are not kept.
 Pushouts and the spine cell decomposition, which no command computes, are
 stated in `tests/paper_results.py`.
 """
@@ -20,7 +27,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from typing import Iterable
 
 from opetopes.opetope import (
@@ -186,25 +193,38 @@ def maps(X: FinOpSet, Y: FinOpSet) -> tuple[PshMap, ...]:
     return tuple(PshMap(X, Y, comp) for comp in natural_maps(_search_order(X), X, Y))
 
 
+@cache
+def _lifting_plan(omega: Opetope, include, window: Window) -> tuple:
+    """The half of orthogonal_witness that depends on the shape alone:
+    (incl, order, top, paths), incl being include(omega, window), order its
+    source's search order, top the maximal cells of incl.src and paths, if
+    omega lies in the window, the face word of each top cell into omega,
+    else None.  Cached per process; nothing may change what it returns."""
+    incl = include(omega, window)
+    # A map out of incl.src, or out of incl.dst restricted to it, is fixed by
+    # its values at the maximal cells of incl.src (top).
+    order = tuple(_search_order(incl.src))
+    faced = set(incl.src.face.values())
+    top = tuple(x for x in order if x not in faced)
+    lo, hi = window
+    if not lo <= omega.dim <= hi:
+        return incl, order, top, None
+    fs = face_structure(omega)
+    words = {name: fs.words[c] for c, name in fs.names.items()}
+    return incl, order, top, tuple(words[incl.comp[x]] for x in top)
+
+
 def orthogonal_witness(omega: Opetope, include, X: FinOpSet):
     """None if every map from include(omega) extends uniquely to y(omega),
     include being spine or boundary built in X's window; otherwise
     (offending map, number of extensions)."""
-    incl = include(omega, X.window)
+    incl, order, top, paths = _lifting_plan(omega, include, X.window)
     # The maps from incl.src, of which a spine can have exponentially many,
-    # are streamed, and the search stops at the first witness.  A map out of
-    # incl.src, or out of incl.dst restricted to it, is fixed by its values at
-    # the maximal cells of incl.src (top).  If omega lies in the window, the
-    # maps out of incl.dst = y(omega) are the cells of X at omega (Yoneda),
-    # read along each maximal cell's face word (any one: X's squares commute).
-    order = _search_order(incl.src)
-    faced = set(incl.src.face.values())
-    top = [x for x in order if x not in faced]
-    lo, hi = X.window
-    if lo <= omega.dim <= hi:
-        fs = face_structure(omega)
-        words = {name: fs.words[c] for c, name in fs.names.items()}
-        paths = [words[incl.comp[x]] for x in top]
+    # are streamed, and the search stops at the first witness.  If omega lies
+    # in the window, the maps out of incl.dst = y(omega) are the cells of X
+    # at omega (Yoneda), read along each maximal cell's face word (any one:
+    # X's squares commute).
+    if paths is not None:
         counts = Counter(
             tuple(reduce(lambda c, g: X.face[c, g], w, y) for w in paths) for y in X.of_shape(omega)
         )

@@ -373,9 +373,30 @@ def test_each_orthogonality_question_builds_one_representable(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(opset, name, counted(name))
+    opset._lifting_plan.cache_clear()
     opset.hlift_check(X, 0, 3)
     assert calls["orthogonal_witness"] > 0
     assert calls["representable"] == calls["orthogonal_witness"]
+    # the shape's half of each question is planned once per process
+    calls["representable"] = 0
+    opset.hlift_check(X, 0, 3)
+    assert calls["representable"] == 0
+
+
+def test_spine_boundary_and_faces_commands_plan_no_shape(capsys):
+    # a plan cache holds each shape it is asked about, so the large shapes
+    # of `opset spine`, `opset boundary` and `opetope faces` stay out of it
+    from opetopes import oalg, opset
+    from opetopes.cli import main
+    from test_opetope import unary_chain
+
+    expr = render(unary_chain(20))
+    plans = (opset._lifting_plan, oalg._square_plan)
+    sizes = [plan.cache_info().currsize for plan in plans]
+    for argv in (["opset", "spine"], ["opset", "boundary"], ["opetope", "faces"]):
+        assert main([*argv, "--expr", expr]) == 0
+    capsys.readouterr()
+    assert [plan.cache_info().currsize for plan in plans] == sizes
 
 
 # ------------------------------------------------------- cell decompositions

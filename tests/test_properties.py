@@ -56,11 +56,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from opetopes import oalg, opset
 from opetopes.oalg import (
     FiniteCategory,
     PastingCell,
     _height_two_shapes,
+    _nerve_shapes,
+    category_algebra,
     category_family,
+    check_algebra_laws,
     ensure_category,
     nerve_axioms_check,
     nerve_category,
@@ -86,6 +90,7 @@ from opetopes.opset import (
     FinOpSet,
     boundary,
     dump_opset,
+    hlift_check,
     load_opset,
     maps,
     orthogonal_witness,
@@ -393,6 +398,55 @@ def lifting_cases(draw):
 def test_orthogonal_witness_counts_the_maps_by_hand(case):
     X, omega, include = case
     assert orthogonal_witness(omega, include, X) == counting_witness(include(omega, X.window), X)
+
+
+@SETTINGS
+@given(categories, st.integers(1, 3), st.data())
+def test_checks_answer_alike_from_cold_and_warm_plans(C, bound, data):
+    N = nerve_category(C, bound)
+    if data.draw(st.booleans()):
+        N = without_cell(N, data.draw(st.sampled_from(sorted(N.sort))))
+    n, A = data.draw(st.integers(0, 1)), category_algebra(C, data.draw(st.integers(3, 6)))
+    checks = [
+        lambda: hlift_check(N, n, bound),
+        lambda: nerve_axioms_check(N, bound),
+        lambda: check_algebra_laws(A),
+    ]
+    for check in checks:
+        opset._lifting_plan.cache_clear()
+        oalg._square_plan.cache_clear()
+        cold = check()
+        assert check() == cold
+
+
+@SETTINGS
+@given(categories, st.sampled_from([spine, boundary]), st.data())
+def test_a_shape_is_planned_apart_in_each_window(C, include, data):
+    N = nerve_category(C, 2)
+    w = data.draw(st.sampled_from([w for w in N.shapes() if w.dim >= 2]))
+    a = opset._lifting_plan(w, include, (0, 2))
+    b = opset._lifting_plan(w, include, (0, 3))
+    assert a[0].dst.window == (0, 2) and b[0].dst.window == (0, 3)
+    assert (a[3] is None) == (w.dim == 3) and b[3] is not None
+
+
+@SETTINGS
+@given(categories, st.integers(1, 3))
+def test_cached_inclusions_are_left_as_built(C, bound):
+    N = nerve_category(C, bound)
+    opset._lifting_plan.cache_clear()
+    rows = [(spine, (2, 3)), (boundary, (3,))]
+    plans = [
+        opset._lifting_plan(w, include, N.window)
+        for w in _nerve_shapes(bound)
+        for include, dims in rows
+        if w.dim in dims
+    ]
+    built = [(dict(p[0].src.face), dict(p[0].dst.face), dict(p[0].comp)) for p in plans]
+    nerve_axioms_check(N, bound)
+    nerve_axioms_check(without_cell(N, sorted(N.sort)[-1]), bound)
+    for (incl, *_), (src_face, dst_face, comp) in zip(plans, built):
+        assert (incl.src.face, incl.dst.face, incl.comp) == (src_face, dst_face, comp)
 
 
 def first_bijection(X, Y):
