@@ -17,6 +17,11 @@ starts as the root decoration, and each further node's decoration is
 substituted, in place, at the node of the target its address is readdressed
 to; only the subtrees hanging above that node move, rewired through the
 decoration's own readdressing.
+
+The face identities are the relation squares: Degen on a degenerate shape;
+on a tree, Inner at each node above the root, Glob1, and Glob2 at each leaf.
+relation_squares lists them once, and FaceStructure, validate_opset and
+check_identities evaluate that list.
 """
 
 from __future__ import annotations
@@ -214,6 +219,8 @@ class Tree(Opetope):
         ordered = tuple(sorted(self.nodes, key=lambda kv: kv[0].key))
         object.__setattr__(self, "nodes", ordered)
         depth = ordered[0][0].depth
+        if depth == 0:
+            raise ValueError("node addresses have depth >= 1; the 1-dimensional shape is arrow")
         for a, _ in ordered:
             if a.depth != depth:
                 raise ValueError("node addresses must share one depth")
@@ -479,37 +486,17 @@ def validate(omega: Opetope) -> list[str]:
 
 
 def check_identities(omega: Opetope) -> list[str]:
-    """Verify the four face identities; returns one message per failure."""
-    bad: list[str] = []
-    if omega.dim < 2:
-        return bad
-    if isinstance(omega, Degenerate):
-        # degenerate: the root source of the target equals the target of the target
-        t_omega = target(omega)
-        root = epsilon(omega.dim - 2)
-        if source(t_omega, root) != target(t_omega):
-            bad.append("Degen: source [] of target differs from target of target")
-        return bad
-    assert isinstance(omega, Tree)
-    for a, dec in omega.nodes:
-        if len(a) > 0:
-            parent, e = a.parent(), a.last()
-            if target(dec) != source(omega.decoration(parent), e):
-                bad.append(f"Inner at {a}: target of source differs from input of parent")
+    """The relation squares into omega whose two words reach different shapes;
+    if the target of omega is undefined, so that none are listed, its error."""
     try:
-        t_omega = target(omega)
-        p_omega = readdress(omega)
+        squares = relation_squares(omega)
     except (ValueError, KeyError) as exc:
-        bad.append(f"Glob: target is undefined ({exc})")
-        return bad
-    root = epsilon(omega.dim - 1)
-    if target(omega.decoration(root)) != target(t_omega):
-        bad.append("Glob1: target of root source differs from target of target")
-    for j in leaf_addrs(omega):
-        parent, q = j.parent(), j.last()
-        if source(omega.decoration(parent), q) != source(t_omega, p_omega[j]):
-            bad.append(f"Glob2 at {j}: leaf edge differs from the readdressed target input")
-    return bad
+        return [f"target is undefined ({exc})"]
+    return [
+        f"relation square {render_gen(a)}.{render_gen(b)} = {render_gen(c)}.{render_gen(d)} broken"
+        for (a, b), (c, d) in squares
+        if face(face(omega, a), b) != face(face(omega, c), d)
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -787,15 +774,6 @@ def hom(psi: Opetope, omega: Opetope) -> tuple[OMorphism, ...]:
     ]
     found.sort(key=lambda f: word_key(f.word))
     return tuple(found)
-
-
-def compose(f: OMorphism, g: OMorphism) -> OMorphism:
-    """The composite of g: chi -> psi after f: psi -> omega."""
-    if g.dst != f.src:
-        raise ValueError("morphisms do not compose")
-    fs = faces(f.dst)
-    c = fs.cell_of_word(f.word + g.word)
-    return OMorphism(g.src, f.dst, fs.word_of(c))
 
 
 # --------------------------------------------------------------------------

@@ -6,8 +6,9 @@ between two presheaves are the natural ones (`psh_maps`), and an object
 has a representable presheaf, its morphisms (`representable_psh`), with
 the boundary of the non-identity ones (`boundary_c`).
 
-The category of opetopes (`test_opetope_category.py`): the shapes of a
-window under a node bound, with the face maps between them, form a
+The category of opetopes (`test_opetope.py`, `test_opetope_category.py`):
+face maps compose by concatenating their words (`compose`); the shapes
+of a window under a node bound, with the face maps between them, form a
 finite direct category (`opetope_category`), and an opetopic set is a
 presheaf on it (`as_presheaf`): the two validators agree, the two map
 searches find the same maps, the representables and boundaries of the
@@ -59,9 +60,9 @@ from opetopes.opetope import (
     STAR,
     T_GEN,
     Addr,
+    OMorphism,
     Opetope,
     Tree,
-    compose,
     epsilon,
     hom,
     node_addrs,
@@ -174,6 +175,15 @@ class OpetopeCategory(FiniteCategory):
     shapes: tuple[Opetope, ...]
 
 
+def compose(f: OMorphism, g: OMorphism) -> OMorphism:
+    """The composite of g: chi -> psi after f: psi -> omega."""
+    if g.dst != f.src:
+        raise ValueError("morphisms do not compose")
+    fs = face_structure(f.dst)
+    c = fs.cell_of_word(f.word + g.word)
+    return OMorphism(g.src, f.dst, fs.word_of(c))
+
+
 def opetope_category(shapes: list[Opetope]) -> OpetopeCategory:
     """The full subcategory of the category of opetopes on a face-closed
     list of shapes.  Objects come in (dim, render) order, each named
@@ -181,7 +191,7 @@ def opetope_category(shapes: list[Opetope]) -> OpetopeCategory:
     signature reads as a theory, and o<index> otherwise.  The morphism
     <object>:<word> is the face map into the object named by its least
     face word, <object>:id its identity, and composites are those of
-    `opetope.compose`."""
+    `compose`."""
     ordered = sorted(shapes, key=lambda w: (w.dim, render(w)))
     obj = {w: render(w) if _IDENT.match(render(w)) else f"o{i}" for i, w in enumerate(ordered)}
     name = {m: f"{obj[m.dst]}:{render_word(m.word)}" for w in obj for v in obj for m in hom(v, w)}

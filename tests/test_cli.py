@@ -726,6 +726,31 @@ def test_point_target_names_the_point(capsys):
     assert capsys.readouterr().err == "error: the point has no target\n"
 
 
+SHAPE_COMMANDS = ("validate", "target", "source", "faces", "identities")
+DEPTH_0 = "error: node addresses have depth >= 1; the 1-dimensional shape is arrow\n"
+
+
+def test_a_one_dimensional_tree_exits_two(capsys):
+    # the only 1-dimensional shape is arrow, which has no nodes to list
+    for command in SHAPE_COMMANDS:
+        assert main(["opetope", command, "--expr", "{* <- point}"]) == 2, command
+        assert capsys.readouterr() == ("", DEPTH_0), command
+
+
+def test_a_tree_decorated_by_a_one_dimensional_tree_exits_two(capsys):
+    # read as I1 it would target {* <- point} instead of arrow
+    for command in SHAPE_COMMANDS:
+        assert main(["opetope", command, "--expr", "{[] <- {* <- point}}"]) == 2, command
+        assert capsys.readouterr() == ("", DEPTH_0), command
+
+
+def test_identities_of_a_shape_without_target_exits_two(capsys):
+    expr = "{[] <- {[] <- I2} [[]] <- {[] <- I1}}"
+    assert main(["opetope", "identities", "--expr", expr]) == 2
+    err = "error: target of the replacement differs from the replaced decoration\n"
+    assert capsys.readouterr() == ("", err)
+
+
 @pytest.mark.parametrize(
     "command", [("opetope", "target"), ("opetope", "faces"), ("oalg", "h")]
 )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from opetopes import opetope
 from opetopes.opetope import (
     ARROW,
     POINT,
@@ -11,8 +12,8 @@ from opetopes.opetope import (
     Degenerate,
     ParseError,
     STAR,
+    T_GEN,
     check_identities,
-    compose,
     corolla,
     enumerate_opetopes,
     faces,
@@ -22,6 +23,7 @@ from opetopes.opetope import (
     opetopic_integer,
     parse,
     readdress,
+    relation_squares,
     render,
     size,
     source,
@@ -30,6 +32,7 @@ from opetopes.opetope import (
     validate,
 )
 from opetopes.opetope import AddressNotALeaf, AddressNotANode, ColourMismatch, OMorphism, _target_readdress
+from paper_results import compose
 from peel_oracle import peel_target_readdress
 from scaffold import edge_addrs, edge_colour, graft, parse_addr, substitute
 
@@ -287,7 +290,24 @@ def test_check_identities_clean_sweep():
 
 
 def test_check_identities_flags_broken_tree():
-    assert any("Inner" in m for m in check_identities(BROKEN))
+    # the node at [[]] does not fit its parent, so no target lists the squares
+    assert check_identities(BROKEN) == [
+        "target is undefined (target of the replacement differs from the replaced decoration)"
+    ]
+
+
+def test_check_identities_evaluates_relation_squares(monkeypatch):
+    # relation_squares alone states the identities: its error is the report,
+    # and a square added to it is checked like the others
+    def undefined(omega):
+        raise ValueError("no target")
+
+    monkeypatch.setattr(opetope, "relation_squares", undefined)
+    assert check_identities(I(3)) == ["target is undefined (no target)"]
+    omega = parse("{[] <- {[] <- I1 [[]] <- I0}}")
+    wrong = ((("s", E3), ("s", E2)), (T_GEN, T_GEN))  # I1 against I0
+    monkeypatch.setattr(opetope, "relation_squares", lambda w: relation_squares(w) + (wrong,))
+    assert check_identities(omega) == ["relation square s[].s[] = t.t broken"]
 
 
 # ---------------------------------------------------------------- enumeration

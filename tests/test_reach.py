@@ -1,10 +1,12 @@
 """What in `src/` no command reaches, read from the sources with `ast`.
 
-The walk starts at `cli.main` and the `cmd_*` functions and goes by name:
-a top-level def, class or assignment of a module is reached when a reached
-one mentions its name, as a bare name or as an attribute, in any module of
-the package.  So a name shared by two defs reaches both, and a reached
-class reaches every name its methods mention.
+The walk starts at `cli.main` and the `cmd_*` functions and follows what
+each reached top-level def, class or assignment names, the way Python
+resolves it: a bare name is the module's own top-level def of that name,
+or the def it imports under that name, followed through re-exports; a
+name `m.x` is the def `x` of the package module imported as `m`.  So a
+local variable or closure that shares a name with a def of another module
+reaches nothing, and a reached class reaches every name its methods name.
 
 A name no command reaches stays in `src/` only as the subject of a test
 that states its result, and only while a later step builds on it; each is
@@ -57,6 +59,7 @@ LEFT = {
     "opetope.edge_colour": ("scaffold", "test_opetope.py::test_source_and_edge_colours"),
     "opetope.graft": ("scaffold", "test_opetope.py::test_graft_whole_tree"),
     "opetope._root_edge_colour": ("scaffold", "test_opetope.py::test_graft_rejects_bad_input"),
+    "opetope.compose": ("paper_results", "test_opetope.py::test_compose_functorial"),
     "opetope.identity": (None, "test_opetope.py::test_compose_functorial"),
     "opetope.substitute": ("scaffold", "test_opetope.py::test_substitute_rewires_hanging_subtrees"),
     "opetope.lex_key": ("paper_results", ACCEPTANCE + "09_spine_decomposition"),
@@ -99,31 +102,65 @@ def top_level(tree: ast.Module) -> dict[str, ast.stmt]:
     return out
 
 
-def mentioned(node: ast.AST) -> set[str]:
-    return {
-        n.id if isinstance(n, ast.Name) else n.attr
-        for n in ast.walk(node)
-        if isinstance(n, (ast.Name, ast.Attribute))
-    }
+def imports(tree: ast.Module) -> tuple[dict[str, str], dict[str, tuple[str, str]]]:
+    """The package modules a module imports by name (local name -> module)
+    and the names it imports from them (local name -> (module, name))."""
+    modules: dict[str, str] = {}
+    names: dict[str, tuple[str, str]] = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 0 and not (node.module or "").startswith("opetopes"):
+            continue  # outside the package
+        module = (node.module or "").removeprefix("opetopes").lstrip(".")
+        for alias in node.names:
+            if module:
+                names[alias.asname or alias.name] = (module, alias.name)
+            else:
+                modules[alias.asname or alias.name] = alias.name
+    return modules, names
 
 
 def unreached(directory: Path = PACKAGE) -> set[str]:
-    defs: dict[str, list[str]] = {}  # name -> the modules defining it
-    nodes: dict[str, ast.stmt] = {}  # module.name -> statement
+    defs: dict[str, dict[str, ast.stmt]] = {}  # module -> its top-level names
+    modules: dict[str, dict[str, str]] = {}
+    names: dict[str, dict[str, tuple[str, str]]] = {}
     for path in sorted(directory.glob("*.py")):
         if path.stem == "__init__":
             continue
-        for name, node in top_level(ast.parse(path.read_text(encoding="utf-8"))).items():
-            defs.setdefault(name, []).append(path.stem)
-            nodes[f"{path.stem}.{name}"] = node
-    todo = ["cli.main"] + [q for q in nodes if q.startswith("cli.cmd_")]
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defs[path.stem] = top_level(tree)
+        modules[path.stem], names[path.stem] = imports(tree)
+
+    def resolve(module: str, name: str) -> str | None:
+        if name in defs[module]:
+            return f"{module}.{name}"
+        if name in names[module] and names[module][name][0] in defs:
+            return resolve(*names[module][name])
+        return None
+
+    def references(q: str) -> set[str]:
+        """The defs that the statement of module.name names."""
+        module, _, name = q.partition(".")
+        out = set()
+        for n in ast.walk(defs[module][name]):
+            if isinstance(n, ast.Name):
+                out.add(resolve(module, n.id))
+            elif isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name):
+                imported = modules[module].get(n.value.id)
+                if imported in defs:
+                    out.add(resolve(imported, n.attr))
+        return out - {None}
+
+    every = {f"{m}.{n}" for m, top in defs.items() for n in top}
+    todo = ["cli.main"] + [q for q in every if q.startswith("cli.cmd_")]
     seen: set[str] = set()
     while todo:
         q = todo.pop()
         if q not in seen:
             seen.add(q)
-            todo.extend(f"{m}.{n}" for n in mentioned(nodes[q]) for m in defs.get(n, ()))
-    return set(nodes) - seen
+            todo.extend(references(q))
+    return every - seen
 
 
 def test_every_unreached_name_is_pinned_with_its_test():
@@ -158,6 +195,7 @@ def test_every_pinned_test_exists(test):
 def test_the_walk_follows_names_across_modules(tmp_path):
     (tmp_path / "cli.py").write_text(
         "from . import low\n"
+        "from .low import SIZE\n"
         "def main():\n    return _parser()\n"
         "def _parser():\n    return 0\n"
         "def cmd_a_b():\n    return low.used(SIZE)\n"
@@ -171,3 +209,21 @@ def test_the_walk_follows_names_across_modules(tmp_path):
         "def only_dead():\n    return 2\n"
     )
     assert unreached(tmp_path) == {"cli.dead", "low.only_dead"}
+
+
+def test_a_local_name_reaches_no_def_of_another_module(tmp_path):
+    # cmd_a_b's closure shares its name with mid.compose, which no command
+    # reaches; mid re-exports low.helper, which cmd_a_b reaches through mid
+    (tmp_path / "cli.py").write_text(
+        "from .mid import helper as h\n"
+        "def main():\n    return 0\n"
+        "def cmd_a_b():\n"
+        "    def compose():\n        return h()\n"
+        "    return compose()\n"
+    )
+    (tmp_path / "mid.py").write_text(
+        "from opetopes.low import helper\n"
+        "def compose():\n    return helper()\n"
+    )
+    (tmp_path / "low.py").write_text("def helper():\n    return 1\n")
+    assert unreached(tmp_path) == {"mid.compose"}
