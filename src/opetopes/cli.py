@@ -53,6 +53,15 @@ def _one_expr(args) -> str:
     return _exprs(args, 1, "give exactly one shape via --expr or --file")[0]
 
 
+def _shape(text: str) -> opetope.Opetope:
+    """Parse a shape and build its target, which exists exactly when the shape
+    is valid: a malformed shape raises the first defect the target meets."""
+    omega = opetope.parse(text)
+    if omega.dim >= 2:
+        opetope.target(omega)
+    return omega
+
+
 def _dot(omega: opetope.Opetope) -> str:
     lines = ["digraph opetope {"]
     lines.append(f'  label="{opetope.render(omega)}";')
@@ -108,13 +117,13 @@ def cmd_opetope_validate(args) -> int:
 
 
 def cmd_opetope_target(args) -> int:
-    out = opetope.target(opetope.parse(_one_expr(args)))
+    out = opetope.target(_shape(_one_expr(args)))
     expr = opetope.render(out)
     return _result(args, 0, {"expr": expr, "dim": out.dim}, [expr], out)
 
 
 def cmd_opetope_source(args) -> int:
-    omega = opetope.parse(_one_expr(args))
+    omega = _shape(_one_expr(args))
     items = [
         (str(addr), opetope.render(opetope.source(omega, addr)))
         for addr in opetope.node_addrs(omega)
@@ -124,7 +133,7 @@ def cmd_opetope_source(args) -> int:
 
 
 def cmd_opetope_faces(args) -> int:
-    fs = opetope.faces(opetope.parse(_one_expr(args)))
+    fs = opetope.faces(_shape(_one_expr(args)))
     rows = [
         {
             "word": fs.names[cid],
@@ -145,14 +154,14 @@ def cmd_opetope_enumerate(args) -> int:
 
 def cmd_opetope_hom(args) -> int:
     exprs = _exprs(args, 2, "give two shapes: --expr SOURCE --expr TARGET")
-    psi, omega = (opetope.parse(e) for e in exprs)
+    psi, omega = (_shape(e) for e in exprs)
     words = [opetope.render_word(m.word) for m in opetope.hom(psi, omega)]
     payload = {"count": len(words), "maps": words}
     return _result(args, 0, payload, [f"maps: {len(words)}"] + words)
 
 
 def cmd_opetope_identities(args) -> int:
-    omega = opetope.parse(_one_expr(args))
+    omega = _shape(_one_expr(args))
     problems = opetope.check_identities(omega)
     cells = len(opetope.faces(omega).cells())
     squares = len(opetope.relation_squares(omega))
@@ -174,7 +183,7 @@ def cmd_opetope_identities(args) -> int:
 
 
 def _inclusion_cmd(args, build) -> int:
-    omega = opetope.parse(_one_expr(args))
+    omega = _shape(_one_expr(args))
     inc = build(omega, args.window)
     text = opset.dump_opset(inc.src)
     payload = {"expr": opetope.render(omega), "window": list(inc.src.window), "opset": text}
@@ -190,7 +199,7 @@ def cmd_opset_boundary(args) -> int:
 
 
 def cmd_opset_orthogonal(args) -> int:
-    omega = opetope.parse(args.expr)
+    omega = _shape(args.expr)
     X = opset.load_opset(_read(args.file))
     results = {
         include.__name__: opset.orthogonal_witness(omega, include, X)
@@ -231,7 +240,7 @@ def cmd_opset_hlift(args) -> int:
 def cmd_oalg_free(args) -> int:
     C = oalg.parse_category(_read(args.file))
     family = oalg.category_family(C)
-    shape = opetope.parse(args.expr) if args.expr else opetope.ARROW
+    shape = _shape(args.expr) if args.expr else opetope.ARROW
     rows = []
     for cell in oalg.free_cells(family, shape, args.max_nodes):
         start, edges = oalg.pasting_chain(cell)
@@ -266,7 +275,7 @@ def cmd_oalg_laws(args) -> int:
 
 
 def cmd_oalg_h(args) -> int:
-    omega = opetope.parse(_one_expr(args))
+    omega = _shape(_one_expr(args))
     value = oalg.h_object(omega)
     rows = []
     for gen in opetope.generators(omega):

@@ -11,12 +11,12 @@ depth-k addresses.  Address order is shortest first, then entrywise.
 
 The target of a shape is the composite of its tree, and the readdressing is
 the bijection from its leaf addresses onto the node addresses of the target.
-A degenerate shape targets the one-node tree on its edge.  Otherwise both are
-built in one pass over the nodes in address order, parents first: the target
-starts as the root decoration, and each further node's decoration is
-substituted, in place, at the node of the target its address is readdressed
-to; only the subtrees hanging above that node move, rewired through the
-decoration's own readdressing.
+In dimension 2 the nodes form a chain, targeting the arrow.  Above, the target
+starts as the corolla on the root edge's colour, and each node, root first and
+parents before children, is substituted in place at the node of the target its
+address is readdressed to, rewiring only the subtrees hanging above it.  Every
+decoration's target is built on the way, so a shape has a target exactly when
+validate finds nothing wrong with it.
 
 The face identities are the relation squares: Degen on a degenerate shape;
 on a tree, Inner at each node above the root, Glob1, and Glob2 at each leaf.
@@ -331,14 +331,6 @@ def leaf_addrs(omega: Opetope) -> tuple[Addr, ...]:
 # target and readdressing
 
 
-def _child_index(nodes: dict[Addr, Opetope]) -> dict[Addr, set[Addr]]:
-    kids: dict[Addr, set[Addr]] = {}
-    for a in nodes:
-        if a.entries:
-            kids.setdefault(a.parent(), set()).add(a)
-    return kids
-
-
 def _replace_node(
     nodes: dict[Addr, Opetope], kids: dict[Addr, set[Addr]], p: Addr, u: Opetope
 ) -> list[tuple[Addr, Addr]]:
@@ -349,8 +341,6 @@ def _replace_node(
     of u that the readdressing of u sends to e; nothing outside those subtrees
     moves.  Returns the (old, new) addresses of the nodes that moved.
     """
-    if p not in nodes:
-        raise AddressNotANode(f"no node at address {p}")
     t_u, p_u = _target_readdress(u)
     if t_u != nodes[p]:
         raise ColourMismatch("target of the replacement differs from the replaced decoration")
@@ -386,49 +376,47 @@ def _target_readdress(omega: Opetope) -> tuple[Opetope, dict[Addr, Addr]]:
     """Target shape and the leaf-to-node readdressing bijection."""
     if omega.dim < 2:
         raise ValueError("readdressing is defined in dimension >= 2")
-    if isinstance(omega, Degenerate):
-        return corolla(omega.shell), {epsilon(omega.dim - 1): epsilon(omega.dim - 2)}
-    assert isinstance(omega, Tree)
-    root, psi = omega.nodes[0]
-    if root.entries:
-        raise AddressNotANode(f"no node at address {epsilon(root.depth)}")
-    if len(omega.nodes) == 1:
-        return psi, {root.extend(q): q for q in node_addrs(psi)}
     return _compose(omega)
 
 
-def _compose(omega: Tree) -> tuple[Opetope, dict[Addr, Addr]]:
-    """Target and readdressing of a rooted tree with two or more nodes.
+def _compose(omega: Opetope) -> tuple[Opetope, dict[Addr, Addr]]:
+    """Target and readdressing of a shape of dimension >= 2.
 
-    P sends each open leaf of the nodes visited so far to its node in the
-    target built so far, and owner is its inverse.
+    The target starts as the corolla {r <- colour}, and every node, the root
+    first, is substituted at its slot.  P sends each open leaf of the nodes
+    visited so far to its node in the target built so far; owner inverts it.
     """
-    root, psi = omega.nodes[0]
+    addrs = node_addrs(omega)
     if omega.dim == 2:
         # every decoration is the arrow and a depth-1 address is fixed by its
         # length, so the nodes form a chain exactly when the k-th has length k
-        for k, (a, _) in enumerate(omega.nodes):
+        for k, a in enumerate(addrs):
             if len(a) != k:
                 raise AddressNotALeaf(f"{a} is not a leaf of the nodes below it")
-        return ARROW, {Addr(1, (STAR,) * len(omega.nodes)): STAR}
-    nodes = psi.node_map() if isinstance(psi, Tree) else {}
-    kids = _child_index(nodes)
-    P = {root.extend(q): q for q in nodes}
-    owner = {q: l for l, q in P.items()}
-    for a, psi in omega.nodes[1:]:
+        return ARROW, {Addr(1, (STAR,) * len(addrs)): STAR}
+    root, r = epsilon(omega.dim - 1), epsilon(omega.dim - 2)
+    if isinstance(omega, Degenerate):
+        colour, entries = omega.shell, ()
+        if colour.dim >= 2:
+            _target_readdress(colour)  # a malformed shell has no target
+    elif addrs[0] != root:
+        raise AddressNotANode(f"no node at address {root}")
+    else:
+        colour, entries = _target_readdress(omega.nodes[0][1])[0], omega.nodes
+    nodes: dict[Addr, Opetope] = {r: colour}
+    kids: dict[Addr, set[Addr]] = {}
+    P, owner = {root: r}, {r: root}
+    for a, psi in entries:
         slot = P.pop(a, None)
         if slot is None:
             raise AddressNotALeaf(f"{a} is not a leaf of the nodes below it")
         del owner[slot]
         moved = _replace_node(nodes, kids, slot, psi)
-        leaves = [owner.pop(old) for old, _ in moved]
-        for j, (_, new) in zip(leaves, moved):
-            P[j] = new
-            owner[new] = j
-        for q in node_addrs(psi):
-            j = a.extend(q)
-            P[j] = slot + q
-            owner[P[j]] = j
+        # the leaves whose nodes moved, then the inputs of psi, get their nodes
+        fresh = [(owner.pop(old), new) for old, new in moved]
+        fresh += [(a.extend(q), slot + q) for q in node_addrs(psi)]
+        for j, node in fresh:
+            P[j], owner[node] = node, j
     if not nodes:
         return psi, P  # the last decoration was degenerate and emptied the target
     return tree(nodes), P
@@ -490,7 +478,7 @@ def check_identities(omega: Opetope) -> list[str]:
     if the target of omega is undefined, so that none are listed, its error."""
     try:
         squares = relation_squares(omega)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         return [f"target is undefined ({exc})"]
     return [
         f"relation square {render_gen(a)}.{render_gen(b)} = {render_gen(c)}.{render_gen(d)} broken"
@@ -885,7 +873,7 @@ class _Parser:
             if len(dims) != 1:
                 raise ParseError("tree decorations must share one dimension")
             depth = dims.pop()
-            return tree({_calibrate(raw, depth): dec for raw, dec in entries})
+            return Tree(tuple((_calibrate(raw, depth), dec) for raw, dec in entries))
         raise ParseError(f"unexpected token {tok!r}")
 
     def raw_addr(self) -> tuple | None:

@@ -42,6 +42,7 @@ from opetopes.opetope import (
     relation_squares,
     render,
     render_gen,
+    target,
 )
 from opetopes.kernel import (
     FinPresheaf,
@@ -318,6 +319,8 @@ def load_opset(text: str) -> FinOpSet:
             elif parts[0] == "shape" and "cells" in parts:
                 k = parts.index("cells")
                 shape = parse_opetope(" ".join(parts[1:k]))
+                if shape.dim >= 2:
+                    target(shape)  # a malformed shape has no target
                 for x in parts[k + 1 :]:
                     if x in shape_of:
                         raise ValueError(f"cell {x} declared twice")

@@ -33,7 +33,6 @@ from opetopes.opetope import (
     Opetope,
     Tree,
     _calibrate,
-    _child_index,
     _Parser,
     _replace_node,
     corolla,
@@ -162,6 +161,14 @@ def graft(nu: Opetope, leaf: Addr, x: Opetope) -> Opetope:
     for a, dec in x.nodes:
         out[leaf + a] = dec
     return tree(out)
+
+
+def _child_index(nodes: dict[Addr, Opetope]) -> dict[Addr, set[Addr]]:
+    kids: dict[Addr, set[Addr]] = {}
+    for a in nodes:
+        if a.entries:
+            kids.setdefault(a.parent(), set()).add(a)
+    return kids
 
 
 def substitute(t: Opetope, p: Addr, u: Opetope) -> Opetope:

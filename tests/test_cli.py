@@ -759,6 +759,35 @@ def test_tree_without_a_root_node_exits_two(capsys, command):
     assert capsys.readouterr().err == "error: no node at address []\n"
 
 
+# malformed shapes that validate rejects, with the first defect their target meets
+MALFORMED = {
+    # the root decoration has a child on no input of I1
+    "{[] <- {[] <- I1 [[*]] <- I0} [[]] <- {{arrow}}}": "[[*]] is not a leaf of the nodes below it",
+    # the root decoration has no root
+    "{[] <- {[[][]] <- {[[]] <- I3}}}": "no node at address []",
+    # the shell has no root
+    "{{ {[[]] <- I1} }}": "no node at address []",
+    # a repeated node address
+    "{[] <- I1 [] <- I2}": "duplicate node address",
+}
+
+
+@pytest.mark.parametrize("text", sorted(MALFORMED))
+def test_every_shape_command_refuses_what_validate_rejects(capsys, text):
+    argvs = [["opetope", command, "--expr", text] for command in SHAPE_COMMANDS[1:]]
+    argvs += [["opetope", "hom", "--expr", text, "--expr", XI]]
+    argvs += [["opetope", "hom", "--expr", XI, "--expr", text]]
+    for argv in argvs:
+        assert main(argv) == 2, argv
+        assert capsys.readouterr() == ("", f"error: {MALFORMED[text]}\n"), argv
+
+
+def test_validate_refuses_a_repeated_node_address(capsys):
+    # not read as {[] <- I2}, the last decoration at []
+    assert main(["opetope", "validate", "--expr", "{[] <- I1 [] <- I2}"]) == 2
+    assert capsys.readouterr() == ("", "error: duplicate node address\n")
+
+
 # ------------------------------------------------------ repeated declarations
 
 Z2_CAT = "obj o\nmor e: o -> o\nmor z: o -> o\nid o = e\ncomp z.z = e\n"

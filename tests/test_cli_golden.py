@@ -5,10 +5,10 @@ stdout and the exit code.  The cases cover output whose line order comes
 from a map search: the rows of `oalg free`, the `iso:` line of `theory
 context` on a context with automorphisms, and orthogonality on a monoid
 nerve.  Every CLI command has at least one case, and some cases exit 1
-(a failed check).  `opetope validate` and `opetope target` are pinned in
-dot as well, and so is one command with no dot form, which prints its
-text.  A golden file is named CASE.FORMAT.txt; its first line is the
-exit code.
+(a failed check), among them `opetope validate` on malformed shapes.
+`opetope validate` and `opetope target` are pinned in dot as well, and
+so is one command with no dot form, which prints its text.  A golden
+file is named CASE.FORMAT.txt; its first line is the exit code.
 """
 
 from __future__ import annotations
@@ -54,6 +54,12 @@ x y z w : V, f : E(x, y), g : E(y, z), h : E(z, w) |- c(h, c(g, f)) = c(c(h, g),
 """
 
 XI = "{ [] <- I3  [[*]] <- I2  [[**]] <- I1 }"
+
+# malformed shapes, which validate reports and every other shape command refuses:
+# a root decoration with a child on no input, a rootless decoration, a rootless shell
+BAD_ROOT = "{[] <- {[] <- I1 [[*]] <- I0} [[]] <- {{arrow}}}"
+ROOTLESS = "{[] <- {[[][]] <- {[[]] <- I3}}}"
+ROOTLESS_SHELL = "{{ {[[]] <- I1} }}"
 
 C3_MODEL = """
 sort V = {a, b, c}
@@ -102,6 +108,9 @@ CASES = {
     "theory-context-edge": ("theory", "context", "--file", "tcat.th", "--expr", "x y : V, f : E(x, y)"),
     "theory-context-points": ("theory", "context", "--file", "tcat.th", "--expr", "x y : V"),
     "opetope-validate-xi": ("opetope", "validate", "--expr", XI),
+    "opetope-validate-bad-root-decoration": ("opetope", "validate", "--expr", BAD_ROOT),
+    "opetope-validate-rootless-decoration": ("opetope", "validate", "--expr", ROOTLESS),
+    "opetope-validate-rootless-shell": ("opetope", "validate", "--expr", ROOTLESS_SHELL),
     "opetope-target-xi": ("opetope", "target", "--expr", XI),
     "opetope-source-xi": ("opetope", "source", "--expr", XI),
     "opetope-faces-xi": ("opetope", "faces", "--expr", XI),

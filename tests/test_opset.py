@@ -503,3 +503,11 @@ def test_load_rejects_bad_lines():
         load_opset("shape point cells x\n")  # missing window
     with pytest.raises(ValueError):
         load_opset("window 0 1\nnonsense here\n")
+
+
+def test_load_names_the_line_of_a_malformed_shape():
+    text = "window 3 3\nshape {[] <- I1 [[*]] <- I0} cells x\n"
+    err = "line 2: [[*]] is not a leaf of the nodes below it: 'shape {[] <- I1 [[*]] <- I0} cells x'"
+    with pytest.raises(ValueError) as info:
+        load_opset(text)
+    assert str(info.value) == err

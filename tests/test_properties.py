@@ -3,6 +3,9 @@
 Shapes are random trees of dimension 3 and 4 whose nodes carry small
 decorations.  Checked: the face identities hold, and the readdressing is a
 bijection onto the target's nodes that agrees with the peeling oracle.
+On these shapes with their `addr <- shape` entries edited, a parsed shape
+has a target exactly when validate passes it, and the target raises
+nothing but ValueError.
 On dimension-3 shapes, the text form of an opetopic set reads back its
 representable, boundary and spine in every window that holds the shape.
 
@@ -73,17 +76,21 @@ from opetopes.opetope import (
     STAR,
     T_GEN,
     Addr,
+    Degenerate,
+    Tree,
     check_identities,
     enumerate_opetopes,
     epsilon,
     leaf_addrs,
     node_addrs,
     opetopic_integer,
+    parse,
     render,
     readdress,
     source,
     target,
     tree,
+    validate,
 )
 from opetopes.kernel import sub_presheaf
 from opetopes.opset import (
@@ -152,6 +159,61 @@ def test_identities_and_readdressing_on_generated_shapes(w):
     assert sorted(p, key=lambda a: a.key) == list(leaf_addrs(w))
     assert sorted(p.values(), key=lambda a: a.key) == list(node_addrs(target(w)))
     assert (target(w), p) == peel_target_readdress(w)
+
+
+def entries(w) -> list[tuple[int, str]]:
+    """The `addr <- shape` entries of every tree in w, as text, each with
+    the dimension of its decoration."""
+    if isinstance(w, Degenerate):
+        return entries(w.shell)
+    if not isinstance(w, Tree):
+        return []
+    return [(d.dim, f"{a} <- {render(d)}") for a, d in w.nodes] + [
+        e for _, d in w.nodes for e in entries(d)
+    ]
+
+
+SMALL_ENTRIES = [e for n in (3, 4) for w in enumerate_opetopes(n, 4) for e in entries(w)]
+
+
+@st.composite
+def edited_shape_texts(draw):
+    """The text of a generated shape of dimension 3 or 4 after one to three
+    edits, each replacing an `addr <- shape` entry of a tree in it by
+    another of the same dimension, swapping two, or inserting one after
+    another; the entries are those of the shape and of the shapes of
+    dimension 3 and 4 with at most 4 nodes."""
+    w = draw(st.one_of(shapes(3), shapes(4)))
+    text, own = render(w), entries(w)
+    pool = own + SMALL_ENTRIES
+    for _ in range(draw(st.integers(1, 3))):
+        dim, x = draw(st.sampled_from(own))
+        y = draw(st.sampled_from([e for d, e in pool if d == dim]))
+        kind = draw(st.sampled_from(["replace", "swap", "insert"]))
+        if kind == "replace":
+            text = text.replace(x, y, 1)
+        elif kind == "swap":
+            text = text.replace(x, "\0", 1).replace(y, x, 1).replace("\0", y, 1)
+        else:
+            text = text.replace(x, f"{x} {y}", 1)
+    return text
+
+
+@settings(max_examples=200, deadline=None)
+@given(edited_shape_texts())
+@example("{[] <- {[] <- I0 [[*]] <- I0}}")  # one node, its decoration malformed
+@example("{[] <- {[] <- I1 [[*]] <- I0} [[]] <- {{arrow}}}")
+def test_a_shape_has_a_target_exactly_when_it_is_valid(text):
+    try:
+        w = parse(text)
+    except ValueError:
+        return  # the edits left no shape: a grammar error or a repeated address
+    try:
+        target(w)
+    except ValueError:
+        assert validate(w) != [], text
+    else:
+        assert validate(w) == [], text
 
 
 @SETTINGS

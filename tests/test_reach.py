@@ -59,6 +59,7 @@ LEFT = {
     "opetope.edge_colour": ("scaffold", "test_opetope.py::test_source_and_edge_colours"),
     "opetope.graft": ("scaffold", "test_opetope.py::test_graft_whole_tree"),
     "opetope._root_edge_colour": ("scaffold", "test_opetope.py::test_graft_rejects_bad_input"),
+    "opetope._child_index": ("scaffold", "test_opetope.py::test_substitute_rewires_hanging_subtrees"),
     "opetope.compose": ("paper_results", "test_opetope.py::test_compose_functorial"),
     "opetope.identity": (None, "test_opetope.py::test_compose_functorial"),
     "opetope.substitute": ("scaffold", "test_opetope.py::test_substitute_rewires_hanging_subtrees"),
